@@ -51,7 +51,6 @@
 #include "chain/chain_replication.hpp"
 #include "core/execution_backend.hpp"
 #include "core/monte_carlo.hpp"
-#include "core/replication_block_workspace.hpp"
 #include "core/replication_workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -59,14 +58,12 @@
 #include "protocol/c_pos.hpp"
 #include "protocol/extensions.hpp"
 #include "protocol/fsl_pos.hpp"
-#include "protocol/lane_state.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"
 #include "protocol/stake_state.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/scenario_spec.hpp"
-#include "support/philox.hpp"
 #include "support/rng.hpp"
 
 // ---------------------------------------------------------------------------
@@ -208,62 +205,6 @@ void BM_Batched_CPosEpoch(benchmark::State& state) {
               static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_Batched_CPosEpoch)->RangeMultiplier(10)->Range(2, 100000);
-
-// --- replication-vectorized lane stepping -----------------------------------
-
-// ns per REPLICATION-STEP of the lane-batched path: one RunLaneSteps
-// segment advances K lanes in lockstep, so items = steps x K and
-// items_per_second compares directly against the batched scalar families
-// above.  Args: (m, K) with K in {4, 8, 16}.
-// tools/compare_hotpath_bench.py enforces the within-run speedup floor
-// (--vectorized-floor): BM_Vectorized_PoW/(m, 16) must beat BM_Batched_PoW
-// at the same m <= 100.
-void VectorizedLoop(benchmark::State& bench_state,
-                    const protocol::IncentiveModel& model,
-                    std::size_t miners, std::size_t lanes) {
-  const std::vector<double> stakes = ParetoStakes(miners);
-  const bool reset_per_game = model.RewardCompounds();
-  const std::uint64_t segment = reset_per_game ? kGameSteps : kBatchSteps;
-  protocol::LaneStakeState block;
-  block.Reset(stakes, lanes, reset_per_game);
-  PhiloxLanes rng;
-  rng.Reset(20210620, /*first_lane=*/0, lanes);
-  for (auto _ : bench_state) {
-    if (reset_per_game) block.Reset(stakes, lanes, true);
-    model.RunLaneSteps(block, block.step(), segment, rng);
-  }
-  bench_state.SetItemsProcessed(static_cast<int64_t>(
-      bench_state.iterations() * static_cast<int64_t>(segment) *
-      static_cast<int64_t>(lanes)));
-}
-
-void BM_Vectorized_PoW(benchmark::State& state) {
-  VectorizedLoop(state, protocol::PowModel(0.01),
-                 static_cast<std::size_t>(state.range(0)),
-                 static_cast<std::size_t>(state.range(1)));
-}
-BENCHMARK(BM_Vectorized_PoW)
-    ->ArgsProduct({{2, 100, 10000, 100000}, {4, 8, 16}});
-
-void BM_Vectorized_Neo(benchmark::State& state) {
-  VectorizedLoop(state, protocol::NeoModel(0.01),
-                 static_cast<std::size_t>(state.range(0)),
-                 static_cast<std::size_t>(state.range(1)));
-}
-BENCHMARK(BM_Vectorized_Neo)
-    ->ArgsProduct({{2, 100, 10000, 100000}, {4, 8, 16}});
-
-// The compounding lane kernel, benched for the record: campaigns do NOT
-// route ML-PoS through it (core::UsesVectorizedStepping), because the
-// per-lane tree reinforcement erases the lockstep win — this family
-// documents that trade instead of asserting it in a comment.
-void BM_Vectorized_MlPos(benchmark::State& state) {
-  VectorizedLoop(state, protocol::MlPosModel(0.01),
-                 static_cast<std::size_t>(state.range(0)),
-                 static_cast<std::size_t>(state.range(1)));
-}
-BENCHMARK(BM_Vectorized_MlPos)
-    ->ArgsProduct({{2, 100, 10000}, {4, 8, 16}});
 
 // --- per-step O(log m) reference (the pre-batching path) --------------------
 
@@ -584,50 +525,6 @@ void BM_ZeroAllocSteadyState_CPos(benchmark::State& state) {
                 /*population=*/false);
 }
 BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(1000);
-
-// Same property for the vectorized path: after a warm-up lane block sizes
-// the arena (LaneStakeState columns, Philox buffers, wealth scratch), a
-// full lane block — Reset, checkpoint-segment RunLaneSteps, per-lane λ
-// recording — must not allocate.
-void BM_ZeroAllocVectorized_PoW(benchmark::State& bench_state) {
-  const auto miners = static_cast<std::size_t>(bench_state.range(0));
-  core::SimulationConfig config;
-  config.steps = 256;
-  config.replications = 2 * core::kReplicationLaneWidth;
-  config.checkpoints = {128, 256};
-  config.population_metrics = false;
-  config.stepping = core::SteppingMode::kVectorized;
-  const protocol::PowModel model(0.01);
-  const std::vector<double> stakes = ParetoStakes(miners);
-  std::vector<double> lambdas(config.checkpoints.size() *
-                              config.replications);
-  core::ReplicationBlockWorkspace workspace;
-  // Warm-up: sizes every buffer for a full-width lane block.
-  core::RunReplicationBlockRange(model, stakes, config, 0,
-                                 core::kReplicationLaneWidth, lambdas.data(),
-                                 nullptr, workspace);
-  std::uint64_t allocations = 0;
-  for (auto _ : bench_state) {
-    const std::uint64_t before =
-        g_allocation_count.load(std::memory_order_relaxed);
-    core::RunReplicationBlockRange(
-        model, stakes, config, core::kReplicationLaneWidth,
-        2 * core::kReplicationLaneWidth, lambdas.data(), nullptr, workspace);
-    allocations +=
-        g_allocation_count.load(std::memory_order_relaxed) - before;
-  }
-  bench_state.counters["allocs_per_replication"] =
-      static_cast<double>(allocations) /
-      static_cast<double>(bench_state.iterations());
-  bench_state.SetItemsProcessed(static_cast<int64_t>(
-      bench_state.iterations() *
-      static_cast<int64_t>(config.steps * core::kReplicationLaneWidth)));
-  if (allocations != 0) {
-    bench_state.SkipWithError(
-        "steady-state vectorized lane block allocated on the heap");
-  }
-}
-BENCHMARK(BM_ZeroAllocVectorized_PoW)->Arg(2)->Arg(1000);
 
 // Same property for the chain-dynamics kernel: after a warm-up
 // replication Bind()s the workspace, a full chain replication — Reset,

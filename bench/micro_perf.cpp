@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/monte_carlo.hpp"
-#include "crypto/keccak256.hpp"
 #include "crypto/sha256.hpp"
 #include "math/distributions.hpp"
 #include "protocol/c_pos.hpp"
@@ -31,16 +30,6 @@ void BM_Sha256_64B(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_Sha256_64B);
-
-void BM_Keccak256_64B(benchmark::State& state) {
-  std::uint8_t data[64] = {0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Keccak256Digest(data, sizeof(data)));
-    data[0]++;
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_Keccak256_64B);
 
 void BM_U256_Division(benchmark::State& state) {
   const U256 numerator = U256::FromHex(
@@ -198,7 +187,7 @@ void BM_ReduceToResult120Checkpoints(benchmark::State& state) {
   for (double& v : lambda) v = rng.NextDouble();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::ReduceToResult(
-        "bench", {0.2, 0.8}, config, core::FairnessSpec{}, lambda));
+        "bench", {0.2, 0.8}, config, core::FairnessSpec{}, lambda, {}));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) *

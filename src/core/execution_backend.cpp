@@ -13,15 +13,14 @@ void SerialBackend::Execute(std::vector<std::function<void()>> jobs) const {
   for (auto& job : jobs) job();
 }
 
-ThreadPoolBackend::ThreadPoolBackend(unsigned threads, bool stealing)
-    : threads_(threads != 0 ? threads : EnvThreads()), stealing_(stealing) {}
+ThreadPoolBackend::ThreadPoolBackend(unsigned threads)
+    : threads_(threads != 0 ? threads : EnvThreads()) {}
 
 unsigned ThreadPoolBackend::Concurrency() const { return threads_; }
 
 void ThreadPoolBackend::Execute(
     std::vector<std::function<void()>> jobs) const {
-  const std::uint64_t steals =
-      RunStealingBatch(threads_, std::move(jobs), stealing_);
+  const std::uint64_t steals = RunStealingBatch(threads_, std::move(jobs));
   if (steals != 0) {
     static auto& steal_count =
         obs::MetricsRegistry::Global().GetCounter("campaign.steal_count");

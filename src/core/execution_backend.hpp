@@ -82,10 +82,8 @@ class SerialBackend final : public ExecutionBackend {
 /// arenas scoped to one campaign.
 class ThreadPoolBackend final : public ExecutionBackend {
  public:
-  /// `threads` = 0 means EnvThreads().  `stealing` false pins every job to
-  /// the worker it was dealt to — the static-dispatch control arm the
-  /// scheduler benchmarks compare against; output is identical either way.
-  explicit ThreadPoolBackend(unsigned threads = 0, bool stealing = true);
+  /// `threads` = 0 means EnvThreads().
+  explicit ThreadPoolBackend(unsigned threads = 0);
 
   std::string name() const override { return "threadpool"; }
   unsigned Concurrency() const override;
@@ -93,7 +91,6 @@ class ThreadPoolBackend final : public ExecutionBackend {
 
  private:
   unsigned threads_;
-  bool stealing_;
 };
 
 /// Runs jobs across N forked worker PROCESSES ("shard:N" on the CLI).

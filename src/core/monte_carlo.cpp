@@ -84,80 +84,9 @@ MonteCarloEngine::MonteCarloEngine(SimulationConfig config, FairnessSpec spec)
   }
 }
 
-bool UsesVectorizedStepping(const protocol::IncentiveModel& model,
-                            const SimulationConfig& config) {
-  return config.stepping == SteppingMode::kVectorized &&
-         model.SupportsLaneStepping() && !model.RewardCompounds();
-}
-
 std::size_t PopulationMatrixSize(const SimulationConfig& config) {
   return kPopulationMetricCount * config.checkpoints.size() *
          static_cast<std::size_t>(config.replications);
-}
-
-void RunReplicationBlockRange(const protocol::IncentiveModel& model,
-                              const std::vector<double>& initial_stakes,
-                              const SimulationConfig& config,
-                              std::size_t begin, std::size_t end,
-                              double* lambda_matrix,
-                              double* population_matrix,
-                              ReplicationBlockWorkspace& workspace) {
-  if (config.miner >= initial_stakes.size()) {
-    throw std::invalid_argument(
-        "RunReplicationBlockRange: miner index out of range");
-  }
-  if (!model.SupportsLaneStepping() || model.RewardCompounds()) {
-    throw std::invalid_argument(
-        "RunReplicationBlockRange: " + model.name() +
-        " has no static-stake lane kernel — route through "
-        "RunReplicationRange, which falls back to scalar stepping");
-  }
-  config.Validate();
-  static auto& block_range_ns = obs::MetricsRegistry::Global().GetHistogram(
-      "mc.replication_block_range_ns");
-  obs::ScopedLatency latency(block_range_ns);
-  obs::Span range_span("mc.replication_block_range",
-                       static_cast<std::uint64_t>(end - begin));
-  const std::uint64_t reps = config.replications;
-  const std::size_t cp_count = config.checkpoints.size();
-  protocol::LaneStakeState& block = workspace.block();
-  PhiloxLanes& rng = workspace.rng();
-  std::vector<double>* wealth = workspace.wealth_buffer();
-  std::vector<double>* scratch = workspace.population_scratch();
-  for (std::size_t block_begin = begin; block_begin < end;
-       block_begin += kReplicationLaneWidth) {
-    const std::size_t width =
-        std::min(kReplicationLaneWidth, end - block_begin);
-    block.Reset(initial_stakes, width, /*compounding=*/false);
-    rng.Reset(config.seed, /*first_lane=*/block_begin, width);
-    std::uint64_t done = 0;
-    for (std::size_t cp = 0; cp < cp_count; ++cp) {
-      const std::uint64_t target = config.checkpoints[cp];
-      model.RunLaneSteps(block, done, target - done, rng);
-      done = target;
-      for (std::size_t l = 0; l < width; ++l) {
-        const std::size_t rep = block_begin + l;
-        lambda_matrix[cp * reps + rep] =
-            block.RewardFraction(l, config.miner);
-        if (population_matrix != nullptr) {
-          block.WealthVector(l, wealth);
-          const PopulationSnapshot snapshot =
-              MeasurePopulation(*wealth, scratch);
-          const std::size_t cell = cp * reps + rep;
-          const std::size_t plane = cp_count * reps;
-          population_matrix[0 * plane + cell] = snapshot.gini;
-          population_matrix[1 * plane + cell] = snapshot.hhi;
-          population_matrix[2 * plane + cell] = snapshot.nakamoto;
-          population_matrix[3 * plane + cell] = snapshot.top_decile_share;
-        }
-      }
-    }
-    // Same horizon contract as the scalar path: run the tail beyond the
-    // last checkpoint so a full game is always played.
-    if (done < config.steps) {
-      model.RunLaneSteps(block, done, config.steps - done, rng);
-    }
-  }
 }
 
 void RunReplicationRange(const protocol::IncentiveModel& model,
@@ -174,17 +103,6 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   // non-ascending checkpoint schedule would underflow the segment length
   // below into a ~2^64-step spin instead of degrading benignly.
   config.Validate();
-  // Lane-batched dispatch: every backend's workers enter through this
-  // function, so eligible cells pick up the vectorized path no matter who
-  // runs them.  The block arena is per-thread (like the scalar one the
-  // caller handed us); ineligible cells fall through to the scalar loop
-  // below, byte-identical to a kScalar campaign.
-  if (UsesVectorizedStepping(model, config)) {
-    RunReplicationBlockRange(model, initial_stakes, config, begin, end,
-                             lambda_matrix, population_matrix,
-                             ThreadLocalReplicationBlockWorkspace());
-    return;
-  }
   static auto& range_ns =
       obs::MetricsRegistry::Global().GetHistogram("mc.replication_range_ns");
   obs::ScopedLatency latency(range_ns);
@@ -245,14 +163,6 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   RunReplicationRange(model, initial_stakes, config, begin, end,
                       lambda_matrix, population_matrix,
                       ThreadLocalReplicationWorkspace());
-}
-
-void RunReplicationRange(const protocol::IncentiveModel& model,
-                         const std::vector<double>& initial_stakes,
-                         const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix) {
-  RunReplicationRange(model, initial_stakes, config, begin, end,
-                      lambda_matrix, nullptr);
 }
 
 SimulationResult ReduceToResult(const std::string& protocol_name,
@@ -338,15 +248,6 @@ SimulationResult ReduceToResult(const std::string& protocol_name,
     result.checkpoints.push_back(stats);
   }
   return result;
-}
-
-SimulationResult ReduceToResult(const std::string& protocol_name,
-                                const std::vector<double>& initial_stakes,
-                                const SimulationConfig& config,
-                                const FairnessSpec& spec,
-                                const std::vector<double>& lambda_matrix) {
-  return ReduceToResult(protocol_name, initial_stakes, config, spec,
-                        lambda_matrix, {});
 }
 
 SimulationResult MonteCarloEngine::Run(

@@ -24,33 +24,10 @@
 #include "core/execution_backend.hpp"
 #include "core/fairness.hpp"
 #include "core/population.hpp"
-#include "core/replication_block_workspace.hpp"
 #include "core/replication_workspace.hpp"
 #include "protocol/incentive_model.hpp"
 
 namespace fairchain::core {
-
-/// How replications of a cell are stepped.
-///
-/// kScalar is the determinism reference: replication r draws from
-/// RngStream(seed).Split(r), one game at a time, as every campaign has
-/// since the seed.  kVectorized REQUESTS the lane-batched path: blocks of
-/// kReplicationLaneWidth replications advance in lockstep over
-/// structure-of-arrays state, replication r drawing from the counter-based
-/// PhiloxStream(seed, r).  The request only takes effect for models that
-/// support lane stepping with static (non-compounding) stake — see
-/// UsesVectorizedStepping; everything else keeps the scalar batched path,
-/// byte-identical to kScalar.
-///
-/// Equivalence contract: vectorized output is NOT byte-identical to scalar
-/// output for the cells it accelerates — the Philox keystream is a
-/// different (equally deterministic) sequence than the xoshiro splits — but
-/// it is distribution-identical, which the closed-form oracles judge
-/// (`verify --all`).  Vectorized output IS byte-identical to a scalar
-/// replay of the same Philox streams, to any lane-block width, any
-/// checkpoint segmentation, and any backend (tests/protocol/
-/// lane_steps_conformance_test.cpp).
-enum class SteppingMode { kScalar, kVectorized };
 
 /// Configuration of one simulation campaign.
 struct SimulationConfig {
@@ -80,9 +57,6 @@ struct SimulationConfig {
   /// `final_lambdas=off`) for 100k-replication cells that only read the
   /// reduced checkpoint statistics.
   bool keep_final_lambdas = true;
-  /// Stepping mode (spec key `stepping=scalar|vectorized`).  See
-  /// SteppingMode for the eligibility and equivalence contract.
-  SteppingMode stepping = SteppingMode::kScalar;
 
   /// Validates ranges; throws std::invalid_argument.
   void Validate() const;
@@ -178,18 +152,6 @@ class MonteCarloEngine {
   FairnessSpec spec_;
 };
 
-/// True when a campaign of `model` under `config` resolves to the
-/// vectorized lane path: the mode was requested AND the model has a lane
-/// kernel AND its stake is static.  Compounding models keep the scalar
-/// batched path even under kVectorized — their per-lane Fenwick trees make
-/// lockstep stepping slower than the scalar loop, and withholding (which
-/// only matters when rewards compound) is not modelled by the lane kernels.
-/// Callers deciding store keys or output contracts MUST use this predicate,
-/// not the raw config field: a kVectorized request that falls back to
-/// scalar produces byte-identical-to-scalar results.
-bool UsesVectorizedStepping(const protocol::IncentiveModel& model,
-                            const SimulationConfig& config);
-
 /// Number of doubles a per-replication population-metric matrix needs:
 /// kPopulationMetricCount planes of (checkpoints × replications).  Layout:
 /// population_matrix[(metric * cp_count + c) * replications + r].
@@ -213,11 +175,6 @@ std::size_t PopulationMatrixSize(const SimulationConfig& config);
 /// and left bound on return.  Steps between checkpoints are driven through
 /// the model's batched RunSteps in whole segments, so the per-step cost is
 /// the protocol's inner loop — no virtual dispatch, no allocation.
-///
-/// When UsesVectorizedStepping(model, config) holds, the range is instead
-/// stepped through RunReplicationBlockRange on this thread's block arena —
-/// transparently for every backend, since serial, pool, and shard workers
-/// all enter through here.
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
@@ -233,29 +190,6 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
                          std::size_t end, double* lambda_matrix,
                          double* population_matrix);
 
-/// Backwards-compatible overload: λ only, no population metrics.
-void RunReplicationRange(const protocol::IncentiveModel& model,
-                         const std::vector<double>& initial_stakes,
-                         const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix);
-
-/// The vectorized twin of RunReplicationRange: steps replications
-/// [begin, end) in lane blocks of up to kReplicationLaneWidth, each block
-/// advanced in lockstep through the model's RunLaneSteps.  Replication r is
-/// lane r of the cell's Philox keystream (PhiloxStream(config.seed, r)), so
-/// the output is invariant to the [begin, end) partition and to the lane
-/// width — identical matrix cells for any backend, chunking, or block size.
-/// Requires model.SupportsLaneStepping() and !model.RewardCompounds()
-/// (throws std::invalid_argument otherwise); callers normally route through
-/// RunReplicationRange, which dispatches on UsesVectorizedStepping.
-void RunReplicationBlockRange(const protocol::IncentiveModel& model,
-                              const std::vector<double>& initial_stakes,
-                              const SimulationConfig& config,
-                              std::size_t begin, std::size_t end,
-                              double* lambda_matrix,
-                              double* population_matrix,
-                              ReplicationBlockWorkspace& workspace);
-
 /// Reduces a fully populated λ matrix (layout as RunReplicationRange) plus
 /// an optional population matrix (empty = no metrics; otherwise exactly
 /// PopulationMatrixSize doubles) to per-checkpoint statistics.  The second
@@ -268,13 +202,6 @@ SimulationResult ReduceToResult(const std::string& protocol_name,
                                 const FairnessSpec& spec,
                                 const std::vector<double>& lambda_matrix,
                                 const std::vector<double>& population_matrix);
-
-/// Backwards-compatible overload: λ only, population metrics stay NaN.
-SimulationResult ReduceToResult(const std::string& protocol_name,
-                                const std::vector<double>& initial_stakes,
-                                const SimulationConfig& config,
-                                const FairnessSpec& spec,
-                                const std::vector<double>& lambda_matrix);
 
 /// Evenly spaced checkpoints {step/count, 2*step/count, ..., steps}.
 /// Exact at every magnitude: the k·steps/count intermediate is evaluated in

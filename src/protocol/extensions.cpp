@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "protocol/batched_steps.hpp"
-#include "protocol/lane_steps.hpp"
 
 namespace fairchain::protocol {
 
@@ -24,14 +23,6 @@ void NeoModel::RunSteps(StakeState& state, std::uint64_t step_begin,
   // Gas rewards never become stake, so like PoW the whole batch runs
   // against a frozen sampler tree.
   batched::RunStaticIncomeSteps(state, w_, step_count, rng);
-}
-
-void NeoModel::RunLaneSteps(LaneStakeState& block, std::uint64_t step_begin,
-                            std::uint64_t step_count,
-                            PhiloxLanes& rng) const {
-  CheckRunLaneStepsBegin(block, step_begin);
-  // Same lockstep dynamics as PoW: frozen tree, non-compounding income.
-  lanes::RunStaticIncomeLaneSteps(block, w_, step_count, rng);
 }
 
 double NeoModel::WinProbability(const StakeState& state,

@@ -1,7 +1,6 @@
 #include "protocol/fsl_pos.hpp"
 
 #include "protocol/batched_steps.hpp"
-#include "protocol/lane_steps.hpp"
 
 namespace fairchain::protocol {
 
@@ -26,16 +25,6 @@ void FslPosModel::RunSteps(StakeState& state, std::uint64_t step_begin,
   // Identical batched dynamics to ML-PoS: the exponential race reduces to
   // one categorical draw per block (see Step), and the reward compounds.
   batched::RunCompoundingSteps(state, w_, step_count, rng);
-}
-
-void FslPosModel::RunLaneSteps(LaneStakeState& block,
-                               std::uint64_t step_begin,
-                               std::uint64_t step_count,
-                               PhiloxLanes& rng) const {
-  CheckRunLaneStepsBegin(block, step_begin);
-  // Same lockstep dynamics as ML-PoS (one categorical draw per block per
-  // lane, compounding reward).
-  lanes::RunCompoundingLaneSteps(block, w_, step_count, rng);
 }
 
 double FslPosModel::WinProbability(const StakeState& state,

@@ -28,10 +28,6 @@ class FslPosModel : public IncentiveModel {
   void Step(StakeState& state, RngStream& rng) const override;
   void RunSteps(StakeState& state, std::uint64_t step_begin,
                 std::uint64_t step_count, RngStream& rng) const override;
-  bool SupportsLaneStepping() const override { return true; }
-  void RunLaneSteps(LaneStakeState& block, std::uint64_t step_begin,
-                    std::uint64_t step_count,
-                    PhiloxLanes& rng) const override;
   double RewardPerStep() const override { return w_; }
 
   /// Exactly proportional: stake share (the point of the treatment).

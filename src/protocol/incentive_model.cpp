@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "protocol/lane_state.hpp"
-
 namespace fairchain::protocol {
 
 void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin) {
@@ -11,31 +9,6 @@ void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin) {
     throw std::invalid_argument(
         "IncentiveModel::RunSteps: step_begin does not match state.step()");
   }
-}
-
-void CheckRunLaneStepsBegin(const LaneStakeState& block,
-                            std::uint64_t step_begin) {
-  if (block.step() != step_begin) {
-    throw std::invalid_argument(
-        "IncentiveModel::RunLaneSteps: step_begin does not match "
-        "block.step()");
-  }
-}
-
-void IncentiveModel::RunLaneSteps(LaneStakeState& block,
-                                  std::uint64_t step_begin,
-                                  std::uint64_t step_count,
-                                  PhiloxLanes& rng) const {
-  (void)block;
-  (void)step_begin;
-  (void)step_count;
-  (void)rng;
-  // No generic fallback exists: lane stepping changes the RNG discipline,
-  // so a silent scalar emulation here would quietly break the "lane l ==
-  // PhiloxStream(seed, first_lane + l)" contract the vectorized campaign
-  // mode relies on.  Callers gate on SupportsLaneStepping().
-  throw std::logic_error(name() +
-                         ": RunLaneSteps is not supported by this model");
 }
 
 void IncentiveModel::RunSteps(StakeState& state, std::uint64_t step_begin,

@@ -19,13 +19,7 @@
 #include "protocol/stake_state.hpp"
 #include "support/rng.hpp"
 
-namespace fairchain {
-class PhiloxLanes;  // support/philox.hpp
-}  // namespace fairchain
-
 namespace fairchain::protocol {
-
-class LaneStakeState;  // protocol/lane_state.hpp
 
 /// Abstract incentive mechanism (Section 2 of the paper).
 class IncentiveModel {
@@ -64,28 +58,6 @@ class IncentiveModel {
   virtual void RunSteps(StakeState& state, std::uint64_t step_begin,
                         std::uint64_t step_count, RngStream& rng) const;
 
-  /// True when the model implements RunLaneSteps — the lockstep
-  /// replication-vectorized stepping mode.  Orthogonal to
-  /// RewardCompounds(): the four one-draw-per-block protocols (PoW, NEO,
-  /// ML-PoS, FSL-PoS) all support lane stepping, but the campaign layer
-  /// only *selects* it for non-compounding protocols (see
-  /// core/replication_block_workspace.hpp for the eligibility rule and
-  /// the statistical-equivalence contract).
-  virtual bool SupportsLaneStepping() const { return false; }
-
-  /// Advances all lanes of `block` by `step_count` lockstep steps, lane l
-  /// consuming exactly the stream PhiloxStream(seed, first_lane + l)
-  /// carried by `rng`.  Lane semantics: each lane evolves as a scalar
-  /// StakeState replaying the same winners would (per-lane bit-exactness,
-  /// pinned by the lane conformance suite); across generators the results
-  /// are statistically — not byte — equivalent to the RngStream paths.
-  /// `step_begin` must equal `block.step()` (throws std::invalid_argument
-  /// otherwise, mirroring RunSteps).  Base implementation throws
-  /// std::logic_error; models report availability via
-  /// SupportsLaneStepping().
-  virtual void RunLaneSteps(LaneStakeState& block, std::uint64_t step_begin,
-                            std::uint64_t step_count, PhiloxLanes& rng) const;
-
   /// Total reward issued per step (w, or w + v for compound protocols);
   /// used to normalise λ and for analytic bounds.
   virtual double RewardPerStep() const = 0;
@@ -110,10 +82,6 @@ void ValidateReward(double w, const char* what);
 /// Shared RunSteps precondition: throws std::invalid_argument unless
 /// `state.step() == step_begin`.  Every override calls this first.
 void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin);
-
-/// Lane analogue of CheckRunStepsBegin for the RunLaneSteps overrides.
-void CheckRunLaneStepsBegin(const LaneStakeState& block,
-                            std::uint64_t step_begin);
 
 }  // namespace fairchain::protocol
 

@@ -1,7 +1,6 @@
 #include "protocol/ml_pos.hpp"
 
 #include "protocol/batched_steps.hpp"
-#include "protocol/lane_steps.hpp"
 
 namespace fairchain::protocol {
 
@@ -19,15 +18,6 @@ void MlPosModel::RunSteps(StakeState& state, std::uint64_t step_begin,
                           std::uint64_t step_count, RngStream& rng) const {
   CheckRunStepsBegin(state, step_begin);
   batched::RunCompoundingSteps(state, w_, step_count, rng);
-}
-
-void MlPosModel::RunLaneSteps(LaneStakeState& block,
-                              std::uint64_t step_begin,
-                              std::uint64_t step_count,
-                              PhiloxLanes& rng) const {
-  CheckRunLaneStepsBegin(block, step_begin);
-  // Pólya urn per lane: each lane's winner reinforces that lane's tree.
-  lanes::RunCompoundingLaneSteps(block, w_, step_count, rng);
 }
 
 double MlPosModel::WinProbability(const StakeState& state,

@@ -1,7 +1,6 @@
 #include "protocol/pow.hpp"
 
 #include "protocol/batched_steps.hpp"
-#include "protocol/lane_steps.hpp"
 
 namespace fairchain::protocol {
 
@@ -22,15 +21,6 @@ void PowModel::RunSteps(StakeState& state, std::uint64_t step_begin,
   // Non-compounding: stakes (and the sampler tree) never change, so the
   // whole batch is sampler descents plus O(1) income credits.
   batched::RunStaticIncomeSteps(state, w_, step_count, rng);
-}
-
-void PowModel::RunLaneSteps(LaneStakeState& block, std::uint64_t step_begin,
-                            std::uint64_t step_count,
-                            PhiloxLanes& rng) const {
-  CheckRunLaneStepsBegin(block, step_begin);
-  // The frozen tree serves every lane; K replications advance per
-  // multi-lane descent.
-  lanes::RunStaticIncomeLaneSteps(block, w_, step_count, rng);
 }
 
 double PowModel::WinProbability(const StakeState& state,

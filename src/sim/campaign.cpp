@@ -198,17 +198,6 @@ std::string CellStorePreimage(const ScenarioSpec& spec,
   out += "\nepsilon=" + DoubleBits(spec.fairness.epsilon);
   out += "\ndelta=" + DoubleBits(spec.fairness.delta);
   out += "\n";
-  // Appended ONLY when the cell actually resolves to the lane path: a
-  // vectorized request that falls back to scalar (compounding model, no
-  // lane kernel) produces byte-identical results, so it must also produce
-  // an identical key — and every pre-existing scalar key stays valid.
-  if (config.stepping == core::SteppingMode::kVectorized) {
-    const auto model =
-        protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
-    if (core::UsesVectorizedStepping(*model, config)) {
-      out += "stepping=vectorized\n";
-    }
-  }
   return out;
 }
 
@@ -231,13 +220,10 @@ core::SimulationConfig CellConfig(const ScenarioSpec& spec,
   config.withhold_period = cell.withhold;
   config.population_metrics = spec.population_metrics;
   config.keep_final_lambdas = spec.keep_final_lambdas;
-  config.stepping = spec.stepping;
   if (cell.chain_dynamics) {
-    // Chain cells have no stake population to take Gini/HHI over and no
-    // lane kernel; they record their own observables (the chain matrix)
-    // and always step the scalar event machine.
+    // Chain cells have no stake population to take Gini/HHI over; they
+    // record their own observables (the chain matrix) instead.
     config.population_metrics = false;
-    config.stepping = core::SteppingMode::kScalar;
   }
   if (spec.spacing == CheckpointSpacing::kLog) {
     config.checkpoints = core::LogCheckpoints(

@@ -1,5 +1,6 @@
 #include "sim/scenario_spec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 
 #include "chain/chain_replication.hpp"
+#include "core/population.hpp"
 #include "protocol/model_factory.hpp"
 
 namespace fairchain::sim {
@@ -185,16 +187,6 @@ void Assign(ScenarioSpec& spec, const std::string& key,
     spec.population_metrics = ParseOnOff(key, value);
   } else if (key == "final_lambdas") {
     spec.keep_final_lambdas = ParseOnOff(key, value);
-  } else if (key == "stepping") {
-    if (value == "scalar") {
-      spec.stepping = core::SteppingMode::kScalar;
-    } else if (value == "vectorized") {
-      spec.stepping = core::SteppingMode::kVectorized;
-    } else {
-      throw std::invalid_argument(
-          "ScenarioSpec: stepping expects scalar|vectorized, got '" + value +
-          "'");
-    }
   } else if (key == "steps") {
     spec.steps = ParseU64(key, value);
   } else if (key == "reps") {
@@ -429,6 +421,29 @@ void ScenarioSpec::Validate() const {
   require(steps > 0, "steps must be > 0");
   require(replications > 0, "reps must be > 0");
   require(checkpoint_count > 0, "checkpoints must be > 0");
+  // Bound each cell's matrices from above: CellConfig realises at most
+  // min(steps, max(2, checkpoints)) checkpoints, and a cell records either
+  // population planes or chain planes next to its λ plane.
+  const std::uint64_t checkpoints_per_cell = std::min<std::uint64_t>(
+      steps, std::max<std::uint64_t>(2, checkpoint_count));
+  const std::uint64_t metric_planes = std::max<std::uint64_t>(
+      population_metrics ? core::kPopulationMetricCount : 0,
+      family == ScenarioFamily::kIncentive ? 0 : chain::kChainMetricCount);
+  const std::string product =
+      std::to_string(checkpoints_per_cell) + " checkpoints x " +
+      std::to_string(replications) + " reps x " +
+      std::to_string(1 + metric_planes) + " planes x 8 bytes";
+  std::uint64_t matrix_bytes = 0;
+  require(!__builtin_mul_overflow(checkpoints_per_cell, replications,
+                                  &matrix_bytes) &&
+              !__builtin_mul_overflow(
+                  matrix_bytes, (1 + metric_planes) * sizeof(double),
+                  &matrix_bytes),
+          "cell matrices of " + product + " overflow 64 bits");
+  require(matrix_bytes <= kMaxCellMatrixBytes,
+          "cell matrices of " + product + " = " +
+              std::to_string(matrix_bytes) + " bytes exceed the " +
+              std::to_string(kMaxCellMatrixBytes) + "-byte per-cell limit");
   fairness.Validate();
 }
 
@@ -597,11 +612,7 @@ std::string ScenarioSpec::ToText() const {
       << "eps=" << FormatDouble(fairness.epsilon) << "\n"
       << "delta=" << FormatDouble(fairness.delta) << "\n"
       << "population=" << (population_metrics ? "on" : "off") << "\n"
-      << "final_lambdas=" << (keep_final_lambdas ? "on" : "off") << "\n"
-      << "stepping="
-      << (stepping == core::SteppingMode::kVectorized ? "vectorized"
-                                                      : "scalar")
-      << "\n";
+      << "final_lambdas=" << (keep_final_lambdas ? "on" : "off") << "\n";
   return out.str();
 }
 
@@ -617,7 +628,7 @@ const std::vector<std::string>& ScenarioSpec::OverrideFlagNames() {
       "w",         "v",           "shards",  "withhold", "stakes",
       "gamma",     "delay",       "steps",   "reps",   "seed",
       "checkpoints", "spacing",   "eps",     "delta",  "population",
-      "final_lambdas", "stepping"};
+      "final_lambdas"};
   return names;
 }
 

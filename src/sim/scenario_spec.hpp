@@ -56,6 +56,13 @@ struct StakeDistribution {
   double parameter = 0.0;
 };
 
+/// Upper bound, in bytes, on one cell's replication matrices: the λ
+/// matrix (checkpoints × reps doubles) plus one equal plane per recorded
+/// population or chain metric.  ScenarioSpec::Validate rejects a spec
+/// whose cells would exceed it, so an absurd `reps` fails with a message
+/// before any banner or allocation instead of ending in std::bad_alloc.
+inline constexpr std::uint64_t kMaxCellMatrixBytes = std::uint64_t{1} << 32;
+
 /// Parses a stake-distribution token; throws std::invalid_argument on an
 /// unknown form or an out-of-range parameter.
 StakeDistribution ParseStakeDistribution(const std::string& text);
@@ -157,14 +164,10 @@ struct ScenarioSpec {
   /// cell).  The streamed CSV/JSONL rows never read them, so turn off
   /// (`final_lambdas=off`) for 100k-replication cells.
   bool keep_final_lambdas = true;
-  /// Stepping mode requested for every cell (`stepping=scalar|vectorized`).
-  /// Vectorized only takes effect where core::UsesVectorizedStepping says
-  /// so (static-stake models with a lane kernel); every other cell keeps
-  /// the scalar path, byte-identical to `stepping=scalar`.
-  core::SteppingMode stepping = core::SteppingMode::kScalar;
 
   /// Throws std::invalid_argument on an empty axis, an unknown protocol,
-  /// out-of-range allocations / miner counts, or zero steps/replications.
+  /// out-of-range allocations / miner counts, zero steps/replications, or
+  /// cell matrices larger than kMaxCellMatrixBytes.
   void Validate() const;
 
   /// Number of cells the grid expands to (product of the axis sizes).
@@ -180,8 +183,7 @@ struct ScenarioSpec {
   ///   name, description, family (incentive|chain|mixed), protocols, miners,
   ///   whales, a, w, v, shards, withhold, stakes (split|pareto:A|zipf:S),
   ///   gamma, delay, steps, reps, seed, checkpoints, spacing (linear|log),
-  ///   eps, delta, population (on|off), final_lambdas (on|off),
-  ///   stepping (scalar|vectorized)
+  ///   eps, delta, population (on|off), final_lambdas (on|off)
   /// Unknown keys throw std::invalid_argument (same contract as
   /// FlagSet::RejectUnknown: a typo must not silently become a default).
   static ScenarioSpec FromText(const std::string& text);
@@ -197,7 +199,7 @@ struct ScenarioSpec {
   /// Applies CLI overrides (all optional): --reps, --steps, --seed,
   /// --checkpoints, --spacing, --eps, --delta, --family, --protocols,
   /// --miners, --whales, --a, --w, --v, --shards, --withhold, --stakes,
-  /// --gamma, --delay, --population, --final_lambdas, --stepping.
+  /// --gamma, --delay, --population, --final_lambdas.
   /// List-valued flags take comma-separated values and replace the whole
   /// axis.
   void ApplyOverrides(const FlagSet& flags);

@@ -23,10 +23,6 @@
 
 namespace fairchain {
 
-/// Upper bound on the lane count of the lockstep descents below; the
-/// per-lane descent state (index + remaining) must fit on the stack.
-inline constexpr std::size_t kMaxFenwickLanes = 32;
-
 /// Fenwick tree over `size()` non-negative double weights.
 class FenwickSampler {
  public:
@@ -124,8 +120,7 @@ class FenwickSampler {
   /// `+inf <= remaining` (never true, for any finite target) and is skipped
   /// by the same conditional move that skips a too-heavy real node.  The
   /// selected index is identical to the bounds-checked descent, and the
-  /// loop body becomes a pure compare/cmov/mask chain — the form the
-  /// multi-lane SampleFlatLanes below unrolls across replications.
+  /// loop body becomes a pure compare/cmov/mask chain.
   std::size_t SampleFlat(double u01) const {
     double remaining = u01 * total_;
     if (size_ == 2) return SampleTwo(remaining);
@@ -139,35 +134,7 @@ class FenwickSampler {
     return index < size_ ? index : LastPositive();
   }
 
-  /// The masked MULTI-LANE descent: `out[l] = SampleFlat(u01[l])` for
-  /// every lane, bit-for-bit, over the one shared tree.  All lanes walk
-  /// the levels in lockstep; each level is a dependency-free inner loop of
-  /// the same compare/cmov/mask chain as SampleFlat (the +inf padding has
-  /// already absorbed the bounds check), so the compiler can vectorize
-  /// across lanes and the K gather loads of one level overlap instead of
-  /// serialising.  This is the static-stake (PoW / NEO) vectorized hot
-  /// path: stakes never change, so one tree serves every replication.
-  /// `lanes` must be <= kMaxFenwickLanes.  Defined out of line in
-  /// fenwick.cpp — one of the ISA-widened kernel TUs (see
-  /// FAIRCHAIN_LANE_SIMD in CMakeLists.txt), where the per-level lane loop
-  /// compiles to vector gathers + compare-masked blends.
-  void SampleFlatLanes(const double* u01, std::size_t lanes,
-                       std::uint32_t* out) const;
-
-  // --- Read-only internals for the fused lane kernels -------------------
-  // (protocol/lane_kernels.cpp) which inline the descent against raw
-  // pointers so per-step call and setup costs vanish.  The values expose
-  // the exact quantities the descents above use; they are NOT a mutation
-  // surface.
-
-  /// The node array (1-based; padded with +inf past size() up to
-  /// 2 * descent_mask() slots — the invariant the branchless descents
-  /// probe against).
-  const double* tree_data() const { return tree_.data(); }
-
-  /// The top descent bit: highest power of two <= size().
-  std::size_t descent_mask() const { return mask_; }
-
+ private:
   /// Rounding-overran fallback: the last element with positive weight.
   /// Clamped so it can never produce an out-of-range index: an empty or
   /// default-constructed tree returns 0 (size_ - 1 would wrap to
@@ -182,7 +149,6 @@ class FenwickSampler {
     return index;
   }
 
- private:
   /// `condition ? value : +0.0` computed in the bit domain (no int→fp
   /// conversion, no branch); exact because masking all bits off IS +0.0.
   static double MaskDouble(double value, bool condition) {
@@ -208,126 +174,6 @@ class FenwickSampler {
   std::size_t size_ = 0;
   std::size_t mask_ = 0;  // highest power of two <= size_
   double total_ = 0.0;
-};
-
-/// K INDEPENDENT Fenwick trees advanced in lockstep — the compounding
-/// counterpart of FenwickSampler::SampleFlatLanes, for protocols whose
-/// stakes evolve per lane (ML-PoS / FSL-PoS reinforce each lane's winner,
-/// so lanes cannot share a tree).  Node k of lane l lives at
-/// tree_[k * lane_count + l]: one descent level's loads sit adjacent
-/// while lane indices still agree (early steps, before stakes diverge)
-/// and degrade to gathers afterwards.  Selection and update are
-/// operation-identical to a scalar FenwickSampler per lane — the lane
-/// conformance tests pin SampleLanes against SampleFlat element-wise.
-/// Same +inf padding discipline, same LastPositive clamp.
-class FenwickLanes {
- public:
-  FenwickLanes() = default;
-
-  /// Rebuilds every lane's tree over the same `weights` in O(m x lanes)
-  /// (lanes start from the cell's common stake vector and diverge through
-  /// Add).  `lanes` must be in [1, kMaxFenwickLanes].  Reuses storage when
-  /// capacity suffices (no steady-state allocation across cell resets).
-  void Build(const std::vector<double>& weights, std::size_t lanes);
-
-  /// Adds `delta` to element `i` of `lane` in O(log m) — the per-step
-  /// reinforcement of one compounding lane.  Straight-line for the
-  /// two-miner game, mirroring FenwickSampler::Add.
-  void Add(std::size_t lane, std::size_t i, double delta) {
-    totals_[lane] += delta;
-    const std::size_t stride = lane_count_;
-    double* column = tree_.data() + lane;
-    if (size_ == 2) {
-      column[1 * stride] += MaskDouble(delta, i == 0);
-      column[2 * stride] += delta;
-      return;
-    }
-    for (std::size_t k = i + 1; k <= size_; k += k & (~k + 1)) {
-      column[k * stride] += delta;
-    }
-  }
-
-  /// Lockstep masked descent, one u01 per lane: out[l] is exactly what
-  /// FenwickSampler::SampleFlat(u01[l]) would return on lane l's tree.
-  void SampleLanes(const double* u01, std::uint32_t* out) const {
-    const std::size_t lanes = lane_count_;
-    const std::size_t stride = lane_count_;
-    double remaining[kMaxFenwickLanes];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      remaining[l] = u01[l] * totals_[l];
-    }
-    if (size_ == 2) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double* column = tree_.data() + l;
-        std::uint32_t index;
-        if (column[2 * stride] <= remaining[l]) {
-          index = static_cast<std::uint32_t>(LastPositive(l));
-        } else {
-          index = column[1 * stride] <= remaining[l] ? 1u : 0u;
-        }
-        out[l] = index;
-      }
-      return;
-    }
-    std::uint32_t index[kMaxFenwickLanes] = {};
-    for (std::size_t bit = mask_; bit != 0; bit >>= 1) {
-      for (std::size_t l = 0; l < lanes; ++l) {  // dependency-free
-        const double t = tree_[(index[l] + bit) * stride + l];
-        const bool take = t <= remaining[l];
-        index[l] += take ? static_cast<std::uint32_t>(bit) : 0u;
-        remaining[l] -= MaskDouble(t, take);
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[l] = index[l] < size_
-                   ? index[l]
-                   : static_cast<std::uint32_t>(LastPositive(l));
-    }
-  }
-
-  /// Sum of lane `lane`'s elements [0, i) in O(log m).
-  double PrefixSum(std::size_t lane, std::size_t i) const {
-    double sum = 0.0;
-    for (std::size_t k = i; k > 0; k -= k & (~k + 1)) {
-      sum += tree_[k * lane_count_ + lane];
-    }
-    return sum;
-  }
-
-  /// Element `i` of lane `lane`, in O(log m).
-  double Weight(std::size_t lane, std::size_t i) const {
-    return PrefixSum(lane, i + 1) - PrefixSum(lane, i);
-  }
-
-  /// Lane `lane`'s total, as its tree accumulates it.
-  double Total(std::size_t lane) const { return totals_[lane]; }
-
-  std::size_t size() const { return size_; }
-  std::size_t lane_count() const { return lane_count_; }
-
- private:
-  static double MaskDouble(double value, bool condition) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    bits &= 0ULL - static_cast<std::uint64_t>(condition);
-    double masked;
-    std::memcpy(&masked, &bits, sizeof(masked));
-    return masked;
-  }
-
-  /// Same clamp discipline as FenwickSampler::LastPositive, per lane.
-  std::size_t LastPositive(std::size_t lane) const {
-    if (size_ == 0) return 0;
-    std::size_t index = size_ - 1;
-    while (index > 0 && Weight(lane, index) <= 0.0) --index;
-    return index;
-  }
-
-  std::vector<double> tree_;    // [node * lane_count_ + lane], +inf padded
-  std::vector<double> totals_;  // per-lane running totals
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  std::size_t lane_count_ = 0;
 };
 
 }  // namespace fairchain

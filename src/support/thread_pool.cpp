@@ -88,8 +88,7 @@ struct StealableDeque {
 }  // namespace
 
 std::uint64_t RunStealingBatch(unsigned threads,
-                               std::vector<std::function<void()>> tasks,
-                               bool stealing) {
+                               std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return 0;
   const unsigned workers = std::max(1u, threads);
   if (workers == 1) {
@@ -118,7 +117,7 @@ std::uint64_t RunStealingBatch(unsigned threads,
           deques[self]->tasks.pop_front();
         }
       }
-      while (!task && stealing) {
+      while (!task) {
         // Steal from the sibling with the largest backlog: relieving the
         // most loaded worker minimises the makespan when one deque holds
         // an expensive cell's chunks.  Sizes are sampled one lock at a

@@ -70,16 +70,13 @@ class ThreadPool {
 /// termination condition.
 ///
 /// Returns the number of successful steals (tasks executed by a worker
-/// other than the one they were dealt to).  With `stealing` false the
-/// deal is static: each worker runs exactly its own deque — the control
-/// arm benchmarks compare against.
+/// other than the one they were dealt to).
 ///
 /// Determinism: like ThreadPool, stealing only changes WHICH worker runs
 /// a task and WHEN, never what the task computes — callers uphold the
 /// index-derived-RNG / disjoint-output contract (core/execution_backend).
 std::uint64_t RunStealingBatch(unsigned threads,
-                               std::vector<std::function<void()>> tasks,
-                               bool stealing = true);
+                               std::vector<std::function<void()>> tasks);
 
 /// Runs `body(i)` for i in [0, count) across `threads` workers in contiguous
 /// chunks, blocking until completion.  With threads <= 1 runs inline.

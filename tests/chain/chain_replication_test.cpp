@@ -255,7 +255,8 @@ TEST(ChainReplicationRangeTest, ReduceFillsCheckpointChainStats) {
   RunChainReplicationRange(spec, config, 0, 12, lambda.data(), chain.data());
 
   core::SimulationResult result = core::ReduceToResult(
-      "forkrace", {0.4, 0.6}, config, core::FairnessSpec{0.1, 0.1}, lambda);
+      "forkrace", {0.4, 0.6}, config, core::FairnessSpec{0.1, 0.1}, lambda,
+      {});
   ReduceChainMetrics(config, chain, result);
   for (const core::CheckpointStats& stats : result.checkpoints) {
     EXPECT_TRUE(std::isfinite(stats.orphan_rate));

@@ -41,20 +41,6 @@ TEST(ExecutionBackendTest, ThreadPoolRunsEveryJobToCompletion) {
   EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ExecutionBackendTest, ThreadPoolStealingToggleRunsIdentically) {
-  // Stealing only changes which worker runs a job; both arms must run the
-  // whole batch.  The engine-level determinism tests below pin that the
-  // computed bytes cannot differ either.
-  for (const bool stealing : {true, false}) {
-    ThreadPoolBackend backend(4, stealing);
-    std::atomic<int> count{0};
-    std::vector<std::function<void()>> jobs(
-        96, [&count] { count.fetch_add(1); });
-    backend.Execute(std::move(jobs));
-    EXPECT_EQ(count.load(), 96) << "stealing=" << stealing;
-  }
-}
-
 TEST(ExecutionBackendTest, ExecuteIsReentrant) {
   ThreadPoolBackend backend(2);
   for (int round = 0; round < 3; ++round) {

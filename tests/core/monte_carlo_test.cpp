@@ -127,9 +127,6 @@ TEST(RunReplicationRangeTest, MinerOutOfRangeThrows) {
   std::vector<double> lambdas(config.checkpoints.size() *
                               config.replications);
   EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config, 0, 1,
-                                   lambdas.data()),
-               std::invalid_argument);
-  EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config, 0, 1,
                                    lambdas.data(), nullptr),
                std::invalid_argument);
 }
@@ -139,9 +136,6 @@ TEST(ReduceToResultTest, MinerOutOfRangeThrows) {
   config.miner = 5;
   const std::vector<double> lambdas(config.checkpoints.size() *
                                     config.replications);
-  EXPECT_THROW(
-      ReduceToResult("PoW", {0.2, 0.8}, config, FairnessSpec{}, lambdas),
-      std::invalid_argument);
   EXPECT_THROW(ReduceToResult("PoW", {0.2, 0.8}, config, FairnessSpec{},
                               lambdas, {}),
                std::invalid_argument);

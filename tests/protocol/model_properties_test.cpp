@@ -18,7 +18,6 @@
 #include "protocol/c_pos.hpp"
 #include "protocol/extensions.hpp"
 #include "protocol/fsl_pos.hpp"
-#include "protocol/hybrid.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"
@@ -154,12 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{"Algorand",
                   [] { return std::make_unique<AlgorandModel>(0.1); }},
         ModelCase{"Eos",
-                  [] { return std::make_unique<EosModel>(0.01, 0.1); }},
-        ModelCase{"Hybrid",
-                  [] {
-                    return std::make_unique<HybridModel>(
-                        0.01, 0.5, std::vector<double>{0.2, 0.3, 0.5});
-                  }}),
+                  [] { return std::make_unique<EosModel>(0.01, 0.1); }}),
     [](const ::testing::TestParamInfo<ModelCase>& param_info) {
       return param_info.param.label;
     });

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "protocol/hybrid.hpp"
 #include "protocol/incentive_model.hpp"
 #include "protocol/model_factory.hpp"
 #include "protocol/stake_state.hpp"
@@ -131,15 +130,6 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, RunStepsConformanceTest,
                            }
                            return name;
                          });
-
-// HybridModel has no batched override; this pins that the base-class
-// default is itself conformant (it IS the reference loop) and honours the
-// step_begin precondition.
-TEST(RunStepsConformanceTest, HybridUsesConformantDefault) {
-  const HybridModel model(0.01, 0.4, {0.5, 0.3, 0.2});
-  ExpectConformance(model, {0.2, 0.3, 0.5}, 0);
-  ExpectConformance(model, {0.2, 0.3, 0.5}, 7);
-}
 
 }  // namespace
 }  // namespace fairchain::protocol

@@ -392,6 +392,35 @@ TEST(ScenarioSpecTest, UnknownKeyNamesTheKey) {
       << message;
 }
 
+TEST(ScenarioSpecTest, MatrixProductOverflowIsRejectedWithTheProduct) {
+  ScenarioSpec spec;
+  spec.ApplyOverrides(FlagSet::Parse({"--reps", "18446744073709551615"}));
+  const std::string message = FailureMessage([&] { spec.Validate(); });
+  EXPECT_NE(message.find("50 checkpoints x 18446744073709551615 reps x 5 "
+                         "planes x 8 bytes overflow 64 bits"),
+            std::string::npos)
+      << message;
+}
+
+TEST(ScenarioSpecTest, MatrixAboveTheCellLimitIsRejectedWithTheProduct) {
+  ScenarioSpec spec;
+  spec.ApplyOverrides(FlagSet::Parse({"--reps", "4000000000000"}));
+  const std::string message = FailureMessage([&] { spec.Validate(); });
+  EXPECT_NE(message.find("50 checkpoints x 4000000000000 reps x 5 planes x 8 "
+                         "bytes = 8000000000000000 bytes exceed the " +
+                         std::to_string(kMaxCellMatrixBytes) +
+                         "-byte per-cell limit"),
+            std::string::npos)
+      << message;
+  // The bound scales with the planes actually recorded: without population
+  // metrics the same spec needs a fifth of the bytes.
+  spec.replications = kMaxCellMatrixBytes / (50 * 8);
+  spec.population_metrics = false;
+  EXPECT_NO_THROW(spec.Validate());
+  spec.population_metrics = true;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+}
+
 TEST(ScenarioSpecTest, OverridesMayRepeatKeysParsedFromText) {
   // Duplicate rejection is a FromText contract only: CLI overrides
   // legitimately re-assign keys that the spec text already set.

@@ -185,105 +185,5 @@ TEST(FenwickSamplerTest, AllZeroTreeClampsInRange) {
   }
 }
 
-// --- Lockstep lane descents ---------------------------------------------
-
-TEST(FenwickSamplerTest, SampleFlatLanesMatchesScalarElementwise) {
-  RngStream rng(20210620);
-  for (const std::size_t size : {1ul, 2ul, 3ul, 8ul, 37ul, 1000ul}) {
-    std::vector<double> weights(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      weights[i] = (i % 5 == 2) ? 0.0 : 1.0 / static_cast<double>(i + 1);
-    }
-    if (size > 1 && weights[0] == 0.0) weights[0] = 1.0;
-    FenwickSampler sampler;
-    sampler.Build(weights);
-    for (const std::size_t lanes : {1ul, 4ul, 8ul, 16ul}) {
-      double u[kMaxFenwickLanes];
-      std::uint32_t out[kMaxFenwickLanes];
-      for (int round = 0; round < 200; ++round) {
-        for (std::size_t l = 0; l < lanes; ++l) u[l] = rng.NextDouble();
-        if (round == 0) {  // boundary round
-          u[0] = 0.0;
-          if (lanes > 1) u[lanes - 1] = 0x1.fffffffffffffp-1;
-          if (lanes > 2) u[1] = 1.0;
-        }
-        sampler.SampleFlatLanes(u, lanes, out);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          ASSERT_EQ(out[l], sampler.SampleFlat(u[l]))
-              << "size " << size << " lanes " << lanes << " lane " << l;
-        }
-      }
-    }
-  }
-}
-
-TEST(FenwickLanesTest, BuildReplicatesWeightsPerLane) {
-  FenwickLanes lanes;
-  lanes.Build({1.0, 2.0, 3.0, 4.0, 5.0}, 4);
-  EXPECT_EQ(lanes.size(), 5u);
-  EXPECT_EQ(lanes.lane_count(), 4u);
-  for (std::size_t l = 0; l < 4; ++l) {
-    EXPECT_DOUBLE_EQ(lanes.Total(l), 15.0);
-    for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_DOUBLE_EQ(lanes.Weight(l, i), static_cast<double>(i + 1));
-    }
-  }
-}
-
-TEST(FenwickLanesTest, AddTouchesOnlyItsLane) {
-  FenwickLanes lanes;
-  lanes.Build({1.0, 1.0, 1.0}, 3);
-  lanes.Add(1, 2, 4.0);
-  EXPECT_DOUBLE_EQ(lanes.Weight(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(lanes.Total(1), 7.0);
-  for (const std::size_t other : {0u, 2u}) {
-    EXPECT_DOUBLE_EQ(lanes.Weight(other, 2), 1.0);
-    EXPECT_DOUBLE_EQ(lanes.Total(other), 3.0);
-  }
-}
-
-// The defining property: lane l of FenwickLanes behaves exactly like an
-// independent scalar FenwickSampler receiving the same Add calls — same
-// selections at every u01, including after the lanes' stakes diverge
-// (a compounding game) and at the overran boundary.
-TEST(FenwickLanesTest, LanesMatchIndependentScalarSamplers) {
-  RngStream rng(777);
-  for (const std::size_t size : {2ul, 3ul, 8ul, 37ul}) {
-    constexpr std::size_t kLaneCount = 8;
-    std::vector<double> weights(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      weights[i] = 1.0 + static_cast<double>(i % 3);
-    }
-    FenwickLanes lanes;
-    lanes.Build(weights, kLaneCount);
-    std::vector<FenwickSampler> scalars(kLaneCount);
-    for (auto& scalar : scalars) scalar.Build(weights);
-    double u[kLaneCount];
-    std::uint32_t out[kLaneCount];
-    for (int step = 0; step < 500; ++step) {
-      for (std::size_t l = 0; l < kLaneCount; ++l) u[l] = rng.NextDouble();
-      if (step == 0) u[0] = 0x1.fffffffffffffp-1;
-      lanes.SampleLanes(u, out);
-      for (std::size_t l = 0; l < kLaneCount; ++l) {
-        const std::size_t expected = scalars[l].SampleFlat(u[l]);
-        ASSERT_EQ(out[l], expected)
-            << "size " << size << " step " << step << " lane " << l;
-        // Reinforce the winner: lanes diverge exactly like a PoS game.
-        lanes.Add(l, expected, 0.5);
-        scalars[l].Add(expected, 0.5);
-      }
-    }
-  }
-}
-
-TEST(FenwickLanesTest, DegenerateTreesStayInRange) {
-  FenwickLanes zero;
-  zero.Build(std::vector<double>(4, 0.0), 4);
-  const double u[4] = {0.0, 0.5, 0x1.fffffffffffffp-1, 1.0};
-  std::uint32_t out[4] = {99, 99, 99, 99};
-  zero.SampleLanes(u, out);
-  for (int l = 0; l < 4; ++l) EXPECT_LT(out[l], 4u) << "lane " << l;
-}
-
 }  // namespace
 }  // namespace fairchain

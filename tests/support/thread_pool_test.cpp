@@ -111,8 +111,7 @@ TEST(RunStealingBatchTest, EmptyBatchIsNoop) {
 // that blocks until every other task has run.  Without stealing the other
 // tasks dealt to worker 0's deque could only run after the blocker — so
 // the batch completing proves siblings stole them (and the returned count
-// records it).  The control arm pins the semantics of `stealing = false`:
-// the same deal executes statically and reports zero steals.
+// records it).
 TEST(RunStealingBatchTest, IdleWorkersStealFromTheBusyOne) {
   constexpr int kTasks = 16;  // dealt round-robin onto 4 deques
   std::atomic<int> done{0};
@@ -130,16 +129,6 @@ TEST(RunStealingBatchTest, IdleWorkersStealFromTheBusyOne) {
   // Worker 0 is stuck behind the blocker, so its remaining 3 tasks (4, 8,
   // 12) must have been stolen for the blocker ever to release.
   EXPECT_GE(steals, 3u);
-}
-
-TEST(RunStealingBatchTest, StealingDisabledRunsStaticDeal) {
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks(
-      64, [&count] { count.fetch_add(1); });
-  const std::uint64_t steals =
-      RunStealingBatch(4, std::move(tasks), /*stealing=*/false);
-  EXPECT_EQ(count.load(), 64);
-  EXPECT_EQ(steals, 0u);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {

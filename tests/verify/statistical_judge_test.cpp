@@ -35,7 +35,7 @@ core::SimulationResult ResultFromSamples(const std::vector<double>& lambdas,
   config.replications = lambdas.size();
   config.checkpoints = {steps};
   return core::ReduceToResult("test", {a, 1.0 - a}, config, {0.1, 0.1},
-                              lambdas);
+                              lambdas, {});
 }
 
 // Binomial(n, p)/n samples — the exact law of the PoW reward fraction.

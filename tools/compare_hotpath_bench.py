@@ -40,15 +40,6 @@ disabled Span check plus a live histogram record per segment, the exact
 production call-site shape) must stay within --obs-limit (default 1.02,
 the "<2% ns/step with the layer compiled in but disabled" budget).
 
-The vectorized stepping kernel is held to a within-run speedup FLOOR the
-same way: every BM_Vectorized_PoW/m/K is compared against its scalar
-twin BM_Batched_PoW/m from the same run, and at full lane width (K = 16)
-with m <= 100 — the fused kernel's design envelope, covering the paper's
-two-miner default — the speedup must be at least --vectorized-floor
-(default 1.5x).  Larger m and partial lane widths are reported but never
-enforced: at m = 10k+ the descent is gather-bound and the advantage
-legitimately narrows.
-
 The cost-aware scheduler is held to a within-run speedup floor too: each
 BM_HeterogeneousCampaign/(mode)/(workers)/1 (cost-aware) is compared
 against its /0 twin (the static cell-granular planner) from the same
@@ -105,54 +96,6 @@ def check_obs_overhead(current, limit, failures):
                 f"{limit:.2f}x (observability overhead budget)")
             flag = "  << OVERHEAD"
         print(f"{name:48} {base:9.2f} {value:9.2f} {ratio:6.3f}{flag}")
-
-
-# Within-run vectorized-vs-batched speedup floor: the vectorized series,
-# its scalar twin, and the (lane width, max m) envelope the floor applies
-# to.  PoW only: NEO shares the static-income kernel (same numbers), and
-# the compounding protocols take the scalar batched path by design.
-VEC_PREFIX = "BM_Vectorized_PoW/"
-VEC_BATCHED_PREFIX = "BM_Batched_PoW/"
-VEC_FLOOR_LANES = "16"
-VEC_FLOOR_MAX_M = 100
-
-
-def check_vectorized_speedup(current, floor, failures):
-    """Holds BM_Vectorized_PoW/m/16 at m <= VEC_FLOOR_MAX_M to at least
-    `floor` x speedup over BM_Batched_PoW/m from the same run.  Pairs
-    missing either side are reported, never failed."""
-    rows = []
-    for name, value in sorted(current.items()):
-        if not name.startswith(VEC_PREFIX) or not value:
-            continue
-        parts = name[len(VEC_PREFIX):].split("/")
-        if len(parts) != 2:
-            continue
-        miners, lanes = parts
-        base = current.get(VEC_BATCHED_PREFIX + miners)
-        if not base:
-            print(f"note: {name} has no {VEC_BATCHED_PREFIX}{miners} twin; "
-                  "speedup unchecked")
-            continue
-        enforced = (lanes == VEC_FLOOR_LANES
-                    and int(miners) <= VEC_FLOOR_MAX_M)
-        rows.append((name, base, value, enforced))
-    if not rows:
-        return
-    print(f"\nvectorized speedup (within-run, floor {floor:.2f}x at "
-          f"K = {VEC_FLOOR_LANES}, m <= {VEC_FLOOR_MAX_M}):")
-    print(f"{'pair':48} {'batch ns':>9} {'vec ns':>9} {'speedup':>8}")
-    for name, base, value, enforced in rows:
-        speedup = base / value  # both are ns per simulated step
-        flag = ""
-        if enforced and speedup < floor:
-            failures.append(
-                f"{name}: vectorized speedup {speedup:.2f}x is below the "
-                f"{floor:.2f}x floor vs its batched twin")
-            flag = "  << BELOW FLOOR"
-        elif not enforced:
-            flag = "  (reported only)"
-        print(f"{name:48} {base:9.2f} {value:9.2f} {speedup:8.2f}{flag}")
 
 
 # Within-run scheduler speedup: static planner vs cost-aware scheduler on
@@ -242,10 +185,6 @@ def main():
     parser.add_argument("--obs-limit", type=float, default=1.02,
                         help="max instrumented/base ratio for the "
                              "BM_Obs* within-run pairs (default 1.02)")
-    parser.add_argument("--vectorized-floor", type=float, default=1.5,
-                        help="min within-run speedup of BM_Vectorized_PoW"
-                             "/m/16 over BM_Batched_PoW/m at m <= 100 "
-                             "(default 1.5)")
     parser.add_argument("--hetero-speedup", type=float, default=1.8,
                         help="min within-run static/cost wall-clock ratio "
                              "of BM_HeterogeneousCampaign at 4 workers; "
@@ -265,7 +204,6 @@ def main():
         if value is None:
             failures.append(f"{name}: benchmark reported an error")
     check_obs_overhead(current, args.obs_limit, failures)
-    check_vectorized_speedup(current, args.vectorized_floor, failures)
     check_hetero_speedup(current, args.hetero_speedup, num_cpus, failures)
 
     shared = sorted(name for name in baseline

@@ -78,7 +78,6 @@ int Usage() {
       "            [--miners ...] [--whales ...] [--shards ...]\n"
       "            [--withhold ...] [--checkpoints N] [--spacing linear|log]\n"
       "            [--eps E] [--delta D] [--final_lambdas on|off]\n"
-      "            [--stepping scalar|vectorized]\n"
       "            [--family incentive|chain|mixed] [--gamma 0,0.5,1] "
       "[--delay 0,0.1]\n"
       "  scenarios [name]   list registered scenarios grouped by family\n"
