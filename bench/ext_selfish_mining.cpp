@@ -3,18 +3,43 @@
 //
 // Reproduces the classic Eyal-Sirer revenue curve: the pool's revenue
 // share vs its hash share alpha, for tie-propagation gamma in {0, 0.5, 1},
-// from both the closed form and the event-level simulator, and reports the
-// fairness threshold where honest PoW's E[lambda] = alpha breaks.
+// from both the closed form and the chain-dynamics replication kernel the
+// campaigns run, and reports the fairness threshold where honest PoW's
+// E[lambda] = alpha breaks.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "chain/chain_replication.hpp"
 #include "core/selfish_mining.hpp"
-#include "support/rng.hpp"
+
+namespace {
+
+using namespace fairchain;
+
+// The pool's simulated revenue share: one replication of `events` block
+// events through the selfish-mining kernel, read from the λ plane at its
+// single checkpoint, where the kernel settles the private lead.
+double SimulatedRevenueShare(double alpha, double gamma,
+                             std::uint64_t events, std::uint64_t seed) {
+  chain::ChainGameSpec spec;
+  spec.dynamics = chain::ChainDynamics::kSelfish;
+  spec.alpha = alpha;
+  spec.gamma = gamma;
+  core::SimulationConfig config;
+  config.steps = events;
+  config.replications = 1;
+  config.seed = seed;
+  config.checkpoints = {events};
+  double revenue_share = 0.0;
+  chain::RunChainReplicationRange(spec, config, 0, 1, &revenue_share,
+                                  nullptr);
+  return revenue_share;
+}
+
+}  // namespace
 
 int main() {
-  using namespace fairchain;
-
   const std::uint64_t events = FastModeEnabled() ? 200000 : 2000000;
   std::printf(
       "================================================================\n"
@@ -36,9 +61,8 @@ int main() {
     table.Cell(alpha, 2);  // honest mining earns exactly alpha
     for (const double gamma : {0.0, 0.5, 1.0}) {
       table.Cell(core::SelfishMiningRevenue(alpha, gamma), 4);
-      core::SelfishMiningSimulator simulator(alpha, gamma);
-      RngStream rng(static_cast<std::uint64_t>(pct * 100 + gamma * 10));
-      table.Cell(simulator.Run(rng, events).RevenueShare(), 4);
+      const auto seed = static_cast<std::uint64_t>(pct * 100 + gamma * 10);
+      table.Cell(SimulatedRevenueShare(alpha, gamma, events, seed), 4);
     }
   }
   table.Emit("ext_selfish_mining");

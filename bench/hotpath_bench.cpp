@@ -2,17 +2,11 @@
 // loop as a function of miner-population size m, per protocol — the repo's
 // perf-trajectory baseline (BENCH_hotpath.json).
 //
-// Three families (compare items_per_second = steps/second):
-//   * BM_Batched_*  — the shipped execution core: one virtual RunSteps
-//     call amortised over a whole segment, per-protocol inner loops with
-//     inlined sampler descent and credit arms, zero steady-state
-//     allocation (verified by BM_ZeroAllocSteadyState* below);
-//   * BM_Fenwick_*  — the previous per-step path: one virtual Step call
-//     per block over the same O(log m) Fenwick sampler, kept so every run
-//     restates the batching gain at any m (dispatch and call overhead
-//     dominate at small m, the tree descent at large m);
-//   * BM_LinearScan_* — the pre-Fenwick O(m) cumulative scan, the original
-//     reference (reconstructed locally; the models no longer contain it).
+// BM_Batched_* measure the shipped execution core (compare
+// items_per_second = steps/second): one virtual RunSteps call amortised
+// over a whole segment, per-protocol inner loops with inlined sampler
+// descent and credit arms, zero steady-state allocation (verified by
+// BM_ZeroAllocSteadyState* below).
 //
 // Populations are the pareto:1.16 heavy-tailed stakes of the
 // large-population-sweep scenario, m ∈ {2, 10, 100, 1k, 10k, 100k}.
@@ -22,23 +16,6 @@
 //                       --benchmark_out_format=json
 // tools/compare_hotpath_bench.py guards CI against >25% per-step
 // regressions relative to the checked-in baseline.
-//
-// Recorded in the dev container (gcc Release, 2026-07), batched execution
-// core vs the pre-batching shipped path (virtual Step + out-of-line
-// sampler/credit) measured on the same machine:
-//   m = 2:    PoW 14.5 -> 3.3 ns (4.4x), ML-PoS 18.4 -> 7.8 ns (2.4x),
-//             FSL-PoS 18.9 -> 7.9 ns (2.4x), C-PoS 636 -> 202 ns/epoch
-//             (3.2x) — dispatch/call overhead dominated, batching plus the
-//             inlined credit arms and the two-element sampler fast path
-//             remove it.
-//   m = 100:  PoW 40.8 -> 17.5 ns (2.3x, branchless static-stake descent);
-//             the compounding protocols are descent-bound, not
-//             dispatch-bound, and show ~1.1-1.2x.
-//   m = 10k/100k: PoW 93 -> 42 ns / 119 -> 76 ns; compounding protocols at
-//             parity (the branchy descent + reinforcement path is
-//             unchanged) — no regression.
-// The linear-scan reference stays ~2 orders of magnitude slower than the
-// tree at m = 100k.
 
 #include <benchmark/benchmark.h>
 
@@ -62,7 +39,6 @@
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"
 #include "protocol/stake_state.hpp"
-#include "sim/scenario_registry.hpp"
 #include "sim/scenario_spec.hpp"
 #include "support/rng.hpp"
 
@@ -103,20 +79,6 @@ std::vector<double> ParetoStakes(std::size_t miners) {
   return cell.Stakes();
 }
 
-// The pre-Fenwick proposer selection: one uniform, one O(m) cumulative
-// scan over the stakes (verbatim shape of the old PoW/ML-PoS/NEO loop).
-std::size_t LinearScanProposer(const protocol::StakeState& state,
-                               RngStream& rng) {
-  const double target = rng.NextDouble() * state.total_stake();
-  double cumulative = 0.0;
-  const std::size_t n = state.miner_count();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    cumulative += state.stake(i);
-    if (target < cumulative) return i;
-  }
-  return n - 1;
-}
-
 // Compounding protocols reset to the initial stakes every kGameSteps — the
 // replication shape of real campaigns.  Without the reset the benchmark
 // state drifts forever toward a degenerate single-winner distribution, so
@@ -127,24 +89,9 @@ std::size_t LinearScanProposer(const protocol::StakeState& state,
 // m = 100k.  Static-stake protocols (PoW / NEO) have nothing to reset.
 constexpr std::uint64_t kGameSteps = 16384;
 
-void StepLoop(benchmark::State& bench_state,
-              const protocol::IncentiveModel& model, std::size_t miners) {
-  protocol::StakeState state(ParetoStakes(miners));
-  RngStream rng(20210620);
-  const bool reset_per_game = model.RewardCompounds();
-  for (auto _ : bench_state) {
-    if (reset_per_game && state.step() == kGameSteps) state.Reset();
-    model.Step(state, rng);
-    state.AdvanceStep();
-  }
-  bench_state.SetItemsProcessed(
-      static_cast<int64_t>(bench_state.iterations()));
-}
-
 // One benchmark iteration = one RunSteps segment — the shape the engine
-// actually drives between checkpoints.  Compare on items_per_second
-// (steps/second) against the per-step families.  Compounding protocols run
-// whole kGameSteps games from Reset; static ones step 1024-block segments.
+// actually drives between checkpoints.  Compounding protocols run whole
+// kGameSteps games from Reset; static ones step 1024-block segments.
 constexpr std::uint64_t kBatchSteps = 1024;
 
 void BatchedLoop(benchmark::State& bench_state,
@@ -159,19 +106,6 @@ void BatchedLoop(benchmark::State& bench_state,
   }
   bench_state.SetItemsProcessed(static_cast<int64_t>(
       bench_state.iterations() * static_cast<int64_t>(segment)));
-}
-
-void LinearScanLoop(benchmark::State& bench_state, bool compounds,
-                    std::size_t miners) {
-  protocol::StakeState state(ParetoStakes(miners));
-  RngStream rng(20210620);
-  for (auto _ : bench_state) {
-    const std::size_t winner = LinearScanProposer(state, rng);
-    state.Credit(winner, 0.01, compounds);
-    state.AdvanceStep();
-  }
-  bench_state.SetItemsProcessed(
-      static_cast<int64_t>(bench_state.iterations()));
 }
 
 // --- batched execution core (the shipped hot path) --------------------------
@@ -205,48 +139,6 @@ void BM_Batched_CPosEpoch(benchmark::State& state) {
               static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_Batched_CPosEpoch)->RangeMultiplier(10)->Range(2, 100000);
-
-// --- per-step O(log m) reference (the pre-batching path) --------------------
-
-void BM_Fenwick_PoW(benchmark::State& state) {
-  StepLoop(state, protocol::PowModel(0.01),
-           static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_Fenwick_PoW)->RangeMultiplier(10)->Range(2, 100000);
-
-void BM_Fenwick_MlPos(benchmark::State& state) {
-  StepLoop(state, protocol::MlPosModel(0.01),
-           static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_Fenwick_MlPos)->RangeMultiplier(10)->Range(2, 100000);
-
-void BM_Fenwick_FslPos(benchmark::State& state) {
-  StepLoop(state, protocol::FslPosModel(0.01),
-           static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_Fenwick_FslPos)->RangeMultiplier(10)->Range(2, 100000);
-
-// C-PoS epochs sample P = 32 slots through the same tree (v = 0 isolates
-// the slot path; the inflation sweep is inherently O(m)).
-void BM_Fenwick_CPosEpoch(benchmark::State& state) {
-  StepLoop(state, protocol::CPosModel(0.01, 0.0, 32),
-           static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_Fenwick_CPosEpoch)->RangeMultiplier(10)->Range(2, 100000);
-
-// --- pre-Fenwick O(m) reference ---------------------------------------------
-
-void BM_LinearScan_PoW(benchmark::State& state) {
-  LinearScanLoop(state, /*compounds=*/false,
-                 static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_LinearScan_PoW)->RangeMultiplier(10)->Range(100, 100000);
-
-void BM_LinearScan_MlPos(benchmark::State& state) {
-  LinearScanLoop(state, /*compounds=*/true,
-                 static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_LinearScan_MlPos)->RangeMultiplier(10)->Range(100, 100000);
 
 // --- chain-dynamics kernels -------------------------------------------------
 
@@ -347,61 +239,6 @@ BENCHMARK(BM_ShardCampaign)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-#endif
-
-// --- cost-aware scheduling --------------------------------------------------
-
-// Wall-clock of the registry's hetero-cost-mix campaign (C-PoS + PoW +
-// selfish-chain — a ~30x per-step cost spread across three cells) under
-// the static planner versus the cost-aware scheduler, on the stealing
-// thread pool and the demand-driven shard backend.  The static arm is the
-// true coarse planner this PR replaced: one cell-granular chunk per cell
-// dispatched in grid order, so the whole campaign's tail is the most
-// expensive cell on one worker.  tools/compare_hotpath_bench.py derives
-// its --hetero-speedup floor from the static/cost ratio WITHIN one run
-// (machine speed cancels); the floor only arms on runners with >= 4 CPUs,
-// where the parallelism the scheduler unlocks is physically available.
-//
-// Args: (mode 0 = pool / 1 = shard, workers, policy 0 = static / 1 = cost).
-void BM_HeterogeneousCampaign(benchmark::State& bench_state) {
-  const bool shard_mode = bench_state.range(0) == 1;
-  const auto workers = static_cast<unsigned>(bench_state.range(1));
-  const bool cost_aware = bench_state.range(2) == 1;
-  const sim::ScenarioSpec& spec =
-      sim::ScenarioRegistry::BuiltIn().Get("hetero-cost-mix");
-  const core::ThreadPoolBackend pool(workers);
-  const core::ShardBackend sharded(workers);
-  sim::CampaignOptions options;
-  options.backend =
-      shard_mode ? static_cast<const core::ExecutionBackend*>(&sharded)
-                 : &pool;
-  if (cost_aware) {
-    options.schedule = sim::SchedulePolicy::kCostAware;
-  } else {
-    options.schedule = sim::SchedulePolicy::kStatic;
-    options.chunk_replications = spec.replications;
-  }
-  const sim::CampaignRunner runner(options);
-  for (auto _ : bench_state) {
-    const auto outcomes = runner.Run(spec, {});
-    benchmark::DoNotOptimize(outcomes.size());
-  }
-  const auto steps_per_iteration = static_cast<int64_t>(
-      static_cast<std::uint64_t>(spec.CellCount()) * spec.replications *
-      spec.steps);
-  bench_state.SetItemsProcessed(bench_state.iterations() *
-                                steps_per_iteration);
-}
-#ifndef _WIN32
-BENCHMARK(BM_HeterogeneousCampaign)
-    ->Args({0, 4, 0})  // pool/4, static planner
-    ->Args({0, 4, 1})  // pool/4, cost-aware
-    ->Args({1, 2, 0})  // shard:2, static
-    ->Args({1, 2, 1})  // shard:2, cost-aware
-    ->Args({1, 4, 0})  // shard:4, static
-    ->Args({1, 4, 1})  // shard:4, cost-aware
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 #endif

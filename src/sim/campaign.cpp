@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -111,18 +110,27 @@ std::string DoubleBits(double value) {
 // as ONE chunk instead of shattering into per-replication confetti.
 constexpr double kMinChunkNs = 1e6;
 
-// Longest-processing-time order over the pending chunks: descending
-// modeled cost, ties broken by ascending index so the order is a pure
-// function of the plan.  Starting the expensive chunks first lets the
-// cheap tail level out the finish — the classic LPT bound.
+// Longest-processing-time order over the pending chunks, cell by cell:
+// cells by descending cost of their largest chunk, each cell's chunks
+// adjacent and in plan order, ties broken by ascending index so the order
+// is a pure function of the plan.  Starting the expensive chunks first
+// lets the cheap tail level out the finish — the classic LPT bound.
+// Keeping a cell's chunks (its smaller remainder chunk included) together
+// lets the cell reduce and free its matrices before later cells allocate
+// theirs, which bounds how many cells hold memory at once.
 std::vector<std::size_t> LptOrder(const std::vector<ChunkJob>& jobs) {
+  std::vector<double> cell_cost;
+  for (const ChunkJob& job : jobs) {
+    if (job.cell >= cell_cost.size()) cell_cost.resize(job.cell + 1, 0.0);
+    cell_cost[job.cell] = std::max(cell_cost[job.cell], job.cost_ns);
+  }
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
-            [&jobs](std::size_t a, std::size_t b) {
-              if (jobs[a].cost_ns != jobs[b].cost_ns) {
-                return jobs[a].cost_ns > jobs[b].cost_ns;
-              }
+            [&jobs, &cell_cost](std::size_t a, std::size_t b) {
+              const double cost_a = cell_cost[jobs[a].cell];
+              const double cost_b = cell_cost[jobs[b].cell];
+              if (cost_a != cost_b) return cost_a > cost_b;
               return a < b;
             });
   return order;
@@ -248,16 +256,6 @@ core::SimulationConfig CellConfig(const ScenarioSpec& spec,
 CampaignRunner::CampaignRunner(CampaignOptions options)
     : options_(options) {}
 
-std::uint64_t CampaignRunner::ChunkSize(std::uint64_t replications,
-                                        unsigned threads) const {
-  if (options_.chunk_replications != 0) return options_.chunk_replications;
-  // ~4 chunks per worker per cell: fine-grained enough that a finished
-  // cell's workers immediately pick up the next cell's chunks, coarse
-  // enough that dispatch overhead stays negligible.
-  const std::uint64_t chunks = static_cast<std::uint64_t>(threads) * 4;
-  return std::max<std::uint64_t>(1, (replications + chunks - 1) / chunks);
-}
-
 unsigned CampaignRunner::PlannedConcurrency() const {
   if (options_.backend != nullptr) {
     return std::max(1u, options_.backend->Concurrency());
@@ -269,36 +267,30 @@ std::vector<ChunkJob> CampaignRunner::PlanJobs(
     const ScenarioSpec& spec) const {
   const std::vector<CampaignCell> cells = spec.ExpandCells();
   const unsigned threads = PlannedConcurrency();
-  // Per-cell modeled replication cost (always finite and positive): the
-  // cost model's BENCH-calibrated priors, refined by the EWMA over chunks
-  // this process has already observed.  Estimates only shape chunk
-  // GEOMETRY — the simulated values depend on (cell seed, replication
-  // index) alone, so a wrong estimate costs wall clock, never bytes.
-  CostModel& model = CostModel::Global();
+  // Per-cell modeled replication cost (always finite and positive) from
+  // the BENCH-calibrated priors.  Estimates only shape chunk GEOMETRY —
+  // the simulated values depend on (cell seed, replication index) alone,
+  // so a wrong estimate costs wall clock, never bytes.
   std::vector<double> rep_ns(cells.size(), 1.0);
   double total_ns = 0.0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    rep_ns[i] = model.EstimateReplicationNs(cells[i], spec.steps);
+    rep_ns[i] = EstimateReplicationNs(cells[i], spec.steps);
     total_ns += rep_ns[i] * static_cast<double>(spec.replications);
   }
-  const bool cost_aware = options_.chunk_replications == 0 &&
-                          options_.schedule == SchedulePolicy::kCostAware;
-  // Cost-aware target: ~4 chunks per worker of EQUAL MODELED COST across
-  // the whole campaign (not per cell), floored at kMinChunkNs.  An
-  // expensive cell therefore splits into many small-replication chunks
-  // while a cheap cell contributes a few large ones — the geometry that
-  // keeps every worker busy until the campaign's last millisecond.
+  // Target: ~4 chunks per worker of EQUAL MODELED COST across the whole
+  // campaign (not per cell), floored at kMinChunkNs.  An expensive cell
+  // therefore splits into many small-replication chunks while a cheap
+  // cell contributes a few large ones — the geometry that keeps every
+  // worker busy until the campaign's last millisecond.
   const double target_ns =
       std::max(total_ns / (static_cast<double>(threads) * 4.0), kMinChunkNs);
   std::vector<ChunkJob> jobs;
   for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-    std::uint64_t chunk;
-    if (cost_aware) {
+    std::uint64_t chunk = options_.chunk_replications;
+    if (chunk == 0) {
       const double reps_per_chunk = target_ns / rep_ns[cell];
       chunk = static_cast<std::uint64_t>(std::llround(reps_per_chunk));
       chunk = std::clamp<std::uint64_t>(chunk, 1, spec.replications);
-    } else {
-      chunk = ChunkSize(spec.replications, threads);
     }
     for (std::uint64_t begin = 0; begin < spec.replications; begin += chunk) {
       ChunkJob job;
@@ -507,12 +499,11 @@ std::vector<CellOutcome> CampaignRunner::Run(
     });
   };
 
-  // Dispatch order: longest modeled cost first under kCostAware (LPT —
-  // expensive chunks start early, the cheap tail levels the finish), plan
-  // order under kStatic.  Order never affects output: payloads land in
-  // pre-addressed slots and emission is cursor-ordered.
-  const bool lpt_dispatch =
-      options_.schedule == SchedulePolicy::kCostAware && !pending.empty();
+  // Dispatch order: longest modeled cost first (LPT — expensive chunks
+  // start early, the cheap tail levels the finish).  Order never affects
+  // output: payloads land in pre-addressed slots and emission is
+  // cursor-ordered.
+  const std::vector<std::size_t> dispatch_order = LptOrder(pending);
 
   const unsigned process_shards = backend->ProcessShards();
   if (!pending.empty() && process_shards > 0) {
@@ -526,9 +517,9 @@ std::vector<CellOutcome> CampaignRunner::Run(
     obs::Span execute_span("backend.execute", pending.size());
     // Scheduler observability, recorded parent-side (the child's clock
     // readings die with the fork): per-chunk busy time into the family
-    // histograms and the cost model's EWMA, grant round-trip latency, and
-    // per-shard busy-nanosecond counters (the busy-fraction skew the
-    // traced-shard CI step asserts on).
+    // histograms, grant round-trip latency, and per-shard busy-nanosecond
+    // counters (the busy-fraction skew the traced-shard CI step asserts
+    // on).
     obs::LatencyHistogram& grant_ns_hist =
         metrics.GetHistogram("campaign.grant_ns");
     std::vector<obs::Counter*> shard_busy;
@@ -538,16 +529,13 @@ std::vector<CellOutcome> CampaignRunner::Run(
           "campaign.shard_busy_ns." + std::to_string(s)));
     }
     core::ShardOptions shard_options;
-    if (lpt_dispatch) shard_options.grant_order = LptOrder(pending);
+    shard_options.grant_order = dispatch_order;
     shard_options.on_chunk = [&](const core::ShardChunkStats& stats) {
       const ChunkJob& job = pending[stats.index];
-      CellExecution& execution = *executions[job.cell];
-      (execution.chain ? chunk_ns_chain : chunk_ns_incentive)
+      (executions[job.cell]->chain ? chunk_ns_chain : chunk_ns_incentive)
           .Record(stats.busy_ns);
       if (stats.grant_ns != 0) grant_ns_hist.Record(stats.grant_ns);
       shard_busy[stats.shard]->Add(stats.busy_ns);
-      CostModel::Global().Observe(execution.cell, execution.config.steps,
-                                  job.end - job.begin, stats.busy_ns);
       cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
     };
     core::RunSharded(
@@ -658,14 +646,11 @@ std::vector<CellOutcome> CampaignRunner::Run(
   } else if (!pending.empty()) {
     // In-process path.  Each chunk steps in its worker's thread-local
     // arena, reused across chunks and cells (zero steady-state allocation
-    // within a cell).  Jobs are submitted in dispatch order (LPT under
-    // kCostAware); the stealing pool deals them round-robin from there.
-    std::vector<std::size_t> submit_order(pending.size());
-    std::iota(submit_order.begin(), submit_order.end(), std::size_t{0});
-    if (lpt_dispatch) submit_order = LptOrder(pending);
+    // within a cell).  Jobs are submitted in LPT order; the stealing pool
+    // deals them round-robin from there.
     std::vector<std::function<void()>> jobs;
     jobs.reserve(pending.size());
-    for (const std::size_t index : submit_order) {
+    for (const std::size_t index : dispatch_order) {
       const ChunkJob job = pending[index];
       CellExecution* execution = executions[job.cell].get();
       obs::LatencyHistogram* hist =
@@ -676,9 +661,7 @@ std::vector<CellOutcome> CampaignRunner::Run(
         allocate_matrices(*execution);
         {
           obs::Span chunk_span("campaign.chunk", job.cell);
-          // Timed by hand (not ScopedLatency) because the same reading
-          // also feeds the cost model's EWMA.
-          const auto start = std::chrono::steady_clock::now();
+          obs::ScopedLatency chunk_latency(*hist);
           if (execution->chain) {
             chain::RunChainReplicationRange(execution->game,
                                             execution->config, job.begin,
@@ -693,14 +676,6 @@ std::vector<CellOutcome> CampaignRunner::Run(
                                           ? nullptr
                                           : execution->population.data());
           }
-          const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-          hist->Record(elapsed_ns);
-          CostModel::Global().Observe(execution->cell,
-                                      execution->config.steps,
-                                      job.end - job.begin, elapsed_ns);
         }
         chunks_done.Add();
         replications_done.Add(job.end - job.begin);

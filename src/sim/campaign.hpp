@@ -17,8 +17,8 @@
 // count (pinned by tests/integration/campaign_determinism_test.cpp).
 //
 // Scheduling rides on top of that contract (and therefore never changes
-// output): chunks are sized cost-proportionally by sim::CostModel and
-// dispatched longest-first (SchedulePolicy::kCostAware), the thread-pool
+// output): chunks are sized cost-proportionally by
+// sim::EstimateReplicationNs and dispatched longest-first, the thread-pool
 // backend levels imbalance by work stealing, and the shard backend pulls
 // chunks through a demand-driven grant protocol.
 //
@@ -49,37 +49,15 @@
 
 namespace fairchain::sim {
 
-/// How the runner sizes and orders a campaign's chunks.  Either policy
-/// produces byte-identical output (chunk geometry never reaches the
-/// simulated values); the policies differ only in wall clock under
-/// heterogeneous cost mixes.
-enum class SchedulePolicy {
-  /// Cost-aware (the default): chunks are sized to ~equal modeled
-  /// nanoseconds using sim::CostModel (BENCH-calibrated priors refined by
-  /// an EWMA over observed chunk latencies), floored at a minimum chunk
-  /// cost so tiny cells never shatter into dispatch-overhead-dominated
-  /// single-replication chunks, and dispatched longest-processing-time
-  /// first so the expensive chunks start early and the cheap tail levels
-  /// the finish.
-  kCostAware,
-  /// The legacy planner: one uniform replication count per chunk
-  /// (reps / (4 x workers), or `chunk_replications` verbatim), dispatched
-  /// in grid order.  Kept as the control arm the scheduler benchmarks
-  /// compare against (`--scheduler static`).
-  kStatic,
-};
-
 /// Execution knobs independent of what is simulated.
 struct CampaignOptions {
   /// Worker threads for the default backend (0 = EnvThreads()).  Ignored
   /// when `backend` is injected.
   unsigned threads = 0;
-  /// Replications per scheduled chunk (0 = auto; see `schedule`).  A
-  /// non-zero value overrides the cost model's chunk sizing but keeps the
-  /// policy's dispatch order.
+  /// Replications per scheduled chunk (0 = cost-proportional planning; see
+  /// CampaignRunner::PlanJobs).  A non-zero value pins the chunk geometry
+  /// but keeps the longest-first dispatch order.
   std::uint64_t chunk_replications = 0;
-  /// Chunk planning / dispatch policy (see SchedulePolicy).
-  SchedulePolicy schedule = SchedulePolicy::kCostAware;
   /// Execution backend the job grid runs on (non-owning; must outlive the
   /// runner's Run).  Null = MakeDefaultBackend(threads).  Output is
   /// byte-identical for ANY backend — see core/execution_backend.hpp for
@@ -110,9 +88,9 @@ struct ChunkJob {
   std::size_t cell = 0;
   std::size_t begin = 0;
   std::size_t end = 0;
-  /// Modeled cost of this chunk (sim::CostModel estimate at planning
-  /// time).  Drives dispatch order and the cost-weighted progress ETA;
-  /// never reaches the simulated values.
+  /// Modeled cost of this chunk (sim::EstimateReplicationNs times its
+  /// replication count).  Drives dispatch order and the cost-weighted
+  /// progress ETA; never reaches the simulated values.
   double cost_ns = 0.0;
 };
 
@@ -135,20 +113,19 @@ class CampaignRunner {
                                const std::vector<ResultSink*>& sinks) const;
 
   /// The job grid Run would schedule: every cell's replication chunks, in
-  /// grid order (dispatch reordering — LPT under kCostAware — happens at
-  /// execution time, not here).  Under kCostAware each cell's chunk size
-  /// is cost-proportional: chunks target ~equal modeled nanoseconds, with
-  /// a minimum-cost floor so cells whose replications are tiny never
-  /// degenerate into per-replication chunks.  Exposed so tests can verify
+  /// grid order (the longest-first dispatch reordering happens at
+  /// execution time, not here).  Each cell's chunk size is
+  /// cost-proportional: chunks target ~equal modeled nanoseconds, with a
+  /// minimum-cost floor so cells whose replications are tiny never
+  /// degenerate into per-replication chunks.  A pure function of (spec,
+  /// planned concurrency, chunk_replications).  Exposed so tests can verify
   /// that a multi-cell campaign is dispatched as one interleavable batch
-  /// and that the planner's geometry matches the policy, without running
-  /// the simulations.
+  /// and pin the planner's geometry, without running the simulations.
   std::vector<ChunkJob> PlanJobs(const ScenarioSpec& spec) const;
 
   const CampaignOptions& options() const { return options_; }
 
  private:
-  std::uint64_t ChunkSize(std::uint64_t replications, unsigned threads) const;
   /// Concurrency the job grid is sized for: the injected backend's, or the
   /// default backend's worker count.
   unsigned PlannedConcurrency() const;

@@ -81,58 +81,10 @@ double PriorNsPerStep(const CampaignCell& cell) {
                               static_cast<double>(cell.miners));
 }
 
-unsigned MinerBucket(std::size_t miners) {
-  unsigned bucket = 0;
-  while (miners > 1) {
-    miners >>= 1;
-    ++bucket;
-  }
-  return bucket;
-}
-
-// EWMA weight of each new observation.  High enough that a cold prior is
-// mostly corrected after three chunks, low enough that one descheduled
-// chunk (OS noise) cannot flip the plan's cost ordering.
-constexpr double kEwmaAlpha = 0.3;
-
 }  // namespace
 
-CostModel& CostModel::Global() {
-  static CostModel model;
-  return model;
-}
-
-double CostModel::EstimateReplicationNs(const CampaignCell& cell,
-                                        std::uint64_t steps) const {
-  double ns_per_step = PriorNsPerStep(cell);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = observed_ns_per_step_.find(
-        Key(cell.protocol, MinerBucket(cell.miners)));
-    if (it != observed_ns_per_step_.end()) ns_per_step = it->second;
-  }
-  return std::max(1.0, ns_per_step * static_cast<double>(steps));
-}
-
-void CostModel::Observe(const CampaignCell& cell, std::uint64_t steps,
-                        std::uint64_t replications,
-                        std::uint64_t chunk_ns) {
-  const double work =
-      static_cast<double>(steps) * static_cast<double>(replications);
-  if (!(work > 0.0) || chunk_ns == 0) return;
-  const double ns_per_step = static_cast<double>(chunk_ns) / work;
-  if (!std::isfinite(ns_per_step) || ns_per_step <= 0.0) return;
-  const Key key(cell.protocol, MinerBucket(cell.miners));
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = observed_ns_per_step_.emplace(key, ns_per_step);
-  if (!inserted) {
-    it->second += kEwmaAlpha * (ns_per_step - it->second);
-  }
-}
-
-void CostModel::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  observed_ns_per_step_.clear();
+double EstimateReplicationNs(const CampaignCell& cell, std::uint64_t steps) {
+  return std::max(1.0, PriorNsPerStep(cell) * static_cast<double>(steps));
 }
 
 }  // namespace fairchain::sim

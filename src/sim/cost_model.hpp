@@ -1,75 +1,34 @@
-// Per-cell execution-cost model for cost-aware campaign scheduling.
+// Per-cell execution-cost model for campaign planning.
 //
 // The campaign planner needs RELATIVE per-replication costs, not absolute
 // ones: chunks are sized to a target of ~equal nanoseconds, so only the
-// ratios between cells matter.  Estimates come from two sources layered
-// over each other:
-//   * Priors calibrated against BENCH_hotpath.json: ns-per-step samples of
-//     the batched kernel families (BM_Batched_* at several miner counts,
-//     BM_ChainStep for the chain event machine), interpolated
-//     log-linearly in the miner count.  C-PoS at two miners costs ~32x a
-//     PoW step, which is exactly the spread the scheduler exists to
-//     balance.
-//   * An online EWMA over OBSERVED chunk latencies: every completed chunk
-//     reports (protocol, miners, steps, replications, wall ns) back via
-//     Observe, and later estimates for the same (protocol, miner-bucket)
-//     key prefer the refined figure.  One mis-calibrated prior therefore
-//     self-corrects within a few chunks of the first campaign that runs
-//     the protocol.
+// ratios between cells matter.  Estimates come from priors calibrated
+// against BENCH_hotpath.json: ns-per-step samples of the batched kernel
+// families (BM_Batched_* at several miner counts, BM_ChainStep for the
+// chain event machine), interpolated log-linearly in the miner count.
+// C-PoS at two miners costs ~32x a PoW step, which is exactly the spread
+// the planner exists to balance.
 //
-// Estimates NEVER affect simulation output — only chunk geometry and
-// dispatch order, which the determinism contract (campaign.hpp) makes
-// output-invariant.  They do affect plan geometry, so tests that pin
-// PlanJobs shapes call Reset() first to drop refinements recorded by
-// earlier tests in the same process.
+// The estimate is a pure function of (cell, steps), so a campaign's plan
+// depends only on its spec and concurrency, never on what ran earlier in
+// the process.  Estimates NEVER affect simulation output — only chunk
+// geometry and dispatch order, which the determinism contract
+// (campaign.hpp) makes output-invariant.
 
 #ifndef FAIRCHAIN_SIM_COST_MODEL_HPP_
 #define FAIRCHAIN_SIM_COST_MODEL_HPP_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-#include <utility>
 
 #include "sim/scenario_spec.hpp"
 
 namespace fairchain::sim {
 
-/// Process-wide cost estimator.  Thread-safe: Observe and the estimate
-/// queries may race from worker and reader threads.
-class CostModel {
- public:
-  static CostModel& Global();
-
-  /// Modeled wall nanoseconds of ONE replication of `cell` at `steps`
-  /// steps.  Always finite and > 0 — unknown protocols fall back to a
-  /// mid-range prior rather than failing, since a wrong estimate only
-  /// skews chunk sizes, never results.
-  double EstimateReplicationNs(const CampaignCell& cell,
-                               std::uint64_t steps) const;
-
-  /// Feeds one observed chunk back into the EWMA: `chunk_ns` wall time for
-  /// `replications` replications of `cell` at `steps` steps.  Ignored when
-  /// the implied per-step cost is degenerate (zero work or zero time).
-  void Observe(const CampaignCell& cell, std::uint64_t steps,
-               std::uint64_t replications, std::uint64_t chunk_ns);
-
-  /// Drops every EWMA refinement, restoring pure priors.  For tests that
-  /// pin plan geometry.
-  void Reset();
-
- private:
-  CostModel() = default;
-
-  // Keyed by (protocol name, log2 miner-count bucket): refinements for
-  // 100-miner cells never bleed into 2-miner estimates of the same
-  // protocol, whose per-step costs differ by an order of magnitude.
-  using Key = std::pair<std::string, unsigned>;
-
-  mutable std::mutex mutex_;
-  std::map<Key, double> observed_ns_per_step_;
-};
+/// Modeled wall nanoseconds of ONE replication of `cell` at `steps` steps.
+/// Always finite and > 0 — unknown protocols fall back to a mid-range
+/// prior rather than failing, since a wrong estimate only skews chunk
+/// sizes, never results.
+double EstimateReplicationNs(const CampaignCell& cell, std::uint64_t steps);
 
 }  // namespace fairchain::sim
 

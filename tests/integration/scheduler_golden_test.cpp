@@ -1,4 +1,4 @@
-// Golden determinism for the cost-aware scheduler: whatever the planner,
+// Golden determinism for the campaign scheduler: whatever the planner,
 // the stealing pool, or the demand-driven shard grants do to WHO computes
 // a chunk and WHEN, campaign CSV / JSONL streams must stay byte-identical
 // to the serial reference — including under fault-forced worst-case
@@ -52,8 +52,9 @@ struct Captured {
 };
 
 // chunk_replications pinned at 2 (3 cells x 4 chunks = 12 chunks) so the
-// fault nth targeting below is stable; LPT dispatch and demand-driven
-// grants still come from the cost-aware schedule policy.
+// fault nth targeting below is stable; the runner still dispatches those
+// chunks longest-first, and shards still pull them through demand-driven
+// grants.
 Captured RunCampaign(const core::ExecutionBackend* backend,
                      store::CampaignStore* store = nullptr) {
   std::ostringstream csv_out;

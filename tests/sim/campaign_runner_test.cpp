@@ -10,7 +10,6 @@
 
 #include "core/monte_carlo.hpp"
 #include "protocol/model_factory.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/result_sink.hpp"
 
 namespace fairchain::sim {
@@ -123,10 +122,8 @@ TEST(CampaignRunnerTest, CellSeedsAreDistinctAndIndexStable) {
 
 TEST(CampaignRunnerTest, PlanInterleavesAllCellsInOneBatch) {
   // Steps large enough that a single replication's modeled cost keeps the
-  // per-chunk target above the 1 ms floor; the cost-aware planner then
-  // splits each cell into ~threads*4/cells chunks regardless of how the
-  // EWMA has drifted (equal-cost cells make the split scale-invariant).
-  CostModel::Global().Reset();
+  // per-chunk target above the 1 ms floor; the planner then splits each
+  // cell into ~threads*4/cells chunks.
   ScenarioSpec spec = SmallSpec();
   spec.steps = 200000;
   CampaignOptions options;
@@ -155,7 +152,6 @@ TEST(CampaignRunnerTest, TinyCellsNeverShatterBelowTheCostFloor) {
   // produce sub-microsecond chunks.  The 1 ms minimum-cost floor collapses
   // each 200-step cell to a single chunk instead of shattering it into
   // per-replication slivers whose scheduling overhead dwarfs the work.
-  CostModel::Global().Reset();
   CampaignOptions options;
   options.threads = 4;
   const auto jobs = CampaignRunner(options).PlanJobs(SmallSpec());
@@ -167,21 +163,33 @@ TEST(CampaignRunnerTest, TinyCellsNeverShatterBelowTheCostFloor) {
   }
 }
 
-TEST(CampaignRunnerTest, StaticPolicyKeepsUniformChunks) {
-  // Opting out of cost-aware planning restores the legacy uniform split:
-  // ceil-divided chunks of equal size, identical across cells.
+TEST(CampaignRunnerTest, PlanIsAPureFunctionOfSpecAndConcurrency) {
+  // Running a campaign must not re-size the next plan of the same spec: no
+  // state the run leaves behind in the process may reach the planner.  A
+  // mixed-family spec (C-PoS, PoW and a selfish-mining race, ~30x apart
+  // per step) gives the plan genuinely heterogeneous chunk costs.
+  const ScenarioSpec spec = ScenarioSpec::FromText(
+      "name=plan-purity\n"
+      "family=mixed\n"
+      "protocols=cpos,pow,selfish\n"
+      "a=0.3\n"
+      "gamma=0.5\n"
+      "steps=4000\n"
+      "reps=64\n"
+      "checkpoints=2\n");
   CampaignOptions options;
   options.threads = 4;
-  options.schedule = SchedulePolicy::kStatic;
-  const auto jobs = CampaignRunner(options).PlanJobs(SmallSpec());
-  std::size_t chunks_of_first = 0;
-  for (const ChunkJob& job : jobs) {
-    if (job.cell == 0) {
-      ++chunks_of_first;
-      EXPECT_EQ(job.end - job.begin, 4u);
-    }
+  const CampaignRunner runner(options);
+  const std::vector<ChunkJob> before = runner.PlanJobs(spec);
+  runner.Run(spec, {});
+  const std::vector<ChunkJob> after = runner.PlanJobs(spec);
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].cell, after[i].cell) << "chunk " << i;
+    EXPECT_EQ(before[i].begin, after[i].begin) << "chunk " << i;
+    EXPECT_EQ(before[i].end, after[i].end) << "chunk " << i;
+    EXPECT_EQ(before[i].cost_ns, after[i].cost_ns) << "chunk " << i;
   }
-  EXPECT_EQ(chunks_of_first, 16u);
 }
 
 TEST(CampaignRunnerTest, WithholdPeriodReachesTheSimulation) {

@@ -39,16 +39,6 @@ so no baseline or normalisation is involved: the instrumented loop (a
 disabled Span check plus a live histogram record per segment, the exact
 production call-site shape) must stay within --obs-limit (default 1.02,
 the "<2% ns/step with the layer compiled in but disabled" budget).
-
-The cost-aware scheduler is held to a within-run speedup floor too: each
-BM_HeterogeneousCampaign/(mode)/(workers)/1 (cost-aware) is compared
-against its /0 twin (the static cell-granular planner) from the same
-run, and at 4 workers — pool/4 and shard:4 — the static/cost ratio must
-reach --hetero-speedup (default 1.8x).  The floor only arms when the
-current run's context reports num_cpus >= 4: on smaller runners the
-parallelism the scheduler exploits does not physically exist, so the
-ratios are reported but never enforced.  Two-worker shapes are always
-reported-only.
 """
 
 import argparse
@@ -57,7 +47,7 @@ import sys
 
 # Benchmark-name prefixes measured on wall clock (UseRealTime) whose cost
 # is dominated by process management rather than the compute kernel.
-WALL_CLOCK_PREFIXES = ("BM_ShardCampaign", "BM_HeterogeneousCampaign")
+WALL_CLOCK_PREFIXES = ("BM_ShardCampaign",)
 
 
 def is_wall_clock(name):
@@ -98,58 +88,6 @@ def check_obs_overhead(current, limit, failures):
         print(f"{name:48} {base:9.2f} {value:9.2f} {ratio:6.3f}{flag}")
 
 
-# Within-run scheduler speedup: static planner vs cost-aware scheduler on
-# the heterogeneous campaign.  Keys are (mode, workers) name segments; the
-# floor is enforced only at 4 workers, and only on runners with >= 4 CPUs.
-HETERO_PREFIX = "BM_HeterogeneousCampaign/"
-HETERO_ENFORCED_SHAPES = {("0", "4"), ("1", "4")}
-HETERO_MIN_CPUS = 4
-
-
-def check_hetero_speedup(current, floor, num_cpus, failures):
-    """Holds the static/cost wall-clock ratio of each heterogeneous-
-    campaign shape to at least `floor` at 4 workers.  Shapes missing
-    either policy arm are reported, never failed."""
-    shapes = {}
-    for name, value in sorted(current.items()):
-        if not name.startswith(HETERO_PREFIX) or not value:
-            continue
-        parts = name[len(HETERO_PREFIX):].split("/")
-        if len(parts) < 3:
-            continue
-        mode, workers, policy = parts[0], parts[1], parts[2]
-        shapes.setdefault((mode, workers), {})[policy] = value
-    if not shapes:
-        return
-    armed = num_cpus is not None and num_cpus >= HETERO_MIN_CPUS
-    gate = ("" if armed else
-            f" [not enforced: run context reports num_cpus = {num_cpus}, "
-            f"floor needs >= {HETERO_MIN_CPUS}]")
-    print(f"\nscheduler speedup (within-run, floor {floor:.2f}x at "
-          f"4 workers){gate}:")
-    print(f"{'shape':48} {'static ns':>9} {'cost ns':>9} {'speedup':>8}")
-    for (mode, workers), policies in sorted(shapes.items()):
-        static = policies.get("0")
-        cost = policies.get("1")
-        label = (f"{HETERO_PREFIX}{'pool' if mode == '0' else 'shard'}"
-                 f"/{workers}")
-        if not static or not cost:
-            print(f"note: {label} is missing a policy arm; "
-                  "speedup unchecked")
-            continue
-        speedup = static / cost
-        enforced = armed and (mode, workers) in HETERO_ENFORCED_SHAPES
-        flag = ""
-        if enforced and speedup < floor:
-            failures.append(
-                f"{label}: cost-aware speedup {speedup:.2f}x is below the "
-                f"{floor:.2f}x floor vs the static planner")
-            flag = "  << BELOW FLOOR"
-        elif not enforced:
-            flag = "  (reported only)"
-        print(f"{label:48} {static:9.2f} {cost:9.2f} {speedup:8.2f}{flag}")
-
-
 def load_benchmarks(path):
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -169,8 +107,7 @@ def load_benchmarks(path):
             rows[name] = 1.0e9 / items  # ns per item (per simulated step)
         if "allocs_per_replication" in bench:
             counters[name] = bench["allocs_per_replication"]
-    num_cpus = data.get("context", {}).get("num_cpus")
-    return rows, counters, num_cpus
+    return rows, counters
 
 
 def main():
@@ -185,15 +122,10 @@ def main():
     parser.add_argument("--obs-limit", type=float, default=1.02,
                         help="max instrumented/base ratio for the "
                              "BM_Obs* within-run pairs (default 1.02)")
-    parser.add_argument("--hetero-speedup", type=float, default=1.8,
-                        help="min within-run static/cost wall-clock ratio "
-                             "of BM_HeterogeneousCampaign at 4 workers; "
-                             "enforced only when the current run's context "
-                             "reports num_cpus >= 4 (default 1.8)")
     args = parser.parse_args()
 
-    baseline, _, _ = load_benchmarks(args.baseline)
-    current, counters, num_cpus = load_benchmarks(args.current)
+    baseline, _ = load_benchmarks(args.baseline)
+    current, counters = load_benchmarks(args.current)
 
     failures = []
     for name, allocs in sorted(counters.items()):
@@ -204,7 +136,6 @@ def main():
         if value is None:
             failures.append(f"{name}: benchmark reported an error")
     check_obs_overhead(current, args.obs_limit, failures)
-    check_hetero_speedup(current, args.hetero_speedup, num_cpus, failures)
 
     shared = sorted(name for name in baseline
                     if baseline[name] and current.get(name))

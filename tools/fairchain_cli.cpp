@@ -70,7 +70,6 @@ int Usage() {
       "            [--seed 20210620]\n"
       "  campaign  <name|spec-file> [--reps N] [--steps N] [--seed S]\n"
       "            [--threads T] [--backend serial|pool|shard:N]\n"
-      "            [--scheduler cost|static]\n"
       "            [--csv FILE] [--jsonl FILE] [--no-files]\n"
       "            [--store DIR] [--resume] [--no-cache]\n"
       "            [--trace FILE] [--metrics FILE] [--progress]\n"
@@ -84,7 +83,6 @@ int Usage() {
       "            (paper / population / chain-dynamics) / describe one\n"
       "  verify    <name|spec-file>|--all  [--reps N] [--steps N] [--seed S]\n"
       "            [--threads T] [--backend serial|pool|shard:N] [--alpha A]\n"
-      "            [--scheduler cost|static]\n"
       "            [--csv FILE] [--jsonl FILE] [--no-files]\n"
       "            [--store DIR] [--resume] [--no-cache]\n"
       "            [--trace FILE] [--metrics FILE]\n"
@@ -180,25 +178,6 @@ bool RejectContradictoryFileFlags(const FlagSet& flags, const char* command) {
                  "%s: --csv/--jsonl have no effect with --no-files; drop "
                  "one side\n",
                  command);
-    return false;
-  }
-  return true;
-}
-
-// --scheduler cost|static -> CampaignOptions::schedule.  Either policy
-// produces byte-identical output; "static" is the legacy uniform planner
-// kept as the benchmark control arm.
-bool ConfigureScheduler(const FlagSet& flags, const char* command,
-                        sim::CampaignOptions& options) {
-  if (!flags.Has("scheduler")) return true;
-  const std::string policy = flags.GetString("scheduler", "cost");
-  if (policy == "cost") {
-    options.schedule = sim::SchedulePolicy::kCostAware;
-  } else if (policy == "static") {
-    options.schedule = sim::SchedulePolicy::kStatic;
-  } else {
-    std::fprintf(stderr, "%s: --scheduler expects cost|static, got '%s'\n",
-                 command, policy.c_str());
     return false;
   }
   return true;
@@ -301,9 +280,8 @@ void PrintStoreStats(const store::CampaignStore* store) {
 int RunCampaign(const FlagSet& flags) {
   std::vector<std::string> allowed = sim::ScenarioSpec::OverrideFlagNames();
   allowed.insert(allowed.end(),
-                 {"threads", "backend", "scheduler", "csv", "jsonl",
-                  "no-files", "store", "resume", "no-cache", "trace",
-                  "metrics", "progress"});
+                 {"threads", "backend", "csv", "jsonl", "no-files", "store",
+                  "resume", "no-cache", "trace", "metrics", "progress"});
   flags.RejectUnknown(allowed);
   if (flags.positionals().size() < 2) {
     std::fprintf(stderr, "campaign: need a scenario name or spec file\n");
@@ -323,7 +301,6 @@ int RunCampaign(const FlagSet& flags) {
                                 options.threads);
     options.backend = backend.get();
   }
-  if (!ConfigureScheduler(flags, "campaign", options)) return Usage();
   std::unique_ptr<store::CampaignStore> store;
   if (!ConfigureStore(flags, "campaign", options, store)) return Usage();
   const sim::CampaignRunner runner(options);
@@ -387,9 +364,8 @@ int RunCampaign(const FlagSet& flags) {
 int RunVerify(const FlagSet& flags) {
   std::vector<std::string> allowed = sim::ScenarioSpec::OverrideFlagNames();
   allowed.insert(allowed.end(),
-                 {"threads", "backend", "scheduler", "csv", "jsonl",
-                  "no-files", "alpha", "all", "store", "resume", "no-cache",
-                  "trace", "metrics"});
+                 {"threads", "backend", "csv", "jsonl", "no-files", "alpha",
+                  "all", "store", "resume", "no-cache", "trace", "metrics"});
   flags.RejectUnknown(allowed);
 
   if (!RejectContradictoryFileFlags(flags, "verify")) return Usage();
@@ -423,7 +399,6 @@ int RunVerify(const FlagSet& flags) {
                                 options.campaign.threads);
     options.campaign.backend = backend.get();
   }
-  if (!ConfigureScheduler(flags, "verify", options.campaign)) return Usage();
   std::unique_ptr<store::CampaignStore> store;
   if (!ConfigureStore(flags, "verify", options.campaign, store)) {
     return Usage();
