@@ -140,6 +140,21 @@ void BM_Batched_CPosEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_Batched_CPosEpoch)->RangeMultiplier(10)->Range(2, 100000);
 
+// The v = 0.1 arm: every paper C-PoS cell has inflation, so every miner is
+// credited every epoch.  m <= 32 runs the conditional-binomial count path
+// (src/sim/cost_model.cpp's kCPosPoints prior takes its m <= 32 points
+// from here); m = 100 is the slot path.
+void BM_Batched_CPosEpochInflation(benchmark::State& state) {
+  BatchedLoop(state, protocol::CPosModel(0.01, 0.1, 32),
+              static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_Batched_CPosEpochInflation)
+    ->Arg(2)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(32)
+    ->Arg(100);
+
 // --- chain-dynamics kernels -------------------------------------------------
 
 // ns per block-discovery event of the chain-replication kernel
@@ -361,7 +376,8 @@ void BM_ZeroAllocSteadyState_CPos(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(0)),
                 /*population=*/false);
 }
-BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(1000);
+// m = 10 probes the m <= P count path, m = 1000 the slot path.
+BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(10)->Arg(1000);
 
 // Same property for the chain-dynamics kernel: after a warm-up
 // replication Bind()s the workspace, a full chain replication — Reset,

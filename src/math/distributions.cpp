@@ -27,12 +27,24 @@ std::uint64_t SampleGeometric(RngStream& rng, double p) {
 
 namespace {
 
-// CDF inversion starting from k = 0; O(np) expected steps.
+// base^exponent by repeated squaring: O(log n) multiplies, no libm call.
+double PowBySquaring(double base, std::uint64_t exponent) {
+  double result = 1.0;
+  while (exponent != 0) {
+    if ((exponent & 1) != 0) result *= base;
+    base *= base;
+    exponent >>= 1;
+  }
+  return result;
+}
+
+// CDF inversion starting from k = 0: one uniform, O(np) expected steps.
+// Only called while q^n stays far above the double underflow threshold.
 std::uint64_t BinomialInversionFromZero(RngStream& rng, std::uint64_t n,
                                         double p) {
   const double q = 1.0 - p;
   const double s = p / q;
-  double pmf = std::pow(q, static_cast<double>(n));
+  double pmf = PowBySquaring(q, n);
   double cdf = pmf;
   const double u = rng.NextDouble();
   std::uint64_t k = 0;
@@ -89,15 +101,11 @@ std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n, double p) {
   if (p == 1.0) return n;
   // Exploit symmetry so the walk is over the smaller tail.
   if (p > 0.5) return n - SampleBinomial(rng, n, 1.0 - p);
+  // With p <= 1/2, q^n >= 2^-n: inversion from zero is safe for n <= 64
+  // (every C-PoS slot count) and for any n with a small mean; larger
+  // means walk from the mode, whose start point cannot underflow.
   const double mean = static_cast<double>(n) * p;
-  if (n <= 16) {
-    std::uint64_t successes = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      successes += rng.NextBernoulli(p) ? 1 : 0;
-    }
-    return successes;
-  }
-  if (mean < 12.0) return BinomialInversionFromZero(rng, n, p);
+  if (n <= 64 || mean < 12.0) return BinomialInversionFromZero(rng, n, p);
   return BinomialInversionFromMode(rng, n, p);
 }
 

@@ -3,7 +3,8 @@
 // Each protocol model needs a specific sampler:
 //   * Exponential  — PoW / FSL-PoS inter-block race (Section 2.1, 6.2);
 //   * Geometric    — ML-PoS per-timestamp lottery (Section 2.2);
-//   * Binomial     — C-PoS proposer count per epoch, X ~ Bin(P, share);
+//   * Binomial     — C-PoS proposer counts per epoch, X ~ Bin(P, share),
+//                    drawn as a conditional-binomial chain over miners;
 //   * Categorical  — proposer selection with stake-proportional weights;
 //   * Beta / Gamma — cross-checking the Pólya-urn limit in tests.
 //
@@ -29,9 +30,11 @@ std::uint64_t SampleGeometric(RngStream& rng, double p);
 
 /// Binomial(n, p).
 ///
-/// Uses explicit Bernoulli summation for tiny n, CDF inversion from zero
-/// when the mean is small, and inversion from the mode otherwise, so the
-/// expected cost is O(sd) rather than O(n).
+/// Walks the smaller tail (p <= 1/2 by symmetry).  For n <= 64 or a mean
+/// below 12 it is CDF inversion from zero with one uniform, starting from
+/// q^n by repeated squaring; otherwise inversion from the mode, so the
+/// expected cost is O(sd) rather than O(n).  The C-PoS epoch draws its
+/// conditional-binomial slot chain through it, one uniform per miner.
 std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n, double p);
 
 /// Categorical draw: returns index i with probability weights[i] / sum.

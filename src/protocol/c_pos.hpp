@@ -3,10 +3,19 @@
 //
 // Each mining epoch:
 //   * P proposer slots ("shards") are filled independently, each by a miner
-//     drawn with probability proportional to current stake; a miner winning
-//     X slots receives a proposer reward of w * X / P;
+//     drawn with probability proportional to epoch-start stake; a miner
+//     winning X slots receives a proposer reward of w * X / P, so each
+//     miner's X ~ Bin(P, share) and the counts are jointly multinomial;
 //   * every miner additionally receives an inflation (attester) reward of
 //     v * (stake share) — deterministic and exactly proportional.
+//
+// The simulation picks its sampling method by the miner count m alone.
+// For m <= P it draws the counts directly as a conditional-binomial chain,
+// X_i ~ Bin(P - sum_{j<i} X_j, s_i / sum_{j>=i} s_j) — about one uniform
+// per miner — and credits each miner once.  For m > P that O(m) chain
+// would cost more than the slots themselves, so it makes P categorical
+// draws through the stake sampler and credits slot by slot.  Both are
+// exact draws of the same multinomial.
 //
 // The inflation reward dilutes the variance contributed by proposer
 // selection, which is why C-PoS achieves robust fairness far more easily
@@ -49,9 +58,9 @@ class CPosModel : public IncentiveModel {
   std::uint32_t shards() const { return shards_; }
 
  private:
-  /// One epoch's slot draws and credits (the body Step and RunSteps share);
-  /// `withholding` is hoisted so the batched loop branches once, not per
-  /// credit.
+  /// One epoch's slot draws and credits (the body Step and RunSteps share):
+  /// the count path for m <= P, the slot path for m > P.  `withholding` is
+  /// hoisted so the batched loop reads the mode once, not per epoch.
   void RunEpoch(StakeState& state, RngStream& rng, bool withholding) const;
 
   double w_;

@@ -147,7 +147,8 @@ class StakeState {
   /// from `rng`, one O(log m) Fenwick descent.  Zero-stake miners are never
   /// selected.  Equivalent in distribution to the classic O(m) cumulative
   /// scan; the shared hot path of PoW / NEO / ML-PoS / FSL-PoS and of
-  /// C-PoS slot assignment.
+  /// C-PoS slot assignment when miners outnumber slots (m > P; for
+  /// m <= P C-PoS draws slot counts as a binomial chain instead).
   std::size_t SampleProportionalToStake(RngStream& rng) const {
     return sampler_.Sample(rng.NextDouble());
   }
@@ -181,7 +182,8 @@ class StakeState {
     return win_probability_cache_;
   }
 
-  /// Per-state index scratch buffer (e.g. the C-PoS epoch slot winners).
+  /// Per-state index scratch buffer: the C-PoS slot winners of one epoch
+  /// on its m > P slot path (the m <= P count path needs no scratch).
   /// Owned by the state — not the immutable, thread-shared models — so
   /// steady-state stepping allocates it once per workspace, not per epoch;
   /// `mutable` because scratch contents are not observable game state.

@@ -32,8 +32,13 @@ constexpr PriorPoint kFslPosPoints[] = {
     {1000, 53.75}, {10000, 84.19}, {100000, 125.78}};
 constexpr PriorPoint kSlPosPoints[] = {
     {2, 16.82}, {10, 39.3}, {100, 326.27}, {1000, 2684.15}};
+// C-PoS runs two epoch paths.  The m <= 32 points are the count path,
+// from BM_Batched_CPosEpochInflation (v = 0.1, as in every paper cell),
+// scaled by the ratio of the kept m = 100 point to the same run's
+// BM_Batched_CPosEpoch/100, so they share the other rows' units.  The
+// m >= 100 points are the unchanged slot path.
 constexpr PriorPoint kCPosPoints[] = {
-    {2, 207.5}, {10, 1001.34}, {100, 1699.16},
+    {2, 68.48}, {5, 210.1}, {10, 389.57}, {32, 1010.57}, {100, 1699.16},
     {1000, 2357.74}, {10000, 3432.94}, {100000, 4478.97}};
 
 constexpr PriorTable kPriorTables[] = {

@@ -90,6 +90,16 @@ std::vector<std::uint64_t> ParseU64List(const std::string& key,
   return parsed;
 }
 
+// Shard counts are checked at full u64 width, before the narrowing
+// store, so parsing and Validate share one message.
+void RequireShardCount(std::uint64_t shards) {
+  if (shards >= 1 && shards <= kMaxShards) return;
+  throw std::invalid_argument(
+      "ScenarioSpec: shards=" + std::to_string(shards) +
+      " is outside [1, " + std::to_string(kMaxShards) +
+      "] (kMaxShards, the proposer-slot cap)");
+}
+
 CheckpointSpacing ParseSpacing(const std::string& value) {
   if (value == "linear") return CheckpointSpacing::kLinear;
   if (value == "log") return CheckpointSpacing::kLog;
@@ -170,6 +180,7 @@ void Assign(ScenarioSpec& spec, const std::string& key,
   } else if (key == "shards") {
     spec.shard_counts.clear();
     for (const std::uint64_t p : ParseU64List(key, value)) {
+      RequireShardCount(p);
       spec.shard_counts.push_back(static_cast<std::uint32_t>(p));
     }
   } else if (key == "withhold") {
@@ -410,9 +421,7 @@ void ScenarioSpec::Validate() const {
   require(!inflations.empty(), "v must not be empty");
   for (const double v : inflations) require(v >= 0.0, "every v must be >= 0");
   require(!shard_counts.empty(), "shards must not be empty");
-  for (const std::uint32_t shards : shard_counts) {
-    require(shards >= 1, "every shard count must be >= 1");
-  }
+  for (const std::uint32_t shards : shard_counts) RequireShardCount(shards);
   require(!withhold_periods.empty(), "withhold must not be empty");
   require(!stake_dists.empty(), "stakes must not be empty");
   for (const std::string& dist : stake_dists) {

@@ -53,7 +53,9 @@ namespace fairchain::store {
 /// Bump on ANY change to the entry layout, the result codec, or the
 /// simulation semantics that existing keys cannot capture.  Part of the
 /// code-version stamp, so a bump invalidates every cached cell at once.
-inline constexpr int kStoreSchemaRevision = 2;
+/// Revision 3: C-PoS cells with m <= P draw slot counts as a binomial
+/// chain, so their results moved for unchanged cell descriptions.
+inline constexpr int kStoreSchemaRevision = 3;
 
 /// The stamp written into (and checked against) every entry:
 /// "<library version>+schema<revision>".

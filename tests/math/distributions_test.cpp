@@ -4,10 +4,12 @@
 #include "math/distributions.hpp"
 
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "math/ks_test.hpp"
 #include "math/special.hpp"
 #include "support/stats.hpp"
 
@@ -108,8 +110,9 @@ TEST(BinomialTest, WithinSupport) {
   }
 }
 
-// Parameterized moment checks across the sampler's three internal regimes:
-// tiny n (explicit), small mean (inversion from 0), large mean (from mode).
+// Parameterized moment checks across the sampler's internal regimes:
+// inversion from zero (small n or small mean), from the mode (large mean),
+// and the p > 1/2 symmetry.
 class BinomialMomentTest
     : public ::testing::TestWithParam<std::pair<std::uint64_t, double>> {};
 
@@ -129,25 +132,49 @@ TEST_P(BinomialMomentTest, MeanAndVarianceMatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Regimes, BinomialMomentTest,
-    ::testing::Values(std::make_pair(8u, 0.3),      // explicit summation
+    ::testing::Values(std::make_pair(8u, 0.3),      // small n, from zero
                       std::make_pair(32u, 0.2),     // C-PoS shard regime
-                      std::make_pair(200u, 0.02),   // inversion from zero
+                      std::make_pair(64u, 0.5),     // largest small n
+                      std::make_pair(200u, 0.02),   // small mean, from zero
                       std::make_pair(500u, 0.4),    // inversion from mode
                       std::make_pair(100u, 0.85))); // symmetry path
 
-TEST(BinomialTest, DistributionMatchesExactPmf) {
-  // Chi-square-style check against the exact pmf for Bin(32, 0.2).
-  RngStream rng(12);
-  const std::uint64_t n = 32;
-  const double p = 0.2;
+// Chi-square fit against the exact pmf over the C-PoS slot-count range:
+// one trial, a few, and a whole 32-slot epoch, at shares from tiny to
+// past one half (the symmetry path).
+class BinomialFitTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(BinomialFitTest, DistributionMatchesExactPmf) {
+  const auto [n, p] = GetParam();
+  RngStream rng(12 + n);
   const int reps = 200000;
-  std::vector<int> counts(n + 1, 0);
+  std::vector<std::uint64_t> counts(n + 1, 0);
+  std::vector<double> pmf(n + 1);
+  for (std::uint64_t k = 0; k <= n; ++k) pmf[k] = BinomialPmf(n, k, p);
   for (int i = 0; i < reps; ++i) ++counts[SampleBinomial(rng, n, p)];
-  for (std::uint64_t k = 0; k <= 14; ++k) {
-    const double expected = reps * BinomialPmf(n, k, p);
-    if (expected < 50.0) continue;
-    EXPECT_NEAR(counts[k], expected, 6.0 * std::sqrt(expected))
-        << "k=" << k;
+  const ChiSquareResult gof = ChiSquareGofTest(counts, pmf, 5.0);
+  EXPECT_GE(gof.p_value, 1e-6)
+      << "n=" << n << " p=" << p << " chi2=" << gof.statistic
+      << " df=" << gof.degrees;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlotCounts, BinomialFitTest,
+    ::testing::Combine(::testing::Values(1u, 5u, 32u),
+                       ::testing::Values(0.01, 0.2, 0.5, 0.9)));
+
+TEST(BinomialTest, InversionRegimeSpendsExactlyOneDraw) {
+  // Every C-PoS chain link is one SampleBinomial call with n <= 32: it
+  // must advance the stream by exactly one 64-bit draw, whichever tail.
+  for (const std::uint64_t n : {1u, 5u, 16u, 32u, 64u}) {
+    for (const double p : {0.01, 0.2, 0.5, 0.9}) {
+      RngStream rng(77 + n);
+      RngStream expected = rng;
+      SampleBinomial(rng, n, p);
+      expected.NextU64();
+      EXPECT_EQ(rng.state(), expected.state()) << "n=" << n << " p=" << p;
+    }
   }
 }
 

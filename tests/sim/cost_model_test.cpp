@@ -28,8 +28,9 @@ CampaignCell ChainCell(const std::string& dynamics) {
 }
 
 TEST(CostModelTest, PriorsOrderProtocolsByKernelWeight) {
-  // The spread the planner exists to balance: a C-PoS epoch walks P
-  // committees per step while a PoW step is one weighted draw.  The model
+  // The spread the planner exists to balance: a C-PoS epoch splits P
+  // slots and credits every miner per step while a PoW step is one
+  // weighted draw.  The model
   // must reproduce the coarse ordering cpos >> slpos > mlpos > pow at the
   // same steps and miner count.
   const std::uint64_t steps = 1000;

@@ -421,6 +421,52 @@ TEST(ScenarioSpecTest, MatrixAboveTheCellLimitIsRejectedWithTheProduct) {
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 }
 
+// `shards` is parsed at u64 width and stored as uint32_t: every value over
+// kMaxShards must fail at parse time with the value and the cap, never
+// wrap (2^32 + 1 -> 1, 2^32 -> 0) or reach the kernel (3e9 slots).
+void ExpectShardsRejected(const std::string& value) {
+  const std::string cap = std::to_string(kMaxShards);
+  for (const bool from_flags : {false, true}) {
+    const std::string message = FailureMessage([&] {
+      if (from_flags) {
+        ScenarioSpec spec;
+        spec.ApplyOverrides(FlagSet::Parse({"--shards", value}));
+        spec.Validate();
+      } else {
+        ScenarioSpec::FromText("shards=" + value + "\n").Validate();
+      }
+    });
+    EXPECT_NE(message.find("shards=" + value), std::string::npos) << message;
+    EXPECT_NE(message.find(cap), std::string::npos) << message;
+  }
+}
+
+TEST(ScenarioSpecTest, ShardsThatWrapToOneAreRejected) {
+  ExpectShardsRejected("4294967297");
+}
+
+TEST(ScenarioSpecTest, ShardsThatWrapToZeroNameTheCap) {
+  ExpectShardsRejected("4294967296");
+}
+
+TEST(ScenarioSpecTest, ShardsThatFitUint32ButExceedTheCapAreRejected) {
+  ExpectShardsRejected("3000000000");
+  ExpectShardsRejected(std::to_string(kMaxShards + 1));
+}
+
+TEST(ScenarioSpecTest, ShardCapBoundsValidateAndAdmitsTheCap) {
+  ScenarioSpec spec;
+  spec.shard_counts = {1, static_cast<std::uint32_t>(kMaxShards)};
+  EXPECT_NO_THROW(spec.Validate());
+  EXPECT_EQ(ScenarioSpec::FromText(spec.ToText()).shard_counts,
+            spec.shard_counts);
+  spec.shard_counts = {static_cast<std::uint32_t>(kMaxShards + 1)};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.shard_counts = {0};
+  EXPECT_NE(FailureMessage([&] { spec.Validate(); }).find("shards=0"),
+            std::string::npos);
+}
+
 TEST(ScenarioSpecTest, OverridesMayRepeatKeysParsedFromText) {
   // Duplicate rejection is a FromText contract only: CLI overrides
   // legitimately re-assign keys that the spec text already set.
