@@ -8,6 +8,7 @@
 // E[lambda] = alpha breaks.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "chain/chain_replication.hpp"
@@ -31,10 +32,10 @@ double SimulatedRevenueShare(double alpha, double gamma,
   config.replications = 1;
   config.seed = seed;
   config.checkpoints = {events};
-  double revenue_share = 0.0;
-  chain::RunChainReplicationRange(spec, config, 0, 1, &revenue_share,
-                                  nullptr);
-  return revenue_share;
+  // One replication, one checkpoint: the payload's first row is λ.
+  std::vector<double> out(chain::ChainReplicationRowCount(config));
+  chain::RunChainReplicationRange(spec, config, 0, 1, out.data());
+  return out[0];
 }
 
 }  // namespace

@@ -328,21 +328,18 @@ void ZeroAllocLoop(benchmark::State& bench_state,
   config.checkpoints = {128, 256};
   config.population_metrics = population;
   const std::vector<double> stakes = ParetoStakes(miners);
-  std::vector<double> lambdas(config.checkpoints.size() *
-                              config.replications);
-  std::vector<double> metrics(
-      population ? core::PopulationMatrixSize(config) : 0);
-  double* metrics_ptr = metrics.empty() ? nullptr : metrics.data();
+  // One-replication chunk payload: λ rows, then any population planes.
+  std::vector<double> out(core::ReplicationRowCount(config));
   core::ReplicationWorkspace workspace;
   // Warm-up: binds the arena (allocates) and sizes every scratch buffer.
-  core::RunReplicationRange(model, stakes, config, 0, 1, lambdas.data(),
-                            metrics_ptr, workspace);
+  core::RunReplicationRange(model, stakes, config, 0, 1, out.data(),
+                            workspace);
   std::uint64_t allocations = 0;
   for (auto _ : bench_state) {
     const std::uint64_t before =
         g_allocation_count.load(std::memory_order_relaxed);
-    core::RunReplicationRange(model, stakes, config, 1, 2, lambdas.data(),
-                              metrics_ptr, workspace);
+    core::RunReplicationRange(model, stakes, config, 1, 2, out.data(),
+                              workspace);
     allocations +=
         g_allocation_count.load(std::memory_order_relaxed) - before;
   }
@@ -392,19 +389,17 @@ void BM_ZeroAllocChainReplication(benchmark::State& bench_state) {
   spec.dynamics = chain::ChainDynamics::kForkRace;
   spec.alpha = 0.3;
   spec.delay = 0.25;
-  std::vector<double> lambdas(config.checkpoints.size() *
-                              config.replications);
-  std::vector<double> chain_matrix(chain::ChainMatrixSize(config));
+  // One-replication chunk payload: λ rows, then the chain planes.
+  std::vector<double> out(chain::ChainReplicationRowCount(config));
   chain::ChainReplicationWorkspace workspace;
   // Warm-up: binds the workspace to the spec.
-  chain::RunChainReplicationRange(spec, config, 0, 1, lambdas.data(),
-                                  chain_matrix.data(), workspace);
+  chain::RunChainReplicationRange(spec, config, 0, 1, out.data(), workspace);
   std::uint64_t allocations = 0;
   for (auto _ : bench_state) {
     const std::uint64_t before =
         g_allocation_count.load(std::memory_order_relaxed);
-    chain::RunChainReplicationRange(spec, config, 1, 2, lambdas.data(),
-                                    chain_matrix.data(), workspace);
+    chain::RunChainReplicationRange(spec, config, 1, 2, out.data(),
+                                    workspace);
     allocations +=
         g_allocation_count.load(std::memory_order_relaxed) - before;
   }

@@ -14,7 +14,6 @@
 #include "protocol/win_probability.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "support/u256.hpp"
 
 namespace {
@@ -103,37 +102,6 @@ void BM_SlPosLemma61Integral(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlPosLemma61Integral);
-
-// Dispatch overhead of enqueueing a 4096-task job grid: one Submit call
-// per task (a lock acquisition + notify each) vs a single SubmitBatch
-// (one lock acquisition + one notify_all) — the campaign runner's path.
-// Measured in the dev container (gcc Release, 4 workers, 4096 empty
-// tasks): Submit loop 1.47 ms/grid vs SubmitBatch 0.24 ms/grid (~6x) —
-// per-task lock/notify traffic dominates when tasks are cheap.
-void BM_ThreadPoolSubmitSerial(benchmark::State& state) {
-  ThreadPool pool(4);
-  for (auto _ : state) {
-    for (int i = 0; i < 4096; ++i) {
-      pool.Submit([] {});
-    }
-    pool.Wait();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_ThreadPoolSubmitSerial)->Unit(benchmark::kMillisecond);
-
-void BM_ThreadPoolSubmitBatch(benchmark::State& state) {
-  ThreadPool pool(4);
-  for (auto _ : state) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(4096);
-    for (int i = 0; i < 4096; ++i) tasks.emplace_back([] {});
-    pool.SubmitBatch(std::move(tasks));
-    pool.Wait();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_ThreadPoolSubmitBatch)->Unit(benchmark::kMillisecond);
 
 // Per-checkpoint reduction scratch: the old ReduceToResult called
 // Quantiles(column, qs) per checkpoint, which copies and heap-allocates

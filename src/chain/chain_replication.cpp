@@ -259,10 +259,13 @@ ChainReplicationWorkspace& ThreadLocalChainReplicationWorkspace() {
   return workspace;
 }
 
+std::size_t ChainReplicationRowCount(const core::SimulationConfig& config) {
+  return (1 + kChainMetricCount) * config.checkpoints.size();
+}
+
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
-                              std::size_t begin, std::size_t end,
-                              double* lambda_matrix, double* chain_matrix,
+                              std::size_t begin, std::size_t end, double* out,
                               ChainReplicationWorkspace& workspace) {
   spec.Validate();
   if (config.checkpoints.empty()) {
@@ -277,7 +280,7 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
 
   obs::Span range_span("mc.chain_replication_range", end - begin);
   const std::size_t cp = config.checkpoints.size();
-  const auto replications = static_cast<std::size_t>(config.replications);
+  const std::size_t span = end - begin;
   const RngStream root(config.seed);
   ChainGameState& state = workspace.state();
   // Per-range totals, flushed into the global counters once at the end —
@@ -293,14 +296,12 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
       const std::uint64_t step = config.checkpoints[c];
       StepChainEvents(spec, state, rng, step - previous_step);
       previous_step = step;
-      lambda_matrix[c * replications + r] = state.Lambda(spec);
-      if (chain_matrix != nullptr) {
-        chain_matrix[(0 * cp + c) * replications + r] = state.OrphanRate();
-        chain_matrix[(1 * cp + c) * replications + r] =
-            state.ReorgDepthMean();
-        chain_matrix[(2 * cp + c) * replications + r] =
-            static_cast<double>(state.reorg_depth_max);
-      }
+      const std::size_t column = r - begin;
+      out[c * span + column] = state.Lambda(spec);
+      out[(1 * cp + c) * span + column] = state.OrphanRate();
+      out[(2 * cp + c) * span + column] = state.ReorgDepthMean();
+      out[(3 * cp + c) * span + column] =
+          static_cast<double>(state.reorg_depth_max);
     }
     blocks_total += state.events;
     orphans_total += state.orphaned_blocks;
@@ -315,14 +316,13 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
                               std::size_t begin, std::size_t end,
-                              double* lambda_matrix, double* chain_matrix) {
-  RunChainReplicationRange(spec, config, begin, end, lambda_matrix,
-                           chain_matrix,
+                              double* out) {
+  RunChainReplicationRange(spec, config, begin, end, out,
                            ThreadLocalChainReplicationWorkspace());
 }
 
 void ReduceChainMetrics(const core::SimulationConfig& config,
-                        const std::vector<double>& chain_matrix,
+                        std::span<const double> chain_matrix,
                         core::SimulationResult& result) {
   if (chain_matrix.size() != ChainMatrixSize(config)) {
     throw std::invalid_argument(

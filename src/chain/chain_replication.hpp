@@ -44,6 +44,7 @@
 #define FAIRCHAIN_CHAIN_CHAIN_REPLICATION_HPP_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/monte_carlo.hpp"
@@ -147,12 +148,15 @@ void StepChainEvents(const ChainGameSpec& spec, ChainGameState& state,
 /// reorg_depth_max.
 inline constexpr std::size_t kChainMetricCount = 3;
 
-/// Doubles a chain-metric matrix needs: kChainMetricCount planes of
-/// (checkpoints × replications), laid out
+/// Doubles a full-cell chain-metric matrix needs: kChainMetricCount planes
+/// of (checkpoints × replications), laid out
 /// chain_matrix[(metric * cp_count + c) * replications + r] — the same
-/// plane layout as core::PopulationMatrixSize, so shard payloads marshal
-/// chain planes exactly like population planes.
+/// plane layout as core::PopulationMatrixSize.
 std::size_t ChainMatrixSize(const core::SimulationConfig& config);
+
+/// Rows RunChainReplicationRange writes per chunk: one λ row per
+/// checkpoint, then kChainMetricCount planes of one row per checkpoint.
+std::size_t ChainReplicationRowCount(const core::SimulationConfig& config);
 
 /// Per-worker arena for chain replications — the chain twin of
 /// core::ReplicationWorkspace.  The game state is small and flat, so the
@@ -188,32 +192,33 @@ class ChainReplicationWorkspace {
 ChainReplicationWorkspace& ThreadLocalChainReplicationWorkspace();
 
 /// Runs replications [begin, end) of `spec`'s game under `config` (steps =
-/// block events; checkpoints must be populated and ascending), writing λ
-/// of replication r at checkpoint c into
-/// lambda_matrix[c * config.replications + r] and — when `chain_matrix`
-/// is non-null — the chain observables into the ChainMatrixSize layout.
-/// Replication r always draws from RngStream(config.seed).Split(r), so any
-/// partition of [0, replications) across threads, chunks, or forked shard
-/// workers produces identical matrices.  `workspace` is Bind()-ed to
-/// `spec` (free when already bound) and left bound on return.
+/// block events; checkpoints must be populated and ascending) and writes
+/// them as one chunk-local payload of ChainReplicationRowCount(config) rows
+/// with stride end - begin: λ of replication r at checkpoint c at
+/// out[c * (end - begin) + (r - begin)], then the chain observables at
+/// out[((1 + metric) * cp_count + c) * (end - begin) + (r - begin)] — the
+/// layout core::ScatterChunk copies into full-cell matrices.  Replication r
+/// always draws from RngStream(config.seed).Split(r), so any partition of
+/// [0, replications) across threads, chunks, or forked shard workers
+/// produces identical values.  `workspace` is Bind()-ed to `spec` (free
+/// when already bound) and left bound on return.
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
-                              std::size_t begin, std::size_t end,
-                              double* lambda_matrix, double* chain_matrix,
+                              std::size_t begin, std::size_t end, double* out,
                               ChainReplicationWorkspace& workspace);
 
 /// Convenience overload running in this thread's workspace.
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
                               std::size_t begin, std::size_t end,
-                              double* lambda_matrix, double* chain_matrix);
+                              double* out);
 
 /// Folds a fully populated chain-metric matrix into `result`'s checkpoint
 /// stats: orphan_rate and reorg_depth_mean are means over replications,
 /// reorg_depth_max the maximum.  The λ reduction itself stays
 /// core::ReduceToResult — chain campaigns reuse it unchanged.
 void ReduceChainMetrics(const core::SimulationConfig& config,
-                        const std::vector<double>& chain_matrix,
+                        std::span<const double> chain_matrix,
                         core::SimulationResult& result);
 
 }  // namespace fairchain::chain

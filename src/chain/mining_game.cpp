@@ -1,10 +1,11 @@
 #include "chain/mining_game.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
-#include "support/env.hpp"
+#include "core/execution_backend.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace fairchain::chain {
 
@@ -43,15 +44,26 @@ std::vector<double> ReplicatedRewardFractions(
     throw std::invalid_argument(
         "ReplicatedRewardFractions: replications must be > 0");
   }
-  std::vector<double> lambdas(replications);
-  const RngStream master(seed);
-  const unsigned workers = threads != 0 ? threads : EnvThreads();
-  ParallelForChunked(
-      workers, static_cast<std::size_t>(replications),
-      [&](std::size_t begin, std::size_t end) {
+  const std::unique_ptr<core::ExecutionBackend> backend =
+      core::MakeDefaultBackend(threads);
+  // One contiguous replication chunk per worker; replication r's genesis
+  // salt derives from r alone, so the partition never shows in the output.
+  const auto count = static_cast<std::size_t>(replications);
+  const std::size_t slots = std::max<std::size_t>(
+      1, std::min<std::size_t>(backend->Concurrency(), count));
+  const std::size_t chunk = (count + slots - 1) / slots;
+  std::vector<std::size_t> order((count + chunk - 1) / chunk);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<double> lambdas(count);
+  backend->Run(
+      order,
+      [&](std::size_t j) {
+        const std::size_t begin = j * chunk;
+        const std::size_t end = std::min(count, begin + chunk);
+        std::vector<double> payload;
+        payload.reserve(end - begin);
         for (std::size_t rep = begin; rep < end; ++rep) {
-          const std::uint64_t salt =
-              RngStream(seed).Split(rep).NextU64();
+          const std::uint64_t salt = RngStream(seed).Split(rep).NextU64();
           auto engine = factory();
           const GameResult result =
               RunMiningGame(*engine, initial_balances, blocks, salt);
@@ -60,10 +72,14 @@ std::vector<double> ReplicatedRewardFractions(
                 "ReplicatedRewardFractions: chain validation failed: " +
                 result.validation.error);
           }
-          lambdas[rep] = result.reward_fraction[miner];
+          payload.push_back(result.reward_fraction[miner]);
         }
+        return payload;
+      },
+      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
+        std::copy(payload.begin(), payload.end(),
+                  lambdas.begin() + static_cast<std::ptrdiff_t>(j * chunk));
       });
-  (void)master;
   return lambdas;
 }
 

@@ -37,9 +37,11 @@ GameResult RunMiningGame(MiningEngine& engine,
                          const std::vector<Amount>& initial_balances,
                          std::uint64_t blocks, std::uint64_t genesis_salt);
 
-/// Runs `replications` independent games in parallel (distinct genesis
-/// salts derived from `seed`) and returns miner `miner`'s λ from each.
-/// Throws std::runtime_error if any game fails validation.
+/// Runs `replications` independent games over
+/// core::MakeDefaultBackend(threads) (distinct genesis salts derived from
+/// `seed`) and returns miner `miner`'s λ from each.  Throws
+/// std::runtime_error if any game fails validation; that and any other
+/// exception a game throws reach the caller at every thread count.
 std::vector<double> ReplicatedRewardFractions(
     const EngineFactory& factory,
     const std::vector<Amount>& initial_balances, std::uint64_t blocks,

@@ -1,26 +1,62 @@
 #include "core/execution_backend.hpp"
 
-#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
+#include "core/shard_executor.hpp"
 #include "obs/metrics.hpp"
 #include "support/env.hpp"
+#include "support/flags.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fairchain::core {
 
-void SerialBackend::Execute(std::vector<std::function<void()>> jobs) const {
-  for (auto& job : jobs) job();
+namespace {
+
+// One in-process chunk: compute it, time it, commit it.
+void ComputeAndConsume(std::size_t index, const ChunkComputeFn& compute,
+                       const ChunkConsumeFn& consume) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> payload = compute(index);
+  const auto busy_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  consume(index, std::move(payload), busy_ns);
+}
+
+}  // namespace
+
+void SerialBackend::Run(const std::vector<std::size_t>& order,
+                        const ChunkComputeFn& compute,
+                        const ChunkConsumeFn& consume) const {
+  for (const std::size_t index : order) {
+    ComputeAndConsume(index, compute, consume);
+  }
 }
 
 ThreadPoolBackend::ThreadPoolBackend(unsigned threads)
-    : threads_(threads != 0 ? threads : EnvThreads()) {}
+    : threads_(threads != 0 ? threads : EnvThreads()) {
+  if (threads_ > kMaxWorkers) {
+    throw std::invalid_argument(
+        "ThreadPoolBackend: thread count must be in [1, " +
+        std::to_string(kMaxWorkers) + "], got " + std::to_string(threads_));
+  }
+}
 
 unsigned ThreadPoolBackend::Concurrency() const { return threads_; }
 
-void ThreadPoolBackend::Execute(
-    std::vector<std::function<void()>> jobs) const {
-  const std::uint64_t steals = RunStealingBatch(threads_, std::move(jobs));
+void ThreadPoolBackend::Run(const std::vector<std::size_t>& order,
+                            const ChunkComputeFn& compute,
+                            const ChunkConsumeFn& consume) const {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(order.size());
+  for (const std::size_t index : order) {
+    tasks.push_back([index, &compute, &consume] {
+      ComputeAndConsume(index, compute, consume);
+    });
+  }
+  const std::uint64_t steals = RunStealingBatch(threads_, std::move(tasks));
   if (steals != 0) {
     static auto& steal_count =
         obs::MetricsRegistry::Global().GetCounter("campaign.steal_count");
@@ -29,8 +65,9 @@ void ThreadPoolBackend::Execute(
 }
 
 ShardBackend::ShardBackend(unsigned shards) : shards_(shards) {
-  if (shards_ == 0) {
-    throw std::invalid_argument("ShardBackend: need at least one shard");
+  if (shards_ == 0 || shards_ > kMaxWorkers) {
+    throw std::invalid_argument("ShardBackend: shard count must be in [1, " +
+                                std::to_string(kMaxWorkers) + "]");
   }
 }
 
@@ -38,12 +75,10 @@ std::string ShardBackend::name() const {
   return "shard:" + std::to_string(shards_);
 }
 
-void ShardBackend::Execute(std::vector<std::function<void()>> jobs) const {
-  // Correct fallback for callers that cannot marshal across processes
-  // (see the class comment): inline serial execution, the determinism
-  // reference.  The campaign runner never reaches this — it detects
-  // ProcessShards() and ships chunks through RunSharded instead.
-  for (auto& job : jobs) job();
+void ShardBackend::Run(const std::vector<std::size_t>& order,
+                       const ChunkComputeFn& compute,
+                       const ChunkConsumeFn& consume) const {
+  RunSharded(shards_, order, compute, consume);
 }
 
 std::unique_ptr<ExecutionBackend> MakeDefaultBackend(unsigned threads) {
@@ -56,41 +91,13 @@ namespace {
 
 constexpr char kKnownBackends[] = "serial, pool, shard:<N>";
 
-// Levenshtein distance, for "did you mean" suggestions (same contract as
-// FlagSet::RejectUnknown: a typo must produce a pointed error, not a
-// generic list).
-std::size_t EditDistance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitute =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitute});
-    }
-  }
-  return row[b.size()];
-}
-
 [[noreturn]] void ThrowUnknownBackend(const std::string& name) {
   std::string message = "MakeBackend: unknown backend '" + name +
                         "' (known: " + kKnownBackends + ")";
-  const char* candidates[] = {"serial", "pool", "threadpool", "shard"};
-  std::size_t best_distance = 3;  // suggest only close misspellings
-  const char* best = nullptr;
-  for (const char* candidate : candidates) {
-    const std::size_t distance = EditDistance(name, candidate);
-    if (distance < best_distance) {
-      best_distance = distance;
-      best = candidate;
-    }
-  }
-  if (best != nullptr) {
-    message += "; did you mean '" + std::string(best) + "'?";
-  }
+  // Suggest only close misspellings (the FlagSet::RejectUnknown bound).
+  const std::string best =
+      ClosestName(name, {"serial", "pool", "threadpool", "shard"}, 3);
+  if (!best.empty()) message += "; did you mean '" + best + "'?";
   throw std::invalid_argument(message);
 }
 
@@ -108,10 +115,10 @@ unsigned ParseShardCount(const std::string& name) {
   } catch (const std::out_of_range&) {
     shards = 0;  // falls through to the range error below
   }
-  if (shards == 0 || shards > 4096) {
-    throw std::invalid_argument(
-        "MakeBackend: shard count must be in [1, 4096], got '" + count +
-        "'");
+  if (shards == 0 || shards > kMaxWorkers) {
+    throw std::invalid_argument("MakeBackend: shard count must be in [1, " +
+                                std::to_string(kMaxWorkers) + "], got '" +
+                                count + "'");
   }
   return static_cast<unsigned>(shards);
 }

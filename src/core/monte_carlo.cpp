@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -89,11 +89,25 @@ std::size_t PopulationMatrixSize(const SimulationConfig& config) {
          static_cast<std::size_t>(config.replications);
 }
 
+std::size_t ReplicationRowCount(const SimulationConfig& config) {
+  return (config.population_metrics ? 1 + kPopulationMetricCount : 1) *
+         config.checkpoints.size();
+}
+
+void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
+                  std::size_t end, std::size_t replications, double* matrix) {
+  const std::size_t span = end - begin;
+  const std::size_t rows = span == 0 ? 0 : payload.size() / span;
+  for (std::size_t row = 0; row < rows; ++row) {
+    std::copy_n(payload.data() + row * span, span,
+                matrix + row * replications + begin);
+  }
+}
+
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix,
-                         double* population_matrix,
+                         std::size_t end, double* out,
                          ReplicationWorkspace& workspace) {
   if (config.miner >= initial_stakes.size()) {
     throw std::invalid_argument(
@@ -103,14 +117,21 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   // non-ascending checkpoint schedule would underflow the segment length
   // below into a ~2^64-step spin instead of degrading benignly.
   config.Validate();
+  if (end > config.replications || begin > end) {
+    throw std::invalid_argument(
+        "RunReplicationRange: replication range out of bounds");
+  }
   static auto& range_ns =
       obs::MetricsRegistry::Global().GetHistogram("mc.replication_range_ns");
   obs::ScopedLatency latency(range_ns);
   obs::Span range_span("mc.replication_range",
                        static_cast<std::uint64_t>(end - begin));
   const bool trace_segments = obs::TraceEnabled() && TraceDetailEnabled();
-  const std::uint64_t reps = config.replications;
+  const std::size_t span = end - begin;
   const std::size_t cp_count = config.checkpoints.size();
+  // Population planes follow the cp_count λ rows.
+  double* population = config.population_metrics ? out + cp_count * span
+                                                  : nullptr;
   const RngStream master(config.seed);
   workspace.Bind(initial_stakes, config.withhold_period);
   protocol::StakeState& state = workspace.state();
@@ -133,17 +154,17 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
         model.RunSteps(state, done, target - done, rng);
       }
       done = target;
-      lambda_matrix[cp * reps + rep] = state.RewardFraction(config.miner);
-      if (population_matrix != nullptr) {
+      const std::size_t cell = cp * span + (rep - begin);
+      out[cell] = state.RewardFraction(config.miner);
+      if (population != nullptr) {
         state.WealthVector(wealth);
         const PopulationSnapshot snapshot =
             MeasurePopulation(*wealth, scratch);
-        const std::size_t cell = cp * reps + rep;
-        const std::size_t plane = cp_count * reps;
-        population_matrix[0 * plane + cell] = snapshot.gini;
-        population_matrix[1 * plane + cell] = snapshot.hhi;
-        population_matrix[2 * plane + cell] = snapshot.nakamoto;
-        population_matrix[3 * plane + cell] = snapshot.top_decile_share;
+        const std::size_t plane = cp_count * span;
+        population[0 * plane + cell] = snapshot.gini;
+        population[1 * plane + cell] = snapshot.hhi;
+        population[2 * plane + cell] = snapshot.nakamoto;
+        population[3 * plane + cell] = snapshot.top_decile_share;
       }
     }
     // Games historically ran to the horizon even when the last checkpoint
@@ -158,19 +179,16 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix,
-                         double* population_matrix) {
-  RunReplicationRange(model, initial_stakes, config, begin, end,
-                      lambda_matrix, population_matrix,
+                         std::size_t end, double* out) {
+  RunReplicationRange(model, initial_stakes, config, begin, end, out,
                       ThreadLocalReplicationWorkspace());
 }
 
-SimulationResult ReduceToResult(const std::string& protocol_name,
-                                const std::vector<double>& initial_stakes,
-                                const SimulationConfig& config,
-                                const FairnessSpec& spec,
-                                const std::vector<double>& lambda_matrix,
-                                const std::vector<double>& population_matrix) {
+SimulationResult ReduceToResult(
+    const std::string& protocol_name,
+    const std::vector<double>& initial_stakes, const SimulationConfig& config,
+    const FairnessSpec& spec, std::span<const double> lambda_matrix,
+    std::span<const double> population_matrix) {
   if (config.miner >= initial_stakes.size()) {
     throw std::invalid_argument("ReduceToResult: miner index out of range");
   }
@@ -265,43 +283,52 @@ SimulationResult MonteCarloEngine::Run(
   }
   // Fail fast on the calling thread: construct the game state once here so
   // invalid stake vectors (empty, negative, zero/NaN sum) throw before any
-  // job is scheduled — backend jobs must not throw (execution_backend.hpp).
+  // chunk is dispatched.
   {
     const protocol::StakeState probe(initial_stakes,
                                      config_.withhold_period);
     (void)probe;
   }
-  const std::uint64_t reps = config_.replications;
+  const std::size_t reps = static_cast<std::size_t>(config_.replications);
 
-  // lambda_matrix[c * reps + r] = λ of replication r at checkpoint c.
-  std::vector<double> lambda_matrix(config_.checkpoints.size() * reps);
-  std::vector<double> population_matrix(
-      config_.population_metrics ? PopulationMatrixSize(config_) : 0);
-  double* population =
-      population_matrix.empty() ? nullptr : population_matrix.data();
+  // One contiguous replication chunk per concurrency slot.  Replication r
+  // derives its stream from r alone, so the partition never shows in the
+  // output.
+  const std::size_t slots = std::max<std::size_t>(
+      1, std::min<std::size_t>(backend.Concurrency(), reps));
+  const std::size_t chunk = (reps + slots - 1) / slots;
+  std::vector<std::size_t> order((reps + chunk - 1) / chunk);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t rows = ReplicationRowCount(config_);
+  // matrix[k * reps + r]: the λ rows, then the population planes.  A single
+  // whole-range chunk's payload IS this matrix, so it is moved in, not
+  // copied.
+  std::vector<double> matrix;
+  if (order.size() > 1) matrix.assign(rows * reps, 0.0);
+  backend.Run(
+      order,
+      [&](std::size_t j) {
+        const std::size_t begin = j * chunk;
+        const std::size_t end = std::min(reps, begin + chunk);
+        std::vector<double> payload(rows * (end - begin));
+        RunReplicationRange(model, initial_stakes, config_, begin, end,
+                            payload.data());
+        return payload;
+      },
+      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
+        if (order.size() == 1) {
+          matrix = std::move(payload);
+          return;
+        }
+        const std::size_t begin = j * chunk;
+        ScatterChunk(payload, begin, std::min(reps, begin + chunk), reps,
+                     matrix.data());
+      });
 
-  // One contiguous replication chunk per concurrency slot; each job steps
-  // in its worker's thread-local arena.  Replication r derives its stream
-  // from r alone, so the partition never shows in the output.
-  const std::size_t count = static_cast<std::size_t>(reps);
-  const std::size_t slots =
-      std::max<std::size_t>(1, std::min<std::size_t>(backend.Concurrency(),
-                                                     count));
-  const std::size_t chunk = (count + slots - 1) / slots;
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(slots);
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
-    jobs.push_back([&, begin, end] {
-      RunReplicationRange(model, initial_stakes, config_, begin, end,
-                          lambda_matrix.data(), population,
-                          ThreadLocalReplicationWorkspace());
-    });
-  }
-  backend.Execute(std::move(jobs));
-
+  const std::span<const double> all(matrix);
+  const std::size_t lambda_size = config_.checkpoints.size() * reps;
   return ReduceToResult(model.name(), initial_stakes, config_, spec_,
-                        lambda_matrix, population_matrix);
+                        all.first(lambda_size), all.subspan(lambda_size));
 }
 
 SimulationResult MonteCarloEngine::RunTwoMiner(

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,18 +158,24 @@ class MonteCarloEngine {
 /// population_matrix[(metric * cp_count + c) * replications + r].
 std::size_t PopulationMatrixSize(const SimulationConfig& config);
 
+/// Rows RunReplicationRange writes per chunk: one λ row per checkpoint,
+/// then — when `config.population_metrics` is on — kPopulationMetricCount
+/// planes of one row per checkpoint.
+std::size_t ReplicationRowCount(const SimulationConfig& config);
+
 /// Runs replications [begin, end) of `model` from `initial_stakes` under
-/// `config`, writing λ of replication r at checkpoint c into
-/// lambda_matrix[c * config.replications + r].  `config.checkpoints` must
-/// be populated (`Validate`d); `config.miner` must index into
-/// `initial_stakes` (throws std::invalid_argument otherwise — this is a
-/// public entry point, callers may bypass MonteCarloEngine::Run).
-/// `population_matrix` (may be null) additionally receives the wealth
-/// concentration metrics of every (checkpoint, replication) in the
-/// PopulationMatrixSize layout.  Replication r always draws from
+/// `config` and writes them as one chunk-local payload of
+/// ReplicationRowCount(config) rows with stride end - begin: λ of
+/// replication r at checkpoint c at out[c * (end - begin) + (r - begin)],
+/// then (population_metrics on) the wealth concentration metrics at
+/// out[((1 + metric) * cp_count + c) * (end - begin) + (r - begin)].
+/// ScatterChunk copies such a payload into a full-cell matrix.
+/// `config.checkpoints` must be populated (`Validate`d); `config.miner`
+/// must index into `initial_stakes` (throws std::invalid_argument
+/// otherwise — this is a public entry point, callers may bypass
+/// MonteCarloEngine::Run).  Replication r always draws from
 /// RngStream(config.seed).Split(r), so any partition of [0, replications)
-/// across threads — including the campaign runner's shared-pool sharding —
-/// produces identical values.
+/// across chunks, threads or processes produces identical values.
 ///
 /// `workspace` is the arena the replications step in; it is Bind()-ed to
 /// this call's configuration (free when already bound — the steady state)
@@ -178,8 +185,7 @@ std::size_t PopulationMatrixSize(const SimulationConfig& config);
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix,
-                         double* population_matrix,
+                         std::size_t end, double* out,
                          ReplicationWorkspace& workspace);
 
 /// Convenience overload running in this thread's workspace
@@ -187,8 +193,17 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
-                         std::size_t end, double* lambda_matrix,
-                         double* population_matrix);
+                         std::size_t end, double* out);
+
+/// Copies a chunk-local payload for replications [begin, end) of a cell
+/// with `replications` replications (rows of stride end - begin, as
+/// RunReplicationRange and chain::RunChainReplicationRange write them)
+/// into the same rows of the full-cell `matrix` (stride `replications`):
+/// row k, replication r lands at matrix[k * replications + r].  A payload
+/// of every replication already has that layout; callers move it in whole
+/// instead of copying.
+void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
+                  std::size_t end, std::size_t replications, double* matrix);
 
 /// Reduces a fully populated λ matrix (layout as RunReplicationRange) plus
 /// an optional population matrix (empty = no metrics; otherwise exactly
@@ -196,12 +211,11 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
 /// half of MonteCarloEngine::Run, exposed so external schedulers reuse the
 /// same reduction.  Throws std::invalid_argument when `config.miner` is
 /// out of range for `initial_stakes`.
-SimulationResult ReduceToResult(const std::string& protocol_name,
-                                const std::vector<double>& initial_stakes,
-                                const SimulationConfig& config,
-                                const FairnessSpec& spec,
-                                const std::vector<double>& lambda_matrix,
-                                const std::vector<double>& population_matrix);
+SimulationResult ReduceToResult(
+    const std::string& protocol_name,
+    const std::vector<double>& initial_stakes, const SimulationConfig& config,
+    const FairnessSpec& spec, std::span<const double> lambda_matrix,
+    std::span<const double> population_matrix);
 
 /// Evenly spaced checkpoints {step/count, 2*step/count, ..., steps}.
 /// Exact at every magnitude: the k·steps/count intermediate is evaluated in

@@ -18,6 +18,7 @@
 
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fault_injection.hpp"
 
@@ -25,8 +26,8 @@ namespace fairchain::core {
 
 #ifdef _WIN32
 
-void RunSharded(unsigned, std::size_t, const ShardComputeFn&,
-                const ShardConsumeFn&, const ShardOptions&) {
+void RunSharded(unsigned, const std::vector<std::size_t>&,
+                const ChunkComputeFn&, const ChunkConsumeFn&) {
   throw std::runtime_error(
       "RunSharded: the process-sharded backend requires fork/pipe (POSIX)");
 }
@@ -84,6 +85,13 @@ std::size_t ReadAll(int fd, void* data, std::size_t len) {
   return got;
 }
 
+std::uint64_t NanosecondsSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 bool WriteU64(int fd, std::uint64_t value) {
   return WriteAll(fd, &value, sizeof(value));
 }
@@ -121,7 +129,7 @@ class ScopedIgnoreSigpipe {
 // until the sentinel, then the done marker.  Never returns normally — the
 // worker always _exit()s so no inherited stdio buffer, atexit hook, or
 // gtest state replays in the child.
-[[noreturn]] void RunWorker(unsigned shard, const ShardComputeFn& compute,
+[[noreturn]] void RunWorker(unsigned shard, const ChunkComputeFn& compute,
                             int data_fd, int cmd_fd) {
   // The fork snapshotted the parent's recorded spans; discard them so this
   // worker streams only what it records itself.
@@ -211,7 +219,6 @@ struct ShardStream {
   bool has_outstanding = false;
   std::uint64_t outstanding = 0;
   std::chrono::steady_clock::time_point grant_time;
-  std::uint64_t last_grant_ns = 0;
   std::string error;  // empty = clean so far
 };
 
@@ -236,8 +243,11 @@ bool SendGrant(ShardStream& stream, std::uint64_t index) {
 // delivered are NOT re-granted — the run fails loudly after the other
 // workers finish draining the queue.
 void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
-                     std::size_t chunk_count, const ShardConsumeFn& consume,
-                     const ShardOptions& options) {
+                     std::size_t chunk_count, const ChunkConsumeFn& consume) {
+  auto& metrics = obs::MetricsRegistry::Global();
+  obs::LatencyHistogram& grant_ns = metrics.GetHistogram("campaign.grant_ns");
+  obs::Counter& shard_busy_ns =
+      metrics.GetCounter("campaign.shard_busy_ns." + std::to_string(shard));
   while (true) {
     std::uint64_t magic = 0;
     const std::size_t got = ReadAll(stream.data_fd, &magic, sizeof(magic));
@@ -307,10 +317,9 @@ void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
         stream.error = "worker died awaiting a grant";
         return;
       }
-      stream.last_grant_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - request_time)
-              .count());
+      if (index != kNoMoreWork) {
+        grant_ns.Record(NanosecondsSince(request_time));
+      }
       continue;
     }
     if (magic == kDoneMagic) {
@@ -355,59 +364,40 @@ void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
                      std::to_string(index) + ")";
       return;
     }
+    const std::uint64_t busy_ns = NanosecondsSince(stream.grant_time);
     try {
       obs::Span consume_span("shard.consume", index);
-      consume(static_cast<std::size_t>(index), std::move(payload));
+      consume(static_cast<std::size_t>(index), std::move(payload), busy_ns);
     } catch (const std::exception& error) {
       stream.error = std::string("consume failed: ") + error.what();
       return;
     }
+    shard_busy_ns.Add(busy_ns);
     stream.has_outstanding = false;
     ++stream.received;
-    if (options.on_chunk) {
-      ShardChunkStats stats;
-      stats.index = static_cast<std::size_t>(index);
-      stats.shard = shard;
-      stats.busy_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - stream.grant_time)
-              .count());
-      stats.grant_ns = stream.last_grant_ns;
-      options.on_chunk(stats);
-    }
   }
 }
 
 }  // namespace
 
-void RunSharded(unsigned shard_count, std::size_t chunk_count,
-                const ShardComputeFn& compute, const ShardConsumeFn& consume,
-                const ShardOptions& options) {
+void RunSharded(unsigned shard_count, const std::vector<std::size_t>& order,
+                const ChunkComputeFn& compute, const ChunkConsumeFn& consume) {
   if (shard_count == 0) {
     throw std::invalid_argument("RunSharded: shard_count must be >= 1");
   }
+  const std::size_t chunk_count = order.size();
   if (chunk_count == 0) return;
+  std::vector<bool> seen(chunk_count, false);
+  for (const std::size_t j : order) {
+    if (j >= chunk_count || seen[j]) {
+      throw std::invalid_argument(
+          "RunSharded: order must be a permutation of the chunk indices");
+    }
+    seen[j] = true;
+  }
 
   GrantQueue queue;
-  if (options.grant_order.empty()) {
-    queue.order.reserve(chunk_count);
-    for (std::size_t j = 0; j < chunk_count; ++j) queue.order.push_back(j);
-  } else {
-    if (options.grant_order.size() != chunk_count) {
-      throw std::invalid_argument(
-          "RunSharded: grant_order must cover every chunk exactly once");
-    }
-    std::vector<bool> seen(chunk_count, false);
-    for (const std::size_t j : options.grant_order) {
-      if (j >= chunk_count || seen[j]) {
-        throw std::invalid_argument(
-            "RunSharded: grant_order must be a permutation of the chunk "
-            "indices");
-      }
-      seen[j] = true;
-    }
-    queue.order = options.grant_order;
-  }
+  queue.order = order;
 
   // All pipes exist before the first fork so every worker can close every
   // descriptor that is not its own pair.
@@ -499,11 +489,9 @@ void RunSharded(unsigned shard_count, std::size_t chunk_count,
   readers.reserve(shard_count);
   for (unsigned s = 0; s < shard_count; ++s) {
     if (!streams[s].error.empty()) continue;
-    readers.emplace_back(
-        [&streams, s, &queue, chunk_count, &consume, &options] {
-          ReadShardStream(streams[s], s, queue, chunk_count, consume,
-                          options);
-        });
+    readers.emplace_back([&streams, s, &queue, chunk_count, &consume] {
+      ReadShardStream(streams[s], s, queue, chunk_count, consume);
+    });
   }
   for (std::thread& reader : readers) reader.join();
   // Closing the command pipes unblocks any worker still waiting on a

@@ -1,13 +1,13 @@
 // Process-sharded chunk execution: fork N worker processes, stream results
 // back over pipes.
 //
-// RunSharded is the transport under the ShardBackend.  The caller brings a
-// flat list of `chunk_count` independent chunks (in the campaign runner:
-// one (cell, replication-range) pair each).  Chunk ownership is
-// DEMAND-DRIVEN: the parent holds one grant queue (the caller's
-// `grant_order`, default ascending index) and hands out one chunk per
-// worker at a time — each worker is primed with one grant at fork, and
-// earns its next grant by finishing the previous chunk.  A worker that
+// RunSharded is the ShardBackend's Run.  The caller brings a flat list of
+// independent chunks (in the campaign runner: one (cell, replication-range)
+// pair each) and the order to dispatch them in.  Chunk ownership is
+// DEMAND-DRIVEN: the parent holds one grant queue (the caller's `order`)
+// and hands out one chunk per worker at a time — each worker is primed
+// with one grant at fork, and earns its next grant by finishing the
+// previous chunk.  A worker that
 // drains cheap chunks therefore immediately absorbs the queue's expensive
 // tail instead of idling behind a static j%N partition.  WHICH worker
 // computes a chunk is timing-dependent; WHAT every chunk computes and
@@ -16,9 +16,9 @@
 //
 // Per the execution-backend contract (core/execution_backend.hpp), every
 // chunk's payload is pre-addressed: `compute(j)` returns the chunk's
-// doubles and `consume(j, payload)` scatters them into the caller's
-// result matrices.  Because payloads commute (disjoint target ranges),
-// the parent may consume them in ANY arrival order; deterministic output
+// doubles and `consume(j, payload, busy_ns)` scatters them into the
+// caller's result matrices.  Because payloads commute (disjoint target
+// ranges), the parent may consume them in ANY arrival order; deterministic output
 // is the caller's reduction/emission cursor, exactly as with the
 // in-process backends.
 //
@@ -66,57 +66,32 @@
 #define FAIRCHAIN_CORE_SHARD_EXECUTOR_HPP_
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <vector>
+
+#include "core/execution_backend.hpp"
 
 namespace fairchain::core {
 
-/// Computes one chunk's payload.  Runs inside a forked worker process (on
-/// a copy-on-write snapshot of the parent taken at the RunSharded call),
-/// single-threaded.  Exceptions are marshalled back and rethrown by the
-/// parent.
-using ShardComputeFn = std::function<std::vector<double>(std::size_t)>;
-
-/// Consumes one chunk's payload in the parent.  Called from per-worker
-/// reader threads — concurrently across shards — so it must be
-/// thread-safe.  Exceptions abort the run and are rethrown by the parent.
-using ShardConsumeFn =
-    std::function<void(std::size_t, std::vector<double>&&)>;
-
-/// Parent-side observation of one consumed chunk, for scheduler metrics.
-struct ShardChunkStats {
-  std::size_t index = 0;       ///< chunk index
-  unsigned shard = 0;          ///< worker that computed it
-  std::uint64_t busy_ns = 0;   ///< grant written -> payload fully consumed
-  std::uint64_t grant_ns = 0;  ///< request read -> grant written (0 for
-                               ///< the primed first grant)
-};
-
-/// Scheduling knobs for RunSharded.  Defaults reproduce plain ascending
-/// grant order with no observation.
-struct ShardOptions {
-  /// Order chunks are granted in; must be a permutation of
-  /// [0, chunk_count).  Empty = ascending index.  The campaign runner
-  /// passes longest-processing-time order (descending modeled cost) so
-  /// the expensive chunks start first and the cheap tail levels the
-  /// finish.
-  std::vector<std::size_t> grant_order;
-  /// Called from the reader threads (concurrently across shards) after
-  /// each chunk is consumed.  Null = no observation.
-  std::function<void(const ShardChunkStats&)> on_chunk;
-};
-
-/// Executes chunks [0, chunk_count) across `shard_count` forked worker
-/// processes via the demand-driven grant protocol and feeds every payload
-/// to `consume`.  Returns only when all payloads are consumed, all
-/// workers are reaped, and the framing was valid end to end; throws
-/// std::runtime_error otherwise (dead worker, torn message, bad framing,
-/// worker-side exception) — after the surviving workers have drained
-/// every still-grantable chunk.  POSIX only.
-void RunSharded(unsigned shard_count, std::size_t chunk_count,
-                const ShardComputeFn& compute, const ShardConsumeFn& consume,
-                const ShardOptions& options = {});
+/// Executes the chunks of `order` (a permutation of [0, order.size()),
+/// granted in that order) across `shard_count` forked worker processes via
+/// the demand-driven grant protocol and feeds every payload to `consume`.
+/// `compute` runs inside the workers, on a copy-on-write snapshot of the
+/// parent taken at the call, single-threaded; `consume` runs on the
+/// parent's per-worker reader threads, concurrently across shards.
+///
+/// Scheduler metrics are recorded parent-side, because a child's clock
+/// readings die with the fork: `busy_ns` (grant written -> payload fully
+/// received) goes to consume and into the `campaign.shard_busy_ns.<s>`
+/// counter of the worker that computed the chunk, and each earned grant's
+/// request -> grant round trip into the `campaign.grant_ns` histogram.
+///
+/// Returns only when all payloads are consumed, all workers are reaped,
+/// and the framing was valid end to end; throws std::runtime_error
+/// otherwise (dead worker, torn message, bad framing, worker-side or
+/// consume exception) — after the surviving workers have drained every
+/// still-grantable chunk.  POSIX only.
+void RunSharded(unsigned shard_count, const std::vector<std::size_t>& order,
+                const ChunkComputeFn& compute, const ChunkConsumeFn& consume);
 
 }  // namespace fairchain::core
 

@@ -5,16 +5,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "chain/chain_replication.hpp"
 #include "core/execution_backend.hpp"
-#include "core/population.hpp"
-#include "core/shard_executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocol/model_factory.hpp"
@@ -38,10 +36,13 @@ struct CellExecution {
   chain::ChainGameSpec game;
   std::string protocol_name;  // model->name(), or the chain dynamics name
   std::vector<double> stakes;
-  std::vector<double> lambdas;      // [checkpoint * reps + rep]
-  std::vector<double> population;   // PopulationMatrixSize layout (or empty)
-  std::vector<double> chain_matrix; // ChainMatrixSize layout (or empty)
-  std::once_flag allocate_once;  // matrices allocated by the first chunk
+  // Rows of one chunk's payload: the λ rows, then the population planes
+  // (incentive cells with population metrics) or the chain planes (chain
+  // cells).  A chunk of n replications carries rows * n doubles.
+  std::size_t rows = 0;
+  // The same rows over every replication: matrix[row * reps + rep].
+  std::vector<double> matrix;
+  std::once_flag allocate_once;  // matrix allocated by the first commit
   std::atomic<std::size_t> remaining_chunks{0};
   core::SimulationResult result;
   bool reduced = false;
@@ -136,17 +137,25 @@ std::vector<std::size_t> LptOrder(const std::vector<ChunkJob>& jobs) {
   return order;
 }
 
-// Full per-cell matrices a forked shard worker computes into; reused
-// across the worker's consecutive chunks of one cell.  Under LPT grant
-// order a worker's consecutive chunks usually belong to the same
-// expensive cell, so the reuse still pays; an out-of-order grant merely
-// reallocates — correctness never depends on arrival order.
-struct ShardChildState {
-  std::size_t cell = std::numeric_limits<std::size_t>::max();
-  std::vector<double> lambdas;
-  std::vector<double> population;
-  std::vector<double> chain_matrix;
-};
+// The only place a chunk runs its kernel: replications [job.begin,
+// job.end) of the cell as one chunk-local payload.  Runs on a pool worker
+// or, on the shard backend, in a forked worker process — whose span is
+// streamed back, so the parent's trace shows the chunk on the worker's own
+// track.
+std::vector<double> ComputeChunk(const CellExecution& execution,
+                                 const ChunkJob& job) {
+  obs::Span chunk_span("campaign.chunk", job.cell);
+  std::vector<double> payload(execution.rows * (job.end - job.begin));
+  if (execution.chain) {
+    chain::RunChainReplicationRange(execution.game, execution.config,
+                                    job.begin, job.end, payload.data());
+  } else {
+    core::RunReplicationRange(*execution.model, execution.stakes,
+                              execution.config, job.begin, job.end,
+                              payload.data());
+  }
+  return payload;
+}
 
 }  // namespace
 
@@ -347,9 +356,8 @@ std::vector<CellOutcome> CampaignRunner::Run(
   }
 
   // Bind every cell fully on this thread: model construction and config
-  // validation throw here, never inside a worker.  The λ matrix itself is
-  // allocated lazily by the cell's first chunk, so peak memory tracks the
-  // cells actually in flight rather than the whole grid.
+  // validation throw here, never inside a worker.  The cell matrices are
+  // allocated lazily by the cell's first committed chunk.
   std::vector<std::unique_ptr<CellExecution>> executions;
   executions.reserve(cells.size());
   for (const CampaignCell& cell : cells) {
@@ -365,10 +373,12 @@ std::vector<CellOutcome> CampaignRunner::Run(
       execution->game.delay = cell.delay;
       execution->game.Validate();
       execution->protocol_name = cell.protocol;
+      execution->rows = chain::ChainReplicationRowCount(execution->config);
     } else {
       execution->model =
           protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
       execution->protocol_name = execution->model->name();
+      execution->rows = core::ReplicationRowCount(execution->config);
     }
     execution->stakes = cell.Stakes();
     executions.push_back(std::move(execution));
@@ -436,33 +446,6 @@ std::vector<CellOutcome> CampaignRunner::Run(
     }
   };
 
-  auto reduce_and_emit = [&](CellExecution& execution, std::size_t index) {
-    {
-      obs::Span reduce_span("campaign.reduce", index);
-      obs::ScopedLatency reduce_latency(reduce_ns);
-      execution.result = core::ReduceToResult(
-          execution.protocol_name, execution.stakes, execution.config,
-          spec.fairness, execution.lambdas, execution.population);
-      if (execution.chain) {
-        chain::ReduceChainMetrics(execution.config, execution.chain_matrix,
-                                  execution.result);
-      }
-    }
-    cells_done.Add();
-    execution.lambdas.clear();
-    execution.lambdas.shrink_to_fit();
-    execution.population.clear();
-    execution.population.shrink_to_fit();
-    execution.chain_matrix.clear();
-    execution.chain_matrix.shrink_to_fit();
-    // Persist before emitting: once a cell's rows are visible its entry is
-    // committed, so a crash after partial output never loses stored work.
-    if (cache != nullptr) cache->Put(keys[index], execution.result);
-    std::lock_guard<std::mutex> lock(emit_mutex);
-    execution.reduced = true;
-    drain_reduced();
-  };
-
   // Emit the cache-served prefix now: when a leading run of cells (or the
   // whole campaign) came from the store, no chunk completion will ever
   // trigger the drain for them.
@@ -483,210 +466,80 @@ std::vector<CellOutcome> CampaignRunner::Run(
     executions[job.cell]->remaining_chunks.fetch_add(1);
   }
 
-  auto allocate_matrices = [](CellExecution& execution) {
-    std::call_once(execution.allocate_once, [&execution] {
-      execution.lambdas.assign(execution.config.checkpoints.size() *
-                                   execution.config.replications,
-                               0.0);
-      if (execution.config.population_metrics) {
-        execution.population.assign(
-            core::PopulationMatrixSize(execution.config), 0.0);
-      }
+  // The only place a payload lands, on every backend: checks its size,
+  // scatters it into the cell's pre-addressed matrix slots, and reduces and
+  // emits the cell once its last chunk is in.  Called concurrently from
+  // pool workers or shard reader threads.
+  auto commit_chunk = [&](std::size_t index, std::vector<double>&& payload,
+                          std::uint64_t busy_ns) {
+    const ChunkJob& job = pending[index];
+    CellExecution& execution = *executions[job.cell];
+    const core::SimulationConfig& config = execution.config;
+    const std::size_t span = job.end - job.begin;
+    if (payload.size() != execution.rows * span) {
+      throw std::runtime_error(
+          "campaign chunk payload size mismatch for cell " +
+          std::to_string(job.cell));
+    }
+    if (span == config.replications) {
+      // The cell's only chunk: its payload already is the cell matrix.
+      execution.matrix = std::move(payload);
+    } else {
+      // Allocated by the cell's first commit, so peak memory tracks the
+      // cells in flight rather than the whole grid.
+      std::call_once(execution.allocate_once, [&execution, &config] {
+        execution.matrix.assign(execution.rows * config.replications, 0.0);
+      });
+      core::ScatterChunk(payload, job.begin, job.end, config.replications,
+                         execution.matrix.data());
+    }
+    (execution.chain ? chunk_ns_chain : chunk_ns_incentive).Record(busy_ns);
+    chunks_done.Add();
+    replications_done.Add(span);
+    cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
+    if (execution.remaining_chunks.fetch_sub(1) != 1) return;
+
+    // Last chunk of the cell: reduce, free the matrix, persist, emit.
+    {
+      obs::Span reduce_span("campaign.reduce", job.cell);
+      obs::ScopedLatency reduce_latency(reduce_ns);
+      const std::span<const double> all(execution.matrix);
+      const std::size_t lambda_size =
+          config.checkpoints.size() * config.replications;
+      const std::span<const double> planes = all.subspan(lambda_size);
+      // Chain cells carry chain planes, never population planes.
+      execution.result = core::ReduceToResult(
+          execution.protocol_name, execution.stakes, config, spec.fairness,
+          all.first(lambda_size),
+          execution.chain ? std::span<const double>{} : planes);
       if (execution.chain) {
-        execution.chain_matrix.assign(
-            chain::ChainMatrixSize(execution.config), 0.0);
+        chain::ReduceChainMetrics(config, planes, execution.result);
       }
-    });
+    }
+    cells_done.Add();
+    execution.matrix.clear();
+    execution.matrix.shrink_to_fit();
+    // Persist before emitting: once a cell's rows are visible its entry is
+    // committed, so a crash after partial output never loses stored work.
+    if (cache != nullptr) cache->Put(keys[job.cell], execution.result);
+    std::lock_guard<std::mutex> lock(emit_mutex);
+    execution.reduced = true;
+    drain_reduced();
   };
 
   // Dispatch order: longest modeled cost first (LPT — expensive chunks
   // start early, the cheap tail levels the finish).  Order never affects
   // output: payloads land in pre-addressed slots and emission is
   // cursor-ordered.
-  const std::vector<std::size_t> dispatch_order = LptOrder(pending);
-
-  const unsigned process_shards = backend->ProcessShards();
-  if (!pending.empty() && process_shards > 0) {
-    // Process-sharded path: forked workers pull chunks through the
-    // demand-driven grant protocol and stream raw payloads back; the
-    // parent commits each payload into the exact matrix slots the
-    // in-process path would have written, then runs the identical
-    // reduction — which is why output is byte-identical.
-    // Payload layout for chunk (cell, begin, end): the [begin, end)
-    // columns of every λ checkpoint row, then of every population plane.
+  if (!pending.empty()) {
     obs::Span execute_span("backend.execute", pending.size());
-    // Scheduler observability, recorded parent-side (the child's clock
-    // readings die with the fork): per-chunk busy time into the family
-    // histograms, grant round-trip latency, and per-shard busy-nanosecond
-    // counters (the busy-fraction skew the traced-shard CI step asserts
-    // on).
-    obs::LatencyHistogram& grant_ns_hist =
-        metrics.GetHistogram("campaign.grant_ns");
-    std::vector<obs::Counter*> shard_busy;
-    shard_busy.reserve(process_shards);
-    for (unsigned s = 0; s < process_shards; ++s) {
-      shard_busy.push_back(&metrics.GetCounter(
-          "campaign.shard_busy_ns." + std::to_string(s)));
-    }
-    core::ShardOptions shard_options;
-    shard_options.grant_order = dispatch_order;
-    shard_options.on_chunk = [&](const core::ShardChunkStats& stats) {
-      const ChunkJob& job = pending[stats.index];
-      (executions[job.cell]->chain ? chunk_ns_chain : chunk_ns_incentive)
-          .Record(stats.busy_ns);
-      if (stats.grant_ns != 0) grant_ns_hist.Record(stats.grant_ns);
-      shard_busy[stats.shard]->Add(stats.busy_ns);
-      cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
-    };
-    core::RunSharded(
-        process_shards, pending.size(),
-        // Runs in the forked child.
-        [&, state = std::make_shared<ShardChildState>()](std::size_t index) {
+    backend->Run(
+        LptOrder(pending),
+        [&](std::size_t index) {
           const ChunkJob& job = pending[index];
-          CellExecution& execution = *executions[job.cell];
-          // Recorded in the forked worker and streamed back over the span
-          // message, so the parent's trace shows this chunk on the
-          // worker's own track.  (Latency histograms are recorded
-          // parent-side via on_chunk — a child-side record dies with the
-          // fork.)
-          obs::Span chunk_span("campaign.chunk", job.cell);
-          const core::SimulationConfig& config = execution.config;
-          const std::size_t cp = config.checkpoints.size();
-          if (state->cell != job.cell || state->lambdas.empty()) {
-            state->cell = job.cell;
-            state->lambdas.assign(cp * config.replications, 0.0);
-            state->population.assign(
-                config.population_metrics
-                    ? core::PopulationMatrixSize(config)
-                    : 0,
-                0.0);
-            state->chain_matrix.assign(
-                execution.chain ? chain::ChainMatrixSize(config) : 0, 0.0);
-          }
-          if (execution.chain) {
-            chain::RunChainReplicationRange(execution.game, config,
-                                            job.begin, job.end,
-                                            state->lambdas.data(),
-                                            state->chain_matrix.data());
-          } else {
-            core::RunReplicationRange(*execution.model, execution.stakes,
-                                      config, job.begin, job.end,
-                                      state->lambdas.data(),
-                                      state->population.empty()
-                                          ? nullptr
-                                          : state->population.data());
-          }
-          const std::size_t span = job.end - job.begin;
-          // Plane rows follow the λ rows: population planes for incentive
-          // cells, chain planes for chain cells (never both — chain cells
-          // force population_metrics off).  Same marshaling either way.
-          const double* plane_data = execution.chain
-                                         ? state->chain_matrix.data()
-                                         : state->population.data();
-          const std::size_t planes =
-              execution.chain
-                  ? chain::kChainMetricCount * cp
-                  : (state->population.empty()
-                         ? 0
-                         : core::kPopulationMetricCount * cp);
-          std::vector<double> payload;
-          payload.reserve((cp + planes) * span);
-          for (std::size_t c = 0; c < cp; ++c) {
-            const double* row =
-                state->lambdas.data() + c * config.replications;
-            payload.insert(payload.end(), row + job.begin, row + job.end);
-          }
-          for (std::size_t p = 0; p < planes; ++p) {
-            const double* row = plane_data + p * config.replications;
-            payload.insert(payload.end(), row + job.begin, row + job.end);
-          }
-          return payload;
+          return ComputeChunk(*executions[job.cell], job);
         },
-        // Runs in the parent's reader threads.
-        [&](std::size_t index, std::vector<double>&& payload) {
-          const ChunkJob& job = pending[index];
-          CellExecution& execution = *executions[job.cell];
-          allocate_matrices(execution);
-          const core::SimulationConfig& config = execution.config;
-          const std::size_t span = job.end - job.begin;
-          const std::size_t cp = config.checkpoints.size();
-          double* plane_dest = execution.chain
-                                   ? execution.chain_matrix.data()
-                                   : execution.population.data();
-          const std::size_t planes =
-              execution.chain
-                  ? chain::kChainMetricCount * cp
-                  : (execution.population.empty()
-                         ? 0
-                         : core::kPopulationMetricCount * cp);
-          if (payload.size() != (cp + planes) * span) {
-            throw std::runtime_error(
-                "campaign shard payload size mismatch for cell " +
-                std::to_string(job.cell));
-          }
-          const double* source = payload.data();
-          for (std::size_t c = 0; c < cp; ++c) {
-            std::copy(source, source + span,
-                      execution.lambdas.data() + c * config.replications +
-                          job.begin);
-            source += span;
-          }
-          for (std::size_t p = 0; p < planes; ++p) {
-            std::copy(source, source + span,
-                      plane_dest + p * config.replications + job.begin);
-            source += span;
-          }
-          chunks_done.Add();
-          replications_done.Add(span);
-          if (execution.remaining_chunks.fetch_sub(1) == 1) {
-            reduce_and_emit(execution, job.cell);
-          }
-        },
-        shard_options);
-  } else if (!pending.empty()) {
-    // In-process path.  Each chunk steps in its worker's thread-local
-    // arena, reused across chunks and cells (zero steady-state allocation
-    // within a cell).  Jobs are submitted in LPT order; the stealing pool
-    // deals them round-robin from there.
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(pending.size());
-    for (const std::size_t index : dispatch_order) {
-      const ChunkJob job = pending[index];
-      CellExecution* execution = executions[job.cell].get();
-      obs::LatencyHistogram* hist =
-          execution->chain ? &chunk_ns_chain : &chunk_ns_incentive;
-      jobs.push_back([execution, job, hist, &reduce_and_emit,
-                      &allocate_matrices, &chunks_done, &replications_done,
-                      &cost_done_ns] {
-        allocate_matrices(*execution);
-        {
-          obs::Span chunk_span("campaign.chunk", job.cell);
-          obs::ScopedLatency chunk_latency(*hist);
-          if (execution->chain) {
-            chain::RunChainReplicationRange(execution->game,
-                                            execution->config, job.begin,
-                                            job.end,
-                                            execution->lambdas.data(),
-                                            execution->chain_matrix.data());
-          } else {
-            core::RunReplicationRange(*execution->model, execution->stakes,
-                                      execution->config, job.begin, job.end,
-                                      execution->lambdas.data(),
-                                      execution->population.empty()
-                                          ? nullptr
-                                          : execution->population.data());
-          }
-        }
-        chunks_done.Add();
-        replications_done.Add(job.end - job.begin);
-        cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
-        if (execution->remaining_chunks.fetch_sub(1) == 1) {
-          reduce_and_emit(*execution, job.cell);
-        }
-      });
-    }
-    obs::Span execute_span("backend.execute", jobs.size());
-    backend->Execute(std::move(jobs));
+        commit_chunk);
   }
 
   for (ResultSink* sink : sinks) sink->EndCampaign();

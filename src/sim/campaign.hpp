@@ -3,12 +3,12 @@
 // A campaign is one ScenarioSpec expanded into its grid of CampaignCells.
 // The CampaignRunner executes ALL cells over ONE ExecutionBackend with
 // replication-level sharding: every cell's replications are cut into
-// chunks, and the full job grid (every chunk of every cell) is handed to
-// the backend in a single Execute call.  On the thread-pool backend a
-// 50-cell campaign therefore saturates all cores for its whole duration
-// instead of running cells serially through per-cell pools — on k cores
-// the wall clock approaches (serial sum)/k; the serial backend runs the
-// same grid inline and is the byte-identical determinism reference.
+// chunks, and the full chunk grid (every chunk of every cell) is handed to
+// the backend in a single Run call.  On the thread-pool backend a 50-cell
+// campaign therefore saturates all cores for its whole duration instead of
+// running cells serially through per-cell pools — on k cores the wall
+// clock approaches (serial sum)/k; the serial backend runs the same grid
+// inline and is the byte-identical determinism reference.
 //
 // Determinism contract: replication r of cell i always draws from
 // RngStream(CellSeed(spec.seed, i)).Split(r), and rows are streamed to the
@@ -22,17 +22,19 @@
 // backend levels imbalance by work stealing, and the shard backend pulls
 // chunks through a demand-driven grant protocol.
 //
-// Two orthogonal extensions ride on the same contract:
-//   * Process sharding: a backend advertising ProcessShards() = N runs the
-//     job grid through core::RunSharded — N forked workers pull chunks
-//     one grant at a time and stream the raw λ payloads back over pipes;
-//     the parent commits them into the same pre-addressed matrix slots the
-//     in-process path writes.  Same doubles, same slots, same reduction —
-//     byte-identical output at any shard count.
-//   * Resumable caching: with CampaignOptions::store set, every finished
-//     cell is persisted content-addressed (see CellStorePreimage), and
-//     verified hits are served without recomputation — a killed campaign
-//     re-run with the same store skips every cell that completed.
+// Every backend runs the same chunk path: a chunk's kernel writes one
+// chunk-local payload (λ rows, then population or chain-metric plane
+// rows), and the parent commits it into the cell's pre-addressed matrix
+// slots in one place — in-process workers hand the payload over directly,
+// forked shard workers stream it back over a pipe.  Same doubles, same
+// slots, same reduction — byte-identical output on every backend at any
+// thread or shard count.
+//
+// Resumable caching rides on the same contract: with
+// CampaignOptions::store set, every finished cell is persisted
+// content-addressed (see CellStorePreimage), and verified hits are served
+// without recomputation — a killed campaign re-run with the same store
+// skips every cell that completed.
 
 #ifndef FAIRCHAIN_SIM_CAMPAIGN_HPP_
 #define FAIRCHAIN_SIM_CAMPAIGN_HPP_

@@ -4,27 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/flags.hpp"
+
 namespace fairchain::sim {
 
 namespace {
-
-// Edit distance between scenario names, for "did you mean" suggestions
-// (the same idiom FlagSet and the backend parser use for their names).
-std::size_t Levenshtein(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitute =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitute});
-    }
-  }
-  return row[b.size()];
-}
 
 ScenarioRegistry BuildBuiltIns() {
   ScenarioRegistry registry;
@@ -318,28 +302,18 @@ const ScenarioSpec& ScenarioRegistry::Get(const std::string& name) const {
   }
   // Suggest the closest registered name when the typo is plausibly one:
   // within 3 edits, or sharing a prefix of at least 4 characters.
-  const ScenarioSpec* closest = nullptr;
-  std::size_t best = 4;
-  for (const ScenarioSpec& spec : specs_) {
-    const std::size_t distance = Levenshtein(name, spec.name);
-    if (distance < best) {
-      best = distance;
-      closest = &spec;
-    }
-  }
-  if (closest == nullptr && name.size() >= 4) {
+  std::string closest = ClosestName(name, Names(), 4);
+  if (closest.empty() && name.size() >= 4) {
     for (const ScenarioSpec& spec : specs_) {
       if (spec.name.rfind(name.substr(0, 4), 0) == 0) {
-        closest = &spec;
+        closest = spec.name;
         break;
       }
     }
   }
   std::string message =
       "ScenarioRegistry: unknown scenario '" + name + "'";
-  if (closest != nullptr) {
-    message += " — did you mean '" + closest->name + "'?";
-  }
+  if (!closest.empty()) message += " — did you mean '" + closest + "'?";
   message += " (known: " + known + ")";
   throw std::invalid_argument(message);
 }

@@ -5,27 +5,6 @@
 
 namespace fairchain {
 
-namespace {
-
-// Edit distance between flag names, for "did you mean" suggestions.
-std::size_t Levenshtein(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitute =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitute});
-    }
-  }
-  return row[b.size()];
-}
-
-}  // namespace
-
 FlagSet FlagSet::Parse(const std::vector<std::string>& args,
                        const std::vector<std::string>& switches) {
   FlagSet set;
@@ -116,16 +95,9 @@ void FlagSet::RejectUnknown(const std::vector<std::string>& allowed) const {
     }
     if (!errors.empty()) errors += "; ";
     errors += "unknown flag --" + name;
-    std::size_t best_distance = 3;  // suggest only close misspellings
-    const std::string* best = nullptr;
-    for (const std::string& candidate : allowed) {
-      const std::size_t distance = Levenshtein(name, candidate);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best = &candidate;
-      }
-    }
-    if (best != nullptr) errors += " (did you mean --" + *best + "?)";
+    // Suggest only close misspellings.
+    const std::string best = ClosestName(name, allowed, 3);
+    if (!best.empty()) errors += " (did you mean --" + best + "?)";
   }
   if (!errors.empty()) throw std::invalid_argument("FlagSet: " + errors);
 }
@@ -135,6 +107,34 @@ bool FlagSet::GetBool(const std::string& name, bool fallback) const {
   if (it == flags_.end()) return fallback;
   const std::string& value = it->second;
   return value.empty() || value == "1" || value == "true" || value == "yes";
+}
+
+std::string ClosestName(const std::string& name,
+                        const std::vector<std::string>& candidates,
+                        std::size_t max_distance) {
+  std::string best;
+  std::size_t best_distance = max_distance;
+  std::vector<std::size_t> row;
+  for (const std::string& candidate : candidates) {
+    // Single-row Levenshtein: row[j] = distance(name[0, i), candidate[0, j)).
+    row.resize(candidate.size() + 1);
+    for (std::size_t j = 0; j <= candidate.size(); ++j) row[j] = j;
+    for (std::size_t i = 1; i <= name.size(); ++i) {
+      std::size_t diagonal = row[0];
+      row[0] = i;
+      for (std::size_t j = 1; j <= candidate.size(); ++j) {
+        const std::size_t substitute =
+            diagonal + (name[i - 1] == candidate[j - 1] ? 0 : 1);
+        diagonal = row[j];
+        row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitute});
+      }
+    }
+    if (row[candidate.size()] < best_distance) {
+      best_distance = row[candidate.size()];
+      best = candidate;
+    }
+  }
+  return best;
 }
 
 }  // namespace fairchain

@@ -64,6 +64,14 @@ class FlagSet {
   std::vector<std::string> positionals_;
 };
 
+/// The "did you mean" suggestion shared by the flag, backend and scenario
+/// name parsers: the candidate closest to `name` by Levenshtein distance,
+/// provided that distance is below `max_distance` (the first candidate wins
+/// ties).  Returns an empty string when no candidate is that close.
+std::string ClosestName(const std::string& name,
+                        const std::vector<std::string>& candidates,
+                        std::size_t max_distance);
+
 }  // namespace fairchain
 
 #endif  // FAIRCHAIN_SUPPORT_FLAGS_HPP_

@@ -3,77 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "support/fault_injection.hpp"
 
 namespace fairchain {
-
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned count = std::max(1u, threads);
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (auto& task : tasks) tasks_.push(std::move(task));
-    in_flight_ += tasks.size();
-  }
-  task_available_.notify_all();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
 
 namespace {
 
@@ -105,6 +42,8 @@ std::uint64_t RunStealingBatch(unsigned threads,
     deques[i % workers]->tasks.push_back(std::move(tasks[i]));
   }
   std::atomic<std::uint64_t> steals{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;  // first exception any task threw
 
   auto worker_loop = [&](unsigned self) {
     std::uint64_t executed = 0;
@@ -143,7 +82,12 @@ std::uint64_t RunStealingBatch(unsigned threads,
       // The batch is closed (tasks never submit tasks), so an empty sweep
       // means this worker is permanently out of work.
       if (!task) return;
-      task();
+      try {
+        task();
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(failure_mutex);
+        if (!failure) failure = std::current_exception();
+      }
       // Fault site "pool-task": index = worker id, count = tasks that
       // worker has finished.  A stall here pins one worker mid-batch and
       // forces its siblings to steal the rest of its deque — the
@@ -158,34 +102,8 @@ std::uint64_t RunStealingBatch(unsigned threads,
     pool.emplace_back(worker_loop, w);
   }
   for (std::thread& worker : pool) worker.join();
+  if (failure) std::rethrow_exception(failure);
   return steals.load(std::memory_order_relaxed);
-}
-
-void ParallelFor(unsigned threads, std::size_t count,
-                 const std::function<void(std::size_t)>& body) {
-  ParallelForChunked(threads, count,
-                     [&body](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) body(i);
-                     });
-}
-
-void ParallelForChunked(
-    unsigned threads, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) return;
-  if (threads <= 1 || count == 1) {
-    body(0, count);
-    return;
-  }
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, count));
-  ThreadPool pool(workers);
-  const std::size_t chunk = (count + workers - 1) / workers;
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
-    pool.Submit([&body, begin, end] { body(begin, end); });
-  }
-  pool.Wait();
 }
 
 }  // namespace fairchain

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,49 +198,44 @@ core::SimulationConfig SmallConfig() {
 }
 
 // The backend contract in miniature: any partition of [0, replications)
-// fills identical λ and chain matrices.
+// scatters into the matrix one whole-range chunk writes.
 TEST(ChainReplicationRangeTest, PartitionInvariantMatrices) {
   ChainGameSpec spec;
   spec.dynamics = ChainDynamics::kForkRace;
   spec.alpha = 0.25;
   spec.delay = 0.3;
   const core::SimulationConfig config = SmallConfig();
-  const std::size_t cp = config.checkpoints.size();
+  const std::size_t rows = ChainReplicationRowCount(config);
+  ASSERT_EQ(rows, (1 + kChainMetricCount) * config.checkpoints.size());
 
-  std::vector<double> whole_lambda(cp * 12, 0.0);
-  std::vector<double> whole_chain(ChainMatrixSize(config), 0.0);
+  std::vector<double> whole(rows * 12, 0.0);
   ChainReplicationWorkspace whole_workspace;
-  RunChainReplicationRange(spec, config, 0, 12, whole_lambda.data(),
-                           whole_chain.data(), whole_workspace);
+  RunChainReplicationRange(spec, config, 0, 12, whole.data(),
+                           whole_workspace);
 
-  std::vector<double> split_lambda(cp * 12, 0.0);
-  std::vector<double> split_chain(ChainMatrixSize(config), 0.0);
+  std::vector<double> split(rows * 12, -1.0);
   ChainReplicationWorkspace split_workspace;
-  RunChainReplicationRange(spec, config, 0, 5, split_lambda.data(),
-                           split_chain.data(), split_workspace);
-  RunChainReplicationRange(spec, config, 5, 9, split_lambda.data(),
-                           split_chain.data(), split_workspace);
-  RunChainReplicationRange(spec, config, 9, 12, split_lambda.data(),
-                           split_chain.data(), split_workspace);
-
-  EXPECT_EQ(whole_lambda, split_lambda);
-  EXPECT_EQ(whole_chain, split_chain);
+  const std::vector<std::size_t> bounds = {0, 5, 9, 12};
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    std::vector<double> payload(rows * (bounds[i + 1] - bounds[i]));
+    RunChainReplicationRange(spec, config, bounds[i], bounds[i + 1],
+                             payload.data(), split_workspace);
+    core::ScatterChunk(payload, bounds[i], bounds[i + 1], 12, split.data());
+  }
+  EXPECT_EQ(whole, split);
 }
 
 TEST(ChainReplicationRangeTest, RejectsBadRangesAndMissingCheckpoints) {
   ChainGameSpec spec;
   spec.alpha = 0.25;
   core::SimulationConfig config = SmallConfig();
-  std::vector<double> lambda(config.checkpoints.size() * 12, 0.0);
-  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 13, lambda.data(),
-                                        nullptr),
+  std::vector<double> out(ChainReplicationRowCount(config) * 12, 0.0);
+  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 13, out.data()),
                std::invalid_argument);
-  EXPECT_THROW(RunChainReplicationRange(spec, config, 5, 3, lambda.data(),
-                                        nullptr),
+  EXPECT_THROW(RunChainReplicationRange(spec, config, 5, 3, out.data()),
                std::invalid_argument);
   config.checkpoints.clear();
-  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 12, lambda.data(),
-                                        nullptr),
+  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 12, out.data()),
                std::invalid_argument);
 }
 
@@ -250,9 +246,13 @@ TEST(ChainReplicationRangeTest, ReduceFillsCheckpointChainStats) {
   spec.delay = 0.5;
   const core::SimulationConfig config = SmallConfig();
   const std::size_t cp = config.checkpoints.size();
-  std::vector<double> lambda(cp * 12, 0.0);
-  std::vector<double> chain(ChainMatrixSize(config), 0.0);
-  RunChainReplicationRange(spec, config, 0, 12, lambda.data(), chain.data());
+  // One whole-range chunk: its payload is the λ matrix followed by the
+  // chain matrix.
+  std::vector<double> out(ChainReplicationRowCount(config) * 12, 0.0);
+  RunChainReplicationRange(spec, config, 0, 12, out.data());
+  const std::span<const double> lambda(out.data(), cp * 12);
+  const std::vector<double> chain(out.begin() + cp * 12, out.end());
+  ASSERT_EQ(chain.size(), ChainMatrixSize(config));
 
   core::SimulationResult result = core::ReduceToResult(
       "forkrace", {0.4, 0.6}, config, core::FairnessSpec{0.1, 0.1}, lambda,

@@ -79,6 +79,17 @@ TEST(ReplicatedTest, MeanLambdaNearShareForMlPos) {
   EXPECT_NEAR(mean, 0.2, 0.04);
 }
 
+// A game that throws (all-zero balances) reaches the caller on every
+// thread count — on a pool worker too, instead of terminating the process.
+TEST(ReplicatedTest, GameExceptionsReachTheCallerOnEveryThreadCount) {
+  for (const unsigned threads : {1u, 2u}) {
+    EXPECT_THROW(ReplicatedRewardFractions(MlFactory(), {0, 0}, 10, 4, 1, 0,
+                                           threads),
+                 std::invalid_argument)
+        << threads << " thread(s)";
+  }
+}
+
 TEST(ReplicatedTest, RejectsZeroReplications) {
   EXPECT_THROW(ReplicatedRewardFractions(MlFactory(), {1000, 1000}, 10, 0,
                                          1, 0),

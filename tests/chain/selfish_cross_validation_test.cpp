@@ -94,8 +94,9 @@ TEST(SelfishCrossValidationTest, ReplicatedMeanMatchesClosedFormBand) {
   config.seed = 20210620;
   config.checkpoints = core::LinearCheckpoints(4000, 8);
   const std::size_t cp = config.checkpoints.size();
-  std::vector<double> lambda(cp * 400, 0.0);
-  RunChainReplicationRange(spec, config, 0, 400, lambda.data(), nullptr);
+  // One whole-range chunk: its first cp rows are the λ matrix.
+  std::vector<double> lambda(ChainReplicationRowCount(config) * 400, 0.0);
+  RunChainReplicationRange(spec, config, 0, 400, lambda.data());
   double sum = 0.0;
   for (std::size_t r = 0; r < 400; ++r) {
     sum += lambda[(cp - 1) * 400 + r];

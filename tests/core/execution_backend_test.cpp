@@ -1,9 +1,13 @@
-// ExecutionBackend: the serial reference, the thread-pool implementation,
-// the factory helpers, and — the property everything else leans on — that
-// MonteCarloEngine produces byte-identical results on every backend.
+// ExecutionBackend: the one chunk contract on the serial reference, the
+// thread pool and the forked shards, the factory helpers, and — the
+// property everything else leans on — that MonteCarloEngine produces
+// byte-identical results on every backend.
 
-#include <atomic>
+#include <cstring>
 #include <memory>
+#include <mutex>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,41 +19,90 @@
 namespace fairchain::core {
 namespace {
 
-TEST(ExecutionBackendTest, SerialRunsEveryJobInSubmissionOrder) {
+// compute(j) = {j, 2j}: a payload that proves which chunk produced it.
+std::vector<double> EchoPayload(std::size_t j) {
+  return {static_cast<double>(j), 2.0 * static_cast<double>(j)};
+}
+
+// Runs `order` on `backend`, returning each chunk's consumed payload by
+// index (consume is thread-safe, as the contract demands).
+std::vector<std::vector<double>> RunEcho(
+    const ExecutionBackend& backend, const std::vector<std::size_t>& order) {
+  std::mutex mutex;
+  std::vector<std::vector<double>> consumed(order.size());
+  backend.Run(order, EchoPayload,
+              [&](std::size_t j, std::vector<double>&& payload,
+                  std::uint64_t) {
+                std::lock_guard<std::mutex> lock(mutex);
+                consumed[j] = std::move(payload);
+              });
+  return consumed;
+}
+
+TEST(ExecutionBackendTest, SerialRunsEveryChunkInOrder) {
   SerialBackend backend;
   EXPECT_EQ(backend.name(), "serial");
   EXPECT_EQ(backend.Concurrency(), 1u);
-  std::vector<int> order;
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 5; ++i) {
-    jobs.push_back([&order, i] { order.push_back(i); });
-  }
-  backend.Execute(std::move(jobs));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  std::vector<std::size_t> computed;
+  std::vector<std::size_t> consumed;
+  backend.Run(
+      {3, 1, 4, 0, 2},
+      [&computed](std::size_t j) {
+        computed.push_back(j);
+        return EchoPayload(j);
+      },
+      [&consumed](std::size_t j, std::vector<double>&& payload,
+                  std::uint64_t) {
+        EXPECT_EQ(payload, EchoPayload(j));
+        consumed.push_back(j);
+      });
+  EXPECT_EQ(computed, (std::vector<std::size_t>{3, 1, 4, 0, 2}));
+  EXPECT_EQ(consumed, computed);
 }
 
-TEST(ExecutionBackendTest, ThreadPoolRunsEveryJobToCompletion) {
-  ThreadPoolBackend backend(3);
-  EXPECT_EQ(backend.name(), "threadpool");
-  EXPECT_EQ(backend.Concurrency(), 3u);
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 64; ++i) {
-    jobs.push_back([&count] { count.fetch_add(1); });
+// Every backend computes and consumes every chunk exactly once, with the
+// payload its compute produced — in-process and across forked workers.
+TEST(ExecutionBackendTest, EveryBackendConsumesEveryPayload) {
+  std::vector<std::size_t> order(64);
+  std::iota(order.rbegin(), order.rend(), std::size_t{0});
+  const SerialBackend serial;
+  const ThreadPoolBackend pool(3);
+  const ShardBackend shard(2);
+  const std::vector<const ExecutionBackend*> backends = {&serial, &pool,
+                                                         &shard};
+  for (const ExecutionBackend* backend : backends) {
+    const auto consumed = RunEcho(*backend, order);
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      EXPECT_EQ(consumed[j], EchoPayload(j)) << backend->name();
+    }
   }
-  backend.Execute(std::move(jobs));  // Execute blocks until all finish
-  EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ExecutionBackendTest, ExecuteIsReentrant) {
-  ThreadPoolBackend backend(2);
+TEST(ExecutionBackendTest, RunIsReentrant) {
+  const ThreadPoolBackend backend(2);
   for (int round = 0; round < 3; ++round) {
-    std::atomic<int> count{0};
-    std::vector<std::function<void()>> jobs(
-        8, [&count] { count.fetch_add(1); });
-    backend.Execute(std::move(jobs));
-    EXPECT_EQ(count.load(), 8);
+    const auto consumed = RunEcho(backend, {0, 1, 2, 3, 4, 5, 6, 7});
+    EXPECT_EQ(consumed[7], EchoPayload(7));
   }
+}
+
+// A throwing consume on the pool reaches the caller instead of terminating
+// the process from a worker thread.
+TEST(ExecutionBackendTest, PoolPropagatesConsumeExceptions) {
+  const ThreadPoolBackend backend(4);
+  std::vector<std::size_t> order(16);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  EXPECT_THROW(backend.Run(order, EchoPayload,
+                           [](std::size_t j, std::vector<double>&&,
+                              std::uint64_t) {
+                             if (j == 9) throw std::runtime_error("commit");
+                           }),
+               std::runtime_error);
+}
+
+TEST(ExecutionBackendTest, ThreadPoolRejectsCountsAboveTheCap) {
+  EXPECT_EQ(ThreadPoolBackend(kMaxWorkers).Concurrency(), kMaxWorkers);
+  EXPECT_THROW(ThreadPoolBackend{kMaxWorkers + 1}, std::invalid_argument);
 }
 
 TEST(ExecutionBackendTest, DefaultBackendSelectsSerialForOneWorker) {
@@ -69,10 +122,6 @@ TEST(ExecutionBackendTest, MakeBackendParsesShardCounts) {
   EXPECT_EQ(MakeBackend("shard:1", 0)->name(), "shard:1");
   EXPECT_EQ(MakeBackend("shard:4", 0)->Concurrency(), 4u);
   EXPECT_EQ(MakeBackend("shard:4096", 0)->Concurrency(), 4096u);
-  EXPECT_EQ(MakeBackend("shard:2", 0)->ProcessShards(), 2u);
-  // The in-process backends do not shard across processes.
-  EXPECT_EQ(MakeBackend("serial", 0)->ProcessShards(), 0u);
-  EXPECT_EQ(MakeBackend("pool", 4)->ProcessShards(), 0u);
 }
 
 // Error-path contract: every malformed shard spelling produces a pointed
@@ -124,24 +173,19 @@ TEST(ExecutionBackendTest, MakeBackendSuggestsClosestName) {
   EXPECT_EQ(garbage.find("did you mean"), std::string::npos);
 }
 
-TEST(ExecutionBackendTest, ShardBackendFallbackExecutesInline) {
+TEST(ExecutionBackendTest, ShardBackendNamesItsWorkers) {
   const ShardBackend backend(3);
   EXPECT_EQ(backend.name(), "shard:3");
   EXPECT_EQ(backend.Concurrency(), 3u);
-  EXPECT_EQ(backend.ProcessShards(), 3u);
   EXPECT_THROW(ShardBackend{0}, std::invalid_argument);
-  // The generic Execute is the inline-serial fallback (callers that cannot
-  // marshal across processes, e.g. MonteCarloEngine::Run).
-  std::vector<int> order;
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back([&order, i] { order.push_back(i); });
-  }
-  backend.Execute(std::move(jobs));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_THROW(ShardBackend{kMaxWorkers + 1}, std::invalid_argument);
 }
 
-TEST(ExecutionBackendTest, EngineResultsAreIdenticalOnShardFallback) {
+// MonteCarloEngine::Run on every backend — the shard backend included, in
+// forked workers — yields the same SimulationResult bytes: every
+// checkpoint's statistics (NaN-carrying chain fields compared bitwise) and
+// the retained final λ vector.
+TEST(ExecutionBackendTest, EngineResultBytesAreIdenticalOnEveryBackend) {
   const protocol::MlPosModel model(0.01);
   SimulationConfig config;
   config.steps = 200;
@@ -149,10 +193,28 @@ TEST(ExecutionBackendTest, EngineResultsAreIdenticalOnShardFallback) {
   config.checkpoints = {100, 200};
   const MonteCarloEngine engine(config, FairnessSpec{});
   const SerialBackend serial;
-  const ShardBackend sharded(2);
-  const SimulationResult a = engine.Run(model, {0.2, 0.8}, serial);
-  const SimulationResult b = engine.Run(model, {0.2, 0.8}, sharded);
-  EXPECT_EQ(a.final_lambdas, b.final_lambdas);
+  const ThreadPoolBackend pool(4);
+  const ShardBackend shard(2);
+  const SimulationResult reference = engine.Run(model, {0.2, 0.8}, serial);
+  ASSERT_EQ(reference.checkpoints.size(), 2u);
+  ASSERT_EQ(reference.final_lambdas.size(), 24u);
+  const std::vector<const ExecutionBackend*> backends = {&pool, &shard};
+  for (const ExecutionBackend* backend : backends) {
+    const SimulationResult result = engine.Run(model, {0.2, 0.8}, *backend);
+    ASSERT_EQ(result.checkpoints.size(), reference.checkpoints.size());
+    EXPECT_EQ(std::memcmp(result.checkpoints.data(),
+                          reference.checkpoints.data(),
+                          reference.checkpoints.size() *
+                              sizeof(CheckpointStats)),
+              0)
+        << backend->name();
+    ASSERT_EQ(result.final_lambdas.size(), reference.final_lambdas.size());
+    EXPECT_EQ(std::memcmp(result.final_lambdas.data(),
+                          reference.final_lambdas.data(),
+                          reference.final_lambdas.size() * sizeof(double)),
+              0)
+        << backend->name();
+  }
 }
 
 // The determinism contract across backends at the engine level: identical

@@ -3,7 +3,9 @@
 
 #include "core/monte_carlo.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,10 +126,22 @@ TEST(RunReplicationRangeTest, MinerOutOfRangeThrows) {
   const protocol::PowModel model(0.01);
   SimulationConfig config = SmallConfig();
   config.miner = 2;  // only two miners below
-  std::vector<double> lambdas(config.checkpoints.size() *
-                              config.replications);
+  std::vector<double> out(ReplicationRowCount(config));
   EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config, 0, 1,
-                                   lambdas.data(), nullptr),
+                                   out.data()),
+               std::invalid_argument);
+}
+
+TEST(RunReplicationRangeTest, BadRangesThrow) {
+  const protocol::PowModel model(0.01);
+  const SimulationConfig config = SmallConfig();
+  std::vector<double> out(ReplicationRowCount(config) * 4);
+  EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config, 5, 3,
+                                   out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config,
+                                   config.replications - 1,
+                                   config.replications + 1, out.data()),
                std::invalid_argument);
 }
 
@@ -399,14 +413,39 @@ TEST(MonteCarloEngineTest, FinalLambdasKeepReplicationOrder) {
   const auto result =
       MonteCarloEngine(config, FairnessSpec{}).RunTwoMiner(model, 0.2);
   config.Validate();
-  std::vector<double> lambda(config.checkpoints.size() *
-                             config.replications);
+  // A one-replication chunk: row c of its payload is checkpoint c's λ.
+  std::vector<double> out(ReplicationRowCount(config));
   ReplicationWorkspace workspace;
-  RunReplicationRange(model, {0.2, 0.8}, config, 7, 8, lambda.data(),
-                      nullptr, workspace);
-  const std::size_t last = config.checkpoints.size() - 1;
-  EXPECT_EQ(result.final_lambdas[7],
-            lambda[last * config.replications + 7]);
+  RunReplicationRange(model, {0.2, 0.8}, config, 7, 8, out.data(),
+                      workspace);
+  EXPECT_EQ(result.final_lambdas[7], out[config.checkpoints.size() - 1]);
+}
+
+// The chunk-local payload layout: λ rows then population planes, stride
+// end - begin.  ScatterChunk places any partition of chunks into the same
+// cell matrix, and a whole-range chunk's payload already is that matrix.
+TEST(ScatterChunkTest, AnyPartitionFillsTheWholeRangeMatrix) {
+  protocol::MlPosModel model(0.01);
+  SimulationConfig config = SmallConfig();
+  config.Validate();
+  ASSERT_TRUE(config.population_metrics);
+  const std::size_t reps = static_cast<std::size_t>(config.replications);
+  const std::size_t rows = ReplicationRowCount(config);
+  ASSERT_EQ(rows, (1 + kPopulationMetricCount) * config.checkpoints.size());
+  const std::vector<double> stakes = {0.2, 0.8};
+
+  std::vector<double> whole(rows * reps);
+  RunReplicationRange(model, stakes, config, 0, reps, whole.data());
+  std::vector<double> split(rows * reps, -1.0);
+  const std::vector<std::size_t> bounds = {0, 3, 150, 151, reps};
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    std::vector<double> payload(rows * (bounds[i + 1] - bounds[i]));
+    RunReplicationRange(model, stakes, config, bounds[i], bounds[i + 1],
+                        payload.data());
+    ScatterChunk(payload, bounds[i], bounds[i + 1], reps, split.data());
+  }
+  EXPECT_EQ(whole, split);
+  EXPECT_EQ(std::count(split.begin(), split.end(), -1.0), 0);
 }
 
 TEST(ReplicationWorkspaceTest, ReusedAcrossRangesWithIdenticalResults) {
@@ -414,24 +453,24 @@ TEST(ReplicationWorkspaceTest, ReusedAcrossRangesWithIdenticalResults) {
   SimulationConfig config = SmallConfig();
   config.Validate();
   const std::vector<double> stakes = {0.2, 0.8};
-  const std::size_t size = config.checkpoints.size() * config.replications;
-  std::vector<double> fresh(size, 0.0);
-  std::vector<double> reused(size, 0.0);
+  const std::size_t chunk = ReplicationRowCount(config) * 100;
+  std::vector<double> fresh(4 * chunk, 0.0);
+  std::vector<double> reused(4 * chunk, 0.0);
   // Reference: a fresh workspace per chunk.
   for (std::size_t begin = 0; begin < 400; begin += 100) {
     ReplicationWorkspace workspace;
     RunReplicationRange(model, stakes, config, begin, begin + 100,
-                        fresh.data(), nullptr, workspace);
+                        fresh.data() + begin / 100 * chunk, workspace);
   }
   // One arena across all chunks (the per-worker steady state), plus a
   // rebind to a DIFFERENT cell in between to exercise reconfiguration.
   ReplicationWorkspace workspace;
-  std::vector<double> other_cell(size, 0.0);
+  std::vector<double> other_cell(ReplicationRowCount(config), 0.0);
   for (std::size_t begin = 0; begin < 400; begin += 100) {
     RunReplicationRange(model, stakes, config, begin, begin + 100,
-                        reused.data(), nullptr, workspace);
+                        reused.data() + begin / 100 * chunk, workspace);
     RunReplicationRange(model, {0.5, 0.3, 0.2}, config, 0, 1,
-                        other_cell.data(), nullptr, workspace);
+                        other_cell.data(), workspace);
   }
   EXPECT_EQ(fresh, reused);
 }

@@ -300,9 +300,8 @@ TEST(ScenarioSpecTest, InvalidStakesOrPopulationValuesThrow) {
 TEST(StakeDistributionTest, DegenerateParametersFailOnTheExpandingThread) {
   // pow((i+0.5)/m, -1/alpha) overflows to inf for tiny alpha; after
   // normalisation the stakes are NaN.  Stakes() must throw here — on the
-  // thread that expands the cell — because execution-backend jobs are not
-  // allowed to throw (the old behaviour was std::terminate inside a
-  // ThreadPool worker).
+  // thread that expands the cell, before any chunk is dispatched (the old
+  // behaviour was std::terminate inside a pool worker).
   CampaignCell cell;
   cell.miners = 100;
   cell.stake_dist = "pareto:0.001";

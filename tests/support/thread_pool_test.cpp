@@ -1,9 +1,10 @@
-// Tests for the thread pool and ParallelFor helpers.
+// Tests for the work-stealing batch pool.
 
 #include "support/thread_pool.hpp"
 
 #include <atomic>
-#include <numeric>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -11,77 +12,6 @@
 
 namespace fairchain {
 namespace {
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsCleanly) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-  }
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPoolTest, SubmitBatchExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 256; ++i) {
-    tasks.emplace_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 256);
-}
-
-TEST(ThreadPoolTest, SubmitBatchEmptyIsNoop) {
-  ThreadPool pool(2);
-  pool.SubmitBatch({});
-  pool.Wait();  // must not deadlock on a zero-task batch
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, SubmitBatchMixesWithSubmit) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.emplace_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 12);
-}
 
 TEST(RunStealingBatchTest, ExecutesEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> visits(257);  // prime-ish: uneven deal
@@ -131,54 +61,19 @@ TEST(RunStealingBatchTest, IdleWorkersStealFromTheBusyOne) {
   EXPECT_GE(steals, 3u);
 }
 
-TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  std::vector<int> visits(1000, 0);
-  ParallelFor(4, visits.size(), [&visits](std::size_t i) { visits[i] += 1; });
-  for (const int v : visits) EXPECT_EQ(v, 1);
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  bool called = false;
-  ParallelFor(4, 0, [&called](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SingleThreadRunsInline) {
-  std::vector<int> visits(50, 0);
-  ParallelFor(1, visits.size(), [&visits](std::size_t i) { visits[i] += 1; });
-  const int total = std::accumulate(visits.begin(), visits.end(), 0);
-  EXPECT_EQ(total, 50);
-}
-
-TEST(ParallelForChunkedTest, ChunksCoverRangeDisjointly) {
-  const std::size_t count = 997;  // prime: uneven chunks
-  std::vector<std::atomic<int>> visits(count);
-  ParallelForChunked(8, count, [&visits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForChunkedTest, MoreThreadsThanItems) {
-  std::vector<std::atomic<int>> visits(3);
-  ParallelForChunked(16, 3, [&visits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForChunkedTest, ResultIndependentOfThreadCount) {
-  auto run = [](unsigned threads) {
-    std::vector<double> out(256);
-    ParallelForChunked(threads, out.size(),
-                       [&out](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           out[i] = static_cast<double>(i * i);
-                         }
-                       });
-    return out;
-  };
-  EXPECT_EQ(run(1), run(7));
+// A throwing task must reach the caller, not std::terminate the process
+// from a worker thread, and the rest of the batch still runs.
+TEST(RunStealingBatchTest, FirstTaskExceptionIsRethrownAfterJoin) {
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 32; ++i) {
+    tasks.emplace_back([&ran, i] {
+      ran.fetch_add(1);
+      if (i == 5) throw std::runtime_error("task 5 failed");
+    });
+  }
+  EXPECT_THROW(RunStealingBatch(4, std::move(tasks)), std::runtime_error);
+  EXPECT_EQ(ran.load(), 32);
 }
 
 }  // namespace

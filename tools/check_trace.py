@@ -5,6 +5,7 @@ Usage:
     tools/check_trace.py TRACE.json [--metrics METRICS.jsonl]
                          [--require-shard-tracks N]
                          [--require-span NAME]...
+                         [--require-metric NAME]...
                          [--max-shard-skew FRACTION]
 
 Checks that TRACE.json is a well-formed Chrome/Perfetto trace-event
@@ -34,7 +35,9 @@ dispatcher — a static j%N ownership of heterogeneous cells fails it.
 --metrics validates the JSONL sidecar: one JSON object per line, each
 either {"type":"counter","name",...,"value"} with a non-negative integer
 value, or {"type":"histogram",...} with count/total_ns/p50_ns/p95_ns/
-p99_ns and non-decreasing quantiles.
+p99_ns and non-decreasing quantiles.  --require-metric NAME (repeatable,
+needs --metrics) demands a metric with that exact name that recorded
+something: a counter with value > 0 or a histogram with count > 0.
 
 Exit status 0 when everything holds; 1 with one line per violation.
 """
@@ -175,9 +178,10 @@ def check_trace(path, require_shard_tracks, require_spans, max_shard_skew,
           f"{shard_tracks_with_spans} populated shard track(s)")
 
 
-def check_metrics(path, errors):
+def check_metrics(path, require_metrics, errors):
     counters = 0
     histograms = 0
+    recorded = set()  # names of metrics with a non-zero value or count
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -202,12 +206,16 @@ def check_metrics(path, errors):
             if not isinstance(value, int) or value < 0:
                 errors.append(f"{where} ({name}): counter value must be a "
                               "non-negative integer")
+            elif value > 0:
+                recorded.add(name)
         elif kind == "histogram":
             histograms += 1
             for key in ("count", "total_ns"):
                 if not isinstance(record.get(key), int):
                     errors.append(f"{where} ({name}): {key} must be an "
                                   "integer")
+            if isinstance(record.get("count"), int) and record["count"] > 0:
+                recorded.add(name)
             quantiles = [record.get(k) for k in ("p50_ns", "p95_ns",
                                                  "p99_ns")]
             if not all(isinstance(q, (int, float)) and q >= 0
@@ -219,6 +227,9 @@ def check_metrics(path, errors):
                               f"non-decreasing: {quantiles}")
         else:
             errors.append(f"{where} ({name}): unknown type {kind!r}")
+    for required in require_metrics:
+        if required not in recorded:
+            errors.append(f"{path}: no recorded metric named {required!r}")
     print(f"{path}: {counters} counter(s), {histograms} histogram(s)")
 
 
@@ -233,18 +244,24 @@ def main():
     parser.add_argument("--require-span", action="append", default=[],
                         metavar="NAME",
                         help="span name that must appear (repeatable)")
+    parser.add_argument("--require-metric", action="append", default=[],
+                        metavar="NAME",
+                        help="metric that must have recorded a value "
+                             "(repeatable; needs --metrics)")
     parser.add_argument("--max-shard-skew", type=float, default=None,
                         metavar="FRACTION",
                         help="maximum allowed spread of per-shard busy "
                              "fractions (campaign.chunk span time over the "
                              "common wall window)")
     args = parser.parse_args()
+    if args.require_metric and not args.metrics:
+        parser.error("--require-metric needs --metrics")
 
     errors = []
     check_trace(args.trace, args.require_shard_tracks, args.require_span,
                 args.max_shard_skew, errors)
     if args.metrics:
-        check_metrics(args.metrics, errors)
+        check_metrics(args.metrics, args.require_metric, errors)
 
     if errors:
         print("\nFAIL:")

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/bounds.hpp"
@@ -277,6 +278,19 @@ void PrintStoreStats(const store::CampaignStore* store) {
       static_cast<unsigned long long>(stats.writes));
 }
 
+// --threads (default EnvThreads()), bounded like shard:<N> so a count
+// that would wrap or mean "no workers" fails instead of reaching the banner.
+unsigned ThreadsFlag(const FlagSet& flags, const std::string& command) {
+  const std::uint64_t threads = flags.GetU64("threads", EnvThreads());
+  if (threads == 0 || threads > core::kMaxWorkers) {
+    throw std::invalid_argument(
+        command + ": --threads must be in [1, " +
+        std::to_string(core::kMaxWorkers) + "], got " +
+        std::to_string(threads));
+  }
+  return static_cast<unsigned>(threads);
+}
+
 int RunCampaign(const FlagSet& flags) {
   std::vector<std::string> allowed = sim::ScenarioSpec::OverrideFlagNames();
   allowed.insert(allowed.end(),
@@ -293,8 +307,7 @@ int RunCampaign(const FlagSet& flags) {
   spec.Validate();
 
   sim::CampaignOptions options;
-  options.threads =
-      static_cast<unsigned>(flags.GetU64("threads", EnvThreads()));
+  options.threads = ThreadsFlag(flags, "campaign");
   std::unique_ptr<core::ExecutionBackend> backend;
   if (flags.Has("backend")) {
     backend = core::MakeBackend(flags.GetString("backend", "pool"),
@@ -391,8 +404,7 @@ int RunVerify(const FlagSet& flags) {
   }
 
   verify::VerificationOptions options;
-  options.campaign.threads =
-      static_cast<unsigned>(flags.GetU64("threads", EnvThreads()));
+  options.campaign.threads = ThreadsFlag(flags, "verify");
   std::unique_ptr<core::ExecutionBackend> backend;
   if (flags.Has("backend")) {
     backend = core::MakeBackend(flags.GetString("backend", "pool"),
