@@ -167,12 +167,10 @@ constexpr std::uint64_t kChainSegmentEvents = 4096;
 
 void ChainStepLoop(benchmark::State& bench_state,
                    const chain::ChainGameSpec& spec) {
-  chain::ChainReplicationWorkspace workspace;
-  workspace.Bind(spec);
+  chain::ChainGameState game;
   RngStream rng(20210620);
   for (auto _ : bench_state) {
-    chain::StepChainEvents(spec, workspace.state(), rng,
-                           kChainSegmentEvents);
+    chain::StepChainEvents(spec, game, rng, kChainSegmentEvents);
   }
   bench_state.SetItemsProcessed(
       static_cast<int64_t>(bench_state.iterations()) *
@@ -377,9 +375,9 @@ void BM_ZeroAllocSteadyState_CPos(benchmark::State& state) {
 BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(10)->Arg(1000);
 
 // Same property for the chain-dynamics kernel: after a warm-up
-// replication Bind()s the workspace, a full chain replication — Reset,
-// checkpoint-segment StepChainEvents, λ and chain-observable recording —
-// must not allocate.
+// replication registers the kernel's counters, a full chain replication —
+// Reset, checkpoint-segment StepChainEvents, λ and chain-observable
+// recording — must not allocate.
 void BM_ZeroAllocChainReplication(benchmark::State& bench_state) {
   core::SimulationConfig config;
   config.steps = 256;
@@ -391,15 +389,13 @@ void BM_ZeroAllocChainReplication(benchmark::State& bench_state) {
   spec.delay = 0.25;
   // One-replication chunk payload: λ rows, then the chain planes.
   std::vector<double> out(chain::ChainReplicationRowCount(config));
-  chain::ChainReplicationWorkspace workspace;
-  // Warm-up: binds the workspace to the spec.
-  chain::RunChainReplicationRange(spec, config, 0, 1, out.data(), workspace);
+  // Warm-up: the first call registers the chain counters.
+  chain::RunChainReplicationRange(spec, config, 0, 1, out.data());
   std::uint64_t allocations = 0;
   for (auto _ : bench_state) {
     const std::uint64_t before =
         g_allocation_count.load(std::memory_order_relaxed);
-    chain::RunChainReplicationRange(spec, config, 1, 2, out.data(),
-                                    workspace);
+    chain::RunChainReplicationRange(spec, config, 1, 2, out.data());
     allocations +=
         g_allocation_count.load(std::memory_order_relaxed) - before;
   }

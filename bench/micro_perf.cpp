@@ -1,16 +1,14 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates the
 // experiment harness is built on — hashes, 256-bit arithmetic, samplers,
-// protocol steps, and the Monte Carlo engine end to end.
+// the reduction, and the Monte Carlo engine end to end.  Per-protocol
+// stepping is timed by hotpath_bench's BM_Batched_* families.
 
 #include <benchmark/benchmark.h>
 
 #include "core/monte_carlo.hpp"
 #include "crypto/sha256.hpp"
 #include "math/distributions.hpp"
-#include "protocol/c_pos.hpp"
 #include "protocol/ml_pos.hpp"
-#include "protocol/pow.hpp"
-#include "protocol/sl_pos.hpp"
 #include "protocol/win_probability.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -63,37 +61,6 @@ void BM_SampleBinomial32(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleBinomial32);
 
-template <typename Model>
-void StepBenchmark(benchmark::State& state, const Model& model) {
-  protocol::StakeState stake({0.2, 0.8});
-  RngStream rng(3);
-  for (auto _ : state) {
-    model.Step(stake, rng);
-    stake.AdvanceStep();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-void BM_PowStep(benchmark::State& state) {
-  StepBenchmark(state, protocol::PowModel(0.01));
-}
-BENCHMARK(BM_PowStep);
-
-void BM_MlPosStep(benchmark::State& state) {
-  StepBenchmark(state, protocol::MlPosModel(0.01));
-}
-BENCHMARK(BM_MlPosStep);
-
-void BM_SlPosStep(benchmark::State& state) {
-  StepBenchmark(state, protocol::SlPosModel(0.01));
-}
-BENCHMARK(BM_SlPosStep);
-
-void BM_CPosEpoch(benchmark::State& state) {
-  StepBenchmark(state, protocol::CPosModel(0.01, 0.1, 32));
-}
-BENCHMARK(BM_CPosEpoch);
-
 void BM_SlPosLemma61Integral(benchmark::State& state) {
   const std::vector<double> stakes = {0.1, 0.15, 0.2, 0.25, 0.3};
   for (auto _ : state) {
@@ -103,28 +70,11 @@ void BM_SlPosLemma61Integral(benchmark::State& state) {
 }
 BENCHMARK(BM_SlPosLemma61Integral);
 
-// Per-checkpoint reduction scratch: the old ReduceToResult called
-// Quantiles(column, qs) per checkpoint, which copies and heap-allocates
-// the whole replication column every time; the shipped path sorts one
-// hoisted buffer in place (QuantilesInPlace) and reuses a single output
-// vector.  Measured in the dev container (gcc Release, 10k replications,
-// 5 quantiles): ~0.58 ms per checkpoint either way — the sort dominates —
-// but the reduction loop drops from 2 heap allocations per checkpoint to
-// 0, which is what lets a 120-checkpoint reduction
-// (BM_ReduceToResult120Checkpoints, ~16 ms at 2k replications) run
-// allocation-quiet next to the zero-allocation stepping core.
-void BM_QuantilesCopyPerCheckpoint(benchmark::State& state) {
-  RngStream rng(11);
-  std::vector<double> column(10000);
-  for (double& v : column) v = rng.NextDouble();
-  const std::vector<double> qs = {0.05, 0.25, 0.5, 0.75, 0.95};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Quantiles(column, qs));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QuantilesCopyPerCheckpoint)->Unit(benchmark::kMicrosecond);
-
+// Per-checkpoint reduction scratch, as ReduceToResult uses it: one
+// hoisted buffer sorted in place (QuantilesInPlace) and a single reused
+// output vector, so a 120-checkpoint reduction
+// (BM_ReduceToResult120Checkpoints) runs allocation-quiet next to the
+// zero-allocation stepping core.
 void BM_QuantilesReusedScratch(benchmark::State& state) {
   RngStream rng(11);
   std::vector<double> source(10000);

@@ -54,11 +54,10 @@ void ChainGameSpec::Validate() const {
 void ChainGameState::Reset() { *this = ChainGameState{}; }
 
 double ChainGameState::Lambda(const ChainGameSpec& spec) const {
-  // Selfish: settle the private lead virtually (exactly what
-  // SelfishMiningSimulator::Run does at the horizon); an unresolved tie
-  // race stays unattributed, also matching Run.  ForkRace: attribute open
-  // branches to their owners so a checkpoint falling mid-race still
-  // reflects every discovered block.
+  // Selfish: settle the private lead virtually, as if the pool published
+  // it at the horizon; an unresolved tie race stays unattributed.
+  // ForkRace: attribute open branches to their owners so a checkpoint
+  // falling mid-race still reflects every discovered block.
   const std::uint64_t tracked =
       tracked_blocks +
       (spec.dynamics == ChainDynamics::kSelfish ? lead : tracked_branch);
@@ -84,10 +83,10 @@ double ChainGameState::ReorgDepthMean() const {
 
 namespace {
 
-// One Eyal–Sirer block event; the draw order is IDENTICAL to
-// core::SelfishMiningSimulator::Run, so a full-horizon StepChainEvents on
-// the same stream reproduces its counts bit for bit (pinned by
-// tests/chain/chain_replication_test.cpp).
+// One Eyal–Sirer block event: one Bernoulli(alpha) draw for the finder,
+// plus one Bernoulli(gamma) draw when an honest block decides a tie race.
+// The draw order is pinned by a golden in
+// tests/chain/chain_replication_test.cpp.
 void StepSelfishEvent(const ChainGameSpec& spec, ChainGameState& state,
                       RngStream& rng) {
   const bool selfish_found = rng.NextBernoulli(spec.alpha);
@@ -243,31 +242,19 @@ std::size_t ChainMatrixSize(const core::SimulationConfig& config) {
          static_cast<std::size_t>(config.replications);
 }
 
-void ChainReplicationWorkspace::Bind(const ChainGameSpec& spec) {
-  spec.Validate();
-  const bool same = bound_ && spec_.dynamics == spec.dynamics &&
-                    spec_.alpha == spec.alpha && spec_.gamma == spec.gamma &&
-                    spec_.delay == spec.delay;
-  spec_ = spec;
-  bound_ = true;
-  if (!same) state_ = ChainGameState{};
-  state_.Reset();
-}
-
-ChainReplicationWorkspace& ThreadLocalChainReplicationWorkspace() {
-  thread_local ChainReplicationWorkspace workspace;
-  return workspace;
-}
-
 std::size_t ChainReplicationRowCount(const core::SimulationConfig& config) {
   return (1 + kChainMetricCount) * config.checkpoints.size();
 }
 
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
-                              std::size_t begin, std::size_t end, double* out,
-                              ChainReplicationWorkspace& workspace) {
+                              std::size_t begin, std::size_t end,
+                              double* out) {
   spec.Validate();
+  // A descending schedule would underflow a segment length into a ~2^64
+  // event spin, and a checkpoint past `steps` would simulate beyond the
+  // horizon; Validate rejects both, as core::RunReplicationRange does.
+  config.Validate();
   if (config.checkpoints.empty()) {
     throw std::invalid_argument(
         "RunChainReplicationRange: config.checkpoints must be populated");
@@ -276,13 +263,12 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
     throw std::invalid_argument(
         "RunChainReplicationRange: replication range out of bounds");
   }
-  workspace.Bind(spec);
 
   obs::Span range_span("mc.chain_replication_range", end - begin);
   const std::size_t cp = config.checkpoints.size();
   const std::size_t span = end - begin;
   const RngStream root(config.seed);
-  ChainGameState& state = workspace.state();
+  ChainGameState state;
   // Per-range totals, flushed into the global counters once at the end —
   // the hot loop must stay pure arithmetic.
   std::uint64_t blocks_total = 0;
@@ -311,14 +297,6 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
   metrics.GetCounter("chain.block_events_total").Add(blocks_total);
   metrics.GetCounter("chain.orphans_total").Add(orphans_total);
   metrics.GetCounter("chain.reorgs_total").Add(reorgs_total);
-}
-
-void RunChainReplicationRange(const ChainGameSpec& spec,
-                              const core::SimulationConfig& config,
-                              std::size_t begin, std::size_t end,
-                              double* out) {
-  RunChainReplicationRange(spec, config, begin, end, out,
-                           ThreadLocalChainReplicationWorkspace());
 }
 
 void ReduceChainMetrics(const core::SimulationConfig& config,

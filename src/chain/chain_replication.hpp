@@ -3,20 +3,20 @@
 //
 // The paper's incentive games assume an idealized longest-chain world —
 // every block commits, no forks, no orphans.  This module is the
-// fork-aware counterpart: an arena-backed, checkpoint-segmented kernel
-// (the chain twin of core::RunReplicationRange) that the campaign runner
-// steps through serial / thread-pool / process-shard backends unchanged.
+// fork-aware counterpart: a checkpoint-segmented kernel (the chain twin
+// of core::RunReplicationRange) that the campaign runner steps through
+// serial / thread-pool / process-shard backends unchanged.
 //
 // Two dynamics families:
 //
-//   * kSelfish — the Eyal–Sirer withholding state machine of
-//     core/selfish_mining, restructured so a replication can advance in
-//     whole segments between checkpoints: the private lead and tie-race
-//     flag live in ChainGameState and carry across segment boundaries,
-//     and each checkpoint's λ settles the lead virtually (the final
-//     checkpoint therefore equals SelfishMiningSimulator::Run exactly,
-//     draw for draw).  `alpha` is the pool's hash share, `gamma` the
-//     fraction of honest power that mines on the pool's branch in a tie.
+//   * kSelfish — the Eyal–Sirer withholding state machine, the only one in
+//     the code base (core/selfish_mining holds its closed form), written so
+//     a replication can advance in whole segments between checkpoints: the
+//     private lead and tie-race flag live in ChainGameState and carry
+//     across segment boundaries, and each checkpoint's λ settles the lead
+//     virtually, as a pool publishing its private chain at the horizon
+//     would.  `alpha` is the pool's hash share, `gamma` the fraction of
+//     honest power that mines on the pool's branch in a tie.
 //
 //   * kForkRace — a two-group propagation-delay model (tracked group A
 //     with hash share `alpha`, the rest B) in which every block event is
@@ -124,9 +124,9 @@ struct ChainGameState {
 
   /// λ attribution at a checkpoint: committed tracked blocks plus the
   /// tracked side's unresolved-branch blocks (selfish: the private lead,
-  /// matching SelfishMiningSimulator::Run's end-of-horizon settle;
-  /// forkrace: the tracked branch of an open race), over all attributed
-  /// blocks.  Falls back to `alpha` before the first attribution.
+  /// settled as if published at the horizon; forkrace: the tracked branch
+  /// of an open race), over all attributed blocks.  Falls back to `alpha`
+  /// before the first attribution.
   double Lambda(const ChainGameSpec& spec) const;
 
   /// Orphaned blocks per block event so far (0 before the first event).
@@ -158,41 +158,9 @@ std::size_t ChainMatrixSize(const core::SimulationConfig& config);
 /// checkpoint, then kChainMetricCount planes of one row per checkpoint.
 std::size_t ChainReplicationRowCount(const core::SimulationConfig& config);
 
-/// Per-worker arena for chain replications — the chain twin of
-/// core::ReplicationWorkspace.  The game state is small and flat, so the
-/// arena's job is the contract, not the capacity: Bind is free when the
-/// spec is unchanged, replications Reset() in place, and steady-state
-/// stepping performs zero heap allocations.
-class ChainReplicationWorkspace {
- public:
-  ChainReplicationWorkspace() = default;
-
-  ChainReplicationWorkspace(const ChainReplicationWorkspace&) = delete;
-  ChainReplicationWorkspace& operator=(const ChainReplicationWorkspace&) =
-      delete;
-
-  /// Prepares the workspace for replications of `spec` (validated).
-  /// Rebinding with an identical spec only Reset()s the state.
-  void Bind(const ChainGameSpec& spec);
-
-  /// The bound game state; valid until the next Bind.
-  ChainGameState& state() { return state_; }
-
-  const ChainGameSpec& spec() const { return spec_; }
-  bool bound() const { return bound_; }
-
- private:
-  ChainGameSpec spec_;
-  ChainGameState state_;
-  bool bound_ = false;
-};
-
-/// This thread's chain workspace, default-constructed on first use (the
-/// same per-worker-arena pattern as ThreadLocalReplicationWorkspace).
-ChainReplicationWorkspace& ThreadLocalChainReplicationWorkspace();
-
 /// Runs replications [begin, end) of `spec`'s game under `config` (steps =
-/// block events; checkpoints must be populated and ascending) and writes
+/// block events; checkpoints must be populated and pass
+/// SimulationConfig::Validate, else std::invalid_argument) and writes
 /// them as one chunk-local payload of ChainReplicationRowCount(config) rows
 /// with stride end - begin: λ of replication r at checkpoint c at
 /// out[c * (end - begin) + (r - begin)], then the chain observables at
@@ -200,14 +168,8 @@ ChainReplicationWorkspace& ThreadLocalChainReplicationWorkspace();
 /// layout core::ScatterChunk copies into full-cell matrices.  Replication r
 /// always draws from RngStream(config.seed).Split(r), so any partition of
 /// [0, replications) across threads, chunks, or forked shard workers
-/// produces identical values.  `workspace` is Bind()-ed to `spec` (free
-/// when already bound) and left bound on return.
-void RunChainReplicationRange(const ChainGameSpec& spec,
-                              const core::SimulationConfig& config,
-                              std::size_t begin, std::size_t end, double* out,
-                              ChainReplicationWorkspace& workspace);
-
-/// Convenience overload running in this thread's workspace.
+/// produces identical values.  The game state is one flat local, Reset()
+/// per replication, so a call performs no heap allocation.
 void RunChainReplicationRange(const ChainGameSpec& spec,
                               const core::SimulationConfig& config,
                               std::size_t begin, std::size_t end,

@@ -1,10 +1,8 @@
 #include "chain/mining_game.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "core/execution_backend.hpp"
+#include "core/monte_carlo.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::chain {
@@ -44,22 +42,16 @@ std::vector<double> ReplicatedRewardFractions(
     throw std::invalid_argument(
         "ReplicatedRewardFractions: replications must be > 0");
   }
-  const std::unique_ptr<core::ExecutionBackend> backend =
-      core::MakeDefaultBackend(threads);
-  // One contiguous replication chunk per worker; replication r's genesis
-  // salt derives from r alone, so the partition never shows in the output.
-  const auto count = static_cast<std::size_t>(replications);
-  const std::size_t slots = std::max<std::size_t>(
-      1, std::min<std::size_t>(backend->Concurrency(), count));
-  const std::size_t chunk = (count + slots - 1) / slots;
-  std::vector<std::size_t> order((count + chunk - 1) / chunk);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> lambdas(count);
-  backend->Run(
-      order,
-      [&](std::size_t j) {
-        const std::size_t begin = j * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
+  if (miner >= initial_balances.size()) {
+    throw std::invalid_argument(
+        "ReplicatedRewardFractions: miner index out of range");
+  }
+  // One row: replication r's λ.  Its genesis salt derives from r alone, so
+  // the chunking never shows in the output.
+  return core::RunContiguousChunks(
+      *core::MakeDefaultBackend(threads),
+      static_cast<std::size_t>(replications), 1,
+      [&](std::size_t begin, std::size_t end) {
         std::vector<double> payload;
         payload.reserve(end - begin);
         for (std::size_t rep = begin; rep < end; ++rep) {
@@ -75,12 +67,7 @@ std::vector<double> ReplicatedRewardFractions(
           payload.push_back(result.reward_fraction[miner]);
         }
         return payload;
-      },
-      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
-        std::copy(payload.begin(), payload.end(),
-                  lambdas.begin() + static_cast<std::ptrdiff_t>(j * chunk));
       });
-  return lambdas;
 }
 
 }  // namespace fairchain::chain

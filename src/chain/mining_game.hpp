@@ -40,8 +40,10 @@ GameResult RunMiningGame(MiningEngine& engine,
 /// Runs `replications` independent games over
 /// core::MakeDefaultBackend(threads) (distinct genesis salts derived from
 /// `seed`) and returns miner `miner`'s λ from each.  Throws
-/// std::runtime_error if any game fails validation; that and any other
-/// exception a game throws reach the caller at every thread count.
+/// std::invalid_argument before any game runs when `replications` is 0 or
+/// `miner` does not index `initial_balances`, and std::runtime_error if any
+/// game fails validation; that and any other exception a game throws reach
+/// the caller at every thread count.
 std::vector<double> ReplicatedRewardFractions(
     const EngineFactory& factory,
     const std::vector<Amount>& initial_balances, std::uint64_t blocks,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,18 +10,6 @@
 #include "support/stats.hpp"
 
 namespace fairchain::core {
-
-namespace {
-
-// Per-checkpoint-segment spans multiply the span count by the checkpoint
-// schedule length, so they hide behind an env gate on top of the trace
-// flag.  Read once: this sits inside the replication loop.
-bool TraceDetailEnabled() {
-  static const bool enabled = std::getenv("FAIRCHAIN_TRACE_DETAIL") != nullptr;
-  return enabled;
-}
-
-}  // namespace
 
 void SimulationConfig::Validate() const {
   if (steps == 0) {
@@ -104,6 +91,34 @@ void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
   }
 }
 
+std::vector<double> RunContiguousChunks(
+    const ExecutionBackend& backend, std::size_t count, std::size_t rows,
+    const std::function<std::vector<double>(std::size_t, std::size_t)>&
+        compute) {
+  if (count == 0) return {};
+  const std::size_t slots = std::max<std::size_t>(
+      1, std::min<std::size_t>(backend.Concurrency(), count));
+  const std::size_t chunk = (count + slots - 1) / slots;
+  std::vector<std::size_t> order((count + chunk - 1) / chunk);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<double> matrix;
+  if (order.size() > 1) matrix.assign(rows * count, 0.0);
+  backend.Run(
+      order,
+      [&](std::size_t j) {
+        return compute(j * chunk, std::min(count, (j + 1) * chunk));
+      },
+      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
+        if (order.size() == 1) {
+          matrix = std::move(payload);
+          return;
+        }
+        ScatterChunk(payload, j * chunk, std::min(count, (j + 1) * chunk),
+                     count, matrix.data());
+      });
+  return matrix;
+}
+
 void RunReplicationRange(const protocol::IncentiveModel& model,
                          const std::vector<double>& initial_stakes,
                          const SimulationConfig& config, std::size_t begin,
@@ -126,7 +141,6 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   obs::ScopedLatency latency(range_ns);
   obs::Span range_span("mc.replication_range",
                        static_cast<std::uint64_t>(end - begin));
-  const bool trace_segments = obs::TraceEnabled() && TraceDetailEnabled();
   const std::size_t span = end - begin;
   const std::size_t cp_count = config.checkpoints.size();
   // Population planes follow the cp_count λ rows.
@@ -147,12 +161,7 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
     std::uint64_t done = 0;
     for (std::size_t cp = 0; cp < cp_count; ++cp) {
       const std::uint64_t target = config.checkpoints[cp];
-      if (trace_segments) {
-        obs::Span segment_span("mc.segment", target);
-        model.RunSteps(state, done, target - done, rng);
-      } else {
-        model.RunSteps(state, done, target - done, rng);
-      }
+      model.RunSteps(state, done, target - done, rng);
       done = target;
       const std::size_t cell = cp * span + (rep - begin);
       out[cell] = state.RewardFraction(config.miner);
@@ -290,39 +299,14 @@ SimulationResult MonteCarloEngine::Run(
     (void)probe;
   }
   const std::size_t reps = static_cast<std::size_t>(config_.replications);
-
-  // One contiguous replication chunk per concurrency slot.  Replication r
-  // derives its stream from r alone, so the partition never shows in the
-  // output.
-  const std::size_t slots = std::max<std::size_t>(
-      1, std::min<std::size_t>(backend.Concurrency(), reps));
-  const std::size_t chunk = (reps + slots - 1) / slots;
-  std::vector<std::size_t> order((reps + chunk - 1) / chunk);
-  std::iota(order.begin(), order.end(), std::size_t{0});
   const std::size_t rows = ReplicationRowCount(config_);
-  // matrix[k * reps + r]: the λ rows, then the population planes.  A single
-  // whole-range chunk's payload IS this matrix, so it is moved in, not
-  // copied.
-  std::vector<double> matrix;
-  if (order.size() > 1) matrix.assign(rows * reps, 0.0);
-  backend.Run(
-      order,
-      [&](std::size_t j) {
-        const std::size_t begin = j * chunk;
-        const std::size_t end = std::min(reps, begin + chunk);
+  // matrix[k * reps + r]: the λ rows, then the population planes.
+  const std::vector<double> matrix = RunContiguousChunks(
+      backend, reps, rows, [&](std::size_t begin, std::size_t end) {
         std::vector<double> payload(rows * (end - begin));
         RunReplicationRange(model, initial_stakes, config_, begin, end,
                             payload.data());
         return payload;
-      },
-      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
-        if (order.size() == 1) {
-          matrix = std::move(payload);
-          return;
-        }
-        const std::size_t begin = j * chunk;
-        ScatterChunk(payload, begin, std::min(reps, begin + chunk), reps,
-                     matrix.data());
       });
 
   const std::span<const double> all(matrix);

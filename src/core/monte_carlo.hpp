@@ -16,6 +16,7 @@
 #define FAIRCHAIN_CORE_MONTE_CARLO_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -204,6 +205,18 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
 /// instead of copying.
 void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
                   std::size_t end, std::size_t replications, double* matrix);
+
+/// Cuts [0, count) into at most backend.Concurrency() contiguous chunks,
+/// runs compute(begin, end) for each through backend.Run and returns the
+/// rows × count matrix their payloads fill: compute returns `rows` rows of
+/// stride end - begin, which ScatterChunk places at matrix[k * count + i]
+/// (row k, item i).  A lone chunk's payload already has that layout and is
+/// moved in, not copied.  Item i must depend on i alone, so the partition
+/// never shows in the output.
+std::vector<double> RunContiguousChunks(
+    const ExecutionBackend& backend, std::size_t count, std::size_t rows,
+    const std::function<std::vector<double>(std::size_t, std::size_t)>&
+        compute);
 
 /// Reduces a fully populated λ matrix (layout as RunReplicationRange) plus
 /// an optional population matrix (empty = no metrics; otherwise exactly

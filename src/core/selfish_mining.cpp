@@ -10,8 +10,8 @@ double SelfishMiningRevenue(double alpha, double gamma) {
   if (!(alpha > 0.0) || !(alpha <= 0.5)) {
     throw std::invalid_argument(
         "SelfishMiningRevenue: alpha must be in (0, 0.5] — the closed form "
-        "diverges for a majority pool (revenue -> 1); use "
-        "SelfishMiningSimulator for alpha > 0.5");
+        "diverges for a majority pool (revenue -> 1); simulate alpha > 0.5 "
+        "with the selfish chain kernel");
   }
   if (!(gamma >= 0.0) || !(gamma <= 1.0)) {
     throw std::invalid_argument(
@@ -32,81 +32,6 @@ double SelfishMiningThreshold(double gamma) {
         "SelfishMiningThreshold: gamma must be in [0, 1]");
   }
   return (1.0 - gamma) / (3.0 - 2.0 * gamma);
-}
-
-SelfishMiningSimulator::SelfishMiningSimulator(double alpha, double gamma)
-    : alpha_(alpha), gamma_(gamma) {
-  if (!(alpha > 0.0) || !(alpha < 1.0)) {
-    throw std::invalid_argument(
-        "SelfishMiningSimulator: alpha must be in (0, 1) — the state "
-        "machine is well defined for a majority pool, unlike "
-        "SelfishMiningRevenue, which requires alpha <= 0.5");
-  }
-  if (!(gamma >= 0.0) || !(gamma <= 1.0)) {
-    throw std::invalid_argument(
-        "SelfishMiningSimulator: gamma must be in [0, 1]");
-  }
-}
-
-SelfishMiningResult SelfishMiningSimulator::Run(
-    RngStream& rng, std::uint64_t block_events) const {
-  SelfishMiningResult result;
-  std::uint64_t lead = 0;   // private-chain advantage
-  bool tie_race = false;    // a 1-1 fork is being raced
-  for (std::uint64_t event = 0; event < block_events; ++event) {
-    const bool selfish_found = rng.NextBernoulli(alpha_);
-    if (tie_race) {
-      // Both branches have length 1; the next block decides the race.
-      tie_race = false;
-      if (selfish_found) {
-        // Pool extends its own branch: both its blocks commit.
-        result.selfish_blocks += 2;
-        result.orphaned_blocks += 1;  // the honest tie block
-      } else if (rng.NextBernoulli(gamma_)) {
-        // Honest miner built on the pool's branch: one block each.
-        result.selfish_blocks += 1;
-        result.honest_blocks += 1;
-        result.orphaned_blocks += 1;
-      } else {
-        // Honest miners resolved on their own branch.
-        result.honest_blocks += 2;
-        result.orphaned_blocks += 1;  // the pool's withheld block
-      }
-      continue;
-    }
-    if (selfish_found) {
-      ++lead;  // extend the private chain
-      continue;
-    }
-    // Honest miners found a block.
-    switch (lead) {
-      case 0:
-        result.honest_blocks += 1;
-        break;
-      case 1:
-        // Pool publishes its single withheld block: 1-1 race.
-        tie_race = true;
-        lead = 0;
-        break;
-      case 2:
-        // Pool publishes everything and wins; the honest block orphans.
-        result.selfish_blocks += 2;
-        result.orphaned_blocks += 1;
-        lead = 0;
-        break;
-      default:
-        // Lead > 2: the pool reveals one block, which commits (+1), the
-        // honest block is destined to orphan, and the advantage shrinks
-        // by one.
-        result.selfish_blocks += 1;
-        result.orphaned_blocks += 1;
-        lead -= 1;
-        break;
-    }
-  }
-  // Settle: publish whatever remains of the private chain.
-  result.selfish_blocks += lead;
-  return result;
 }
 
 }  // namespace fairchain::core

@@ -15,29 +15,26 @@
 // fairness (E[lambda] != alpha), turning the honest-PoW column of the
 // paper's Table into an attack-dependent quantity.
 //
-// This module provides the closed form, the profitability threshold, and
-// an event-level simulator of the Eyal-Sirer state machine that the tests
-// cross-validate against the formula.
+// This module provides the closed form and the profitability threshold.
+// The event-level state machine lives in one place, the chain-dynamics
+// kernel (chain/chain_replication.hpp, ChainDynamics::kSelfish), which the
+// tests cross-validate against the formula.
 
 #ifndef FAIRCHAIN_CORE_SELFISH_MINING_HPP_
 #define FAIRCHAIN_CORE_SELFISH_MINING_HPP_
-
-#include <cstdint>
-
-#include "support/rng.hpp"
 
 namespace fairchain::core {
 
 /// Closed-form long-run revenue share of a selfish pool (Eyal-Sirer
 /// equation (8)).  alpha in (0, 0.5], gamma in [0, 1].
 ///
-/// Domain note (why the formula stops at 0.5 while the simulator accepts
+/// Domain note (why the formula stops at 0.5 while the chain kernel accepts
 /// any alpha in (0, 1)): the closed form is the stationary revenue of the
 /// withholding state machine, whose lead is a random walk with drift
 /// alpha - (1 - alpha).  For alpha > 0.5 the walk is transient — the pool
 /// outpaces the honest chain forever, its revenue share tends to 1, and
 /// equation (8)'s denominator changes sign, so evaluating it would return
-/// a meaningless number.  SelfishMiningSimulator remains well defined
+/// a meaningless number.  The selfish chain kernel remains well defined
 /// there (any finite horizon has a definite share approaching 1);
 /// this function deliberately throws instead of extrapolating.
 double SelfishMiningRevenue(double alpha, double gamma);
@@ -45,46 +42,6 @@ double SelfishMiningRevenue(double alpha, double gamma);
 /// The profitability threshold: selfish mining beats honest mining when
 /// alpha > (1 - gamma) / (3 - 2 gamma).
 double SelfishMiningThreshold(double gamma);
-
-/// Outcome of a simulated selfish-mining campaign.
-struct SelfishMiningResult {
-  std::uint64_t selfish_blocks = 0;  ///< pool blocks on the main chain
-  std::uint64_t honest_blocks = 0;   ///< honest blocks on the main chain
-  std::uint64_t orphaned_blocks = 0; ///< blocks displaced by either side
-
-  /// The pool's share of main-chain blocks (its lambda).
-  double RevenueShare() const {
-    const std::uint64_t total = selfish_blocks + honest_blocks;
-    return total == 0 ? 0.0
-                      : static_cast<double>(selfish_blocks) /
-                            static_cast<double>(total);
-  }
-};
-
-/// Event-level simulator of the Eyal-Sirer state machine.
-///
-/// Accepts the full alpha in (0, 1): unlike the closed form (see
-/// SelfishMiningRevenue's domain note) the state machine itself is well
-/// defined for a majority pool — its finite-horizon revenue share simply
-/// exceeds alpha and tends to 1.  Tests cross-validate the two on the
-/// shared domain (0, 0.5] and pin the divergent behaviour above it.
-class SelfishMiningSimulator {
- public:
-  /// Creates a simulator; alpha in (0, 1), gamma in [0, 1].  NaN
-  /// parameters are rejected like any other out-of-range value.
-  SelfishMiningSimulator(double alpha, double gamma);
-
-  /// Simulates `block_events` block discoveries and returns the outcome.
-  /// The private lead is settled (published) at the end of the campaign.
-  SelfishMiningResult Run(RngStream& rng, std::uint64_t block_events) const;
-
-  double alpha() const { return alpha_; }
-  double gamma() const { return gamma_; }
-
- private:
-  double alpha_;
-  double gamma_;
-};
 
 }  // namespace fairchain::core
 

@@ -1,8 +1,8 @@
-// Tests for the chain-dynamics replication kernel: bit-exact agreement
-// with the core selfish-mining simulator on the same stream, segmentation
-// and partition invariance (the determinism contract every backend relies
-// on), the delay = 0 fork-race collapse to iid block production, and the
-// orphan/reorg bookkeeping identities.
+// Tests for the chain-dynamics replication kernel: a pinned draw-for-draw
+// golden of the selfish machine, segmentation and partition invariance
+// (the determinism contract every backend relies on), the delay = 0
+// fork-race collapse to iid block production, the orphan/reorg
+// bookkeeping identities, and config validation.
 
 #include "chain/chain_replication.hpp"
 
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "core/monte_carlo.hpp"
-#include "core/selfish_mining.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::chain {
@@ -62,31 +61,50 @@ TEST(ChainGameStateTest, LambdaFallsBackToAlphaBeforeFirstAttribution) {
   EXPECT_DOUBLE_EQ(state.ReorgDepthMean(), 0.0);
 }
 
-// The selfish kernel IS the core simulator, restructured for
-// checkpointing: a full-horizon run on the same stream must reproduce its
-// counts draw for draw (Lambda's virtual settle == Run's end settle).
-TEST(SelfishKernelTest, FullHorizonMatchesCoreSimulatorDrawForDraw) {
-  for (const double alpha : {0.15, 0.3, 0.45, 0.6}) {
-    for (const double gamma : {0.0, 0.5, 1.0}) {
-      ChainGameSpec spec;
-      spec.dynamics = ChainDynamics::kSelfish;
-      spec.alpha = alpha;
-      spec.gamma = gamma;
-      ChainGameState state;
-      RngStream kernel_rng(987654321);
-      StepChainEvents(spec, state, kernel_rng, 50000);
+// The selfish machine's exact counts after 50 000 events at seed
+// 987654321, captured when a second, independent implementation of the
+// Eyal–Sirer machine reproduced them draw for draw.  Any change to the
+// draw order or the state transitions moves at least one of them.
+struct SelfishGolden {
+  double alpha;
+  double gamma;
+  std::uint64_t selfish_blocks;  // tracked_blocks + the settled lead
+  std::uint64_t honest_blocks;
+  std::uint64_t orphaned_blocks;
+};
 
-      core::SelfishMiningSimulator simulator(alpha, gamma);
-      RngStream simulator_rng(987654321);
-      const core::SelfishMiningResult reference =
-          simulator.Run(simulator_rng, 50000);
+TEST(SelfishKernelTest, FullHorizonMatchesPinnedGoldenDrawForDraw) {
+  constexpr std::uint64_t kEvents = 50000;
+  const SelfishGolden goldens[] = {
+      {0.15, 0.0, 3399, 40709, 5892},   {0.15, 0.5, 5454, 38670, 5876},
+      {0.15, 1.0, 7489, 36619, 5892},   {0.30, 0.0, 10765, 28606, 10629},
+      {0.30, 0.5, 12926, 26410, 10664}, {0.30, 1.0, 14995, 24376, 10629},
+      {0.45, 0.0, 20871, 10637, 18492}, {0.45, 0.5, 21740, 9683, 18577},
+      {0.45, 1.0, 22603, 8905, 18492},  {0.60, 0.0, 30090, 3, 19907},
+      {0.60, 0.5, 30090, 3, 19907},     {0.60, 1.0, 30090, 3, 19907},
+  };
+  for (const SelfishGolden& golden : goldens) {
+    ChainGameSpec spec;
+    spec.dynamics = ChainDynamics::kSelfish;
+    spec.alpha = golden.alpha;
+    spec.gamma = golden.gamma;
+    ChainGameState state;
+    RngStream rng(987654321);
+    StepChainEvents(spec, state, rng, kEvents);
 
-      EXPECT_EQ(state.tracked_blocks + state.lead, reference.selfish_blocks)
-          << "alpha=" << alpha << " gamma=" << gamma;
-      EXPECT_EQ(state.other_blocks, reference.honest_blocks);
-      EXPECT_EQ(state.orphaned_blocks, reference.orphaned_blocks);
-      EXPECT_DOUBLE_EQ(state.Lambda(spec), reference.RevenueShare());
-    }
+    EXPECT_EQ(state.tracked_blocks + state.lead, golden.selfish_blocks)
+        << "alpha=" << golden.alpha << " gamma=" << golden.gamma;
+    EXPECT_EQ(state.other_blocks, golden.honest_blocks);
+    EXPECT_EQ(state.orphaned_blocks, golden.orphaned_blocks);
+    EXPECT_DOUBLE_EQ(
+        state.Lambda(spec),
+        static_cast<double>(golden.selfish_blocks) /
+            static_cast<double>(golden.selfish_blocks + golden.honest_blocks));
+    // Event conservation: every discovery is committed, orphaned, withheld
+    // in the lead, or one of the two blocks of an open tie race.
+    EXPECT_EQ(state.tracked_blocks + state.lead + state.other_blocks +
+                  state.orphaned_blocks + (state.tie_race ? 2u : 0u),
+              kEvents);
   }
 }
 
@@ -209,17 +227,14 @@ TEST(ChainReplicationRangeTest, PartitionInvariantMatrices) {
   ASSERT_EQ(rows, (1 + kChainMetricCount) * config.checkpoints.size());
 
   std::vector<double> whole(rows * 12, 0.0);
-  ChainReplicationWorkspace whole_workspace;
-  RunChainReplicationRange(spec, config, 0, 12, whole.data(),
-                           whole_workspace);
+  RunChainReplicationRange(spec, config, 0, 12, whole.data());
 
   std::vector<double> split(rows * 12, -1.0);
-  ChainReplicationWorkspace split_workspace;
   const std::vector<std::size_t> bounds = {0, 5, 9, 12};
   for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
     std::vector<double> payload(rows * (bounds[i + 1] - bounds[i]));
     RunChainReplicationRange(spec, config, bounds[i], bounds[i + 1],
-                             payload.data(), split_workspace);
+                             payload.data());
     core::ScatterChunk(payload, bounds[i], bounds[i + 1], 12, split.data());
   }
   EXPECT_EQ(whole, split);
@@ -233,6 +248,14 @@ TEST(ChainReplicationRangeTest, RejectsBadRangesAndMissingCheckpoints) {
   EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 13, out.data()),
                std::invalid_argument);
   EXPECT_THROW(RunChainReplicationRange(spec, config, 5, 3, out.data()),
+               std::invalid_argument);
+  // A descending schedule would underflow the segment length into an
+  // endless spin; a checkpoint past the horizon would simulate beyond it.
+  config.checkpoints = {300, 100};
+  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 12, out.data()),
+               std::invalid_argument);
+  config.checkpoints = {100, 900};
+  EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 12, out.data()),
                std::invalid_argument);
   config.checkpoints.clear();
   EXPECT_THROW(RunChainReplicationRange(spec, config, 0, 12, out.data()),
@@ -272,23 +295,6 @@ TEST(ChainReplicationRangeTest, ReduceFillsCheckpointChainStats) {
   std::vector<double> truncated(chain.begin(), chain.end() - 1);
   EXPECT_THROW(ReduceChainMetrics(config, truncated, result),
                std::invalid_argument);
-}
-
-TEST(ChainWorkspaceTest, RebindResetsStateAndKeepsSpec) {
-  ChainGameSpec spec;
-  spec.dynamics = ChainDynamics::kSelfish;
-  spec.alpha = 0.3;
-  spec.gamma = 0.5;
-  ChainReplicationWorkspace workspace;
-  EXPECT_FALSE(workspace.bound());
-  workspace.Bind(spec);
-  EXPECT_TRUE(workspace.bound());
-  RngStream rng(1);
-  StepChainEvents(spec, workspace.state(), rng, 100);
-  EXPECT_GT(workspace.state().events, 0u);
-  workspace.Bind(spec);  // same spec: cheap rebind, fresh state
-  EXPECT_EQ(workspace.state().events, 0u);
-  EXPECT_EQ(workspace.state().tracked_blocks, 0u);
 }
 
 }  // namespace

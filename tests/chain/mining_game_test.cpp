@@ -96,5 +96,20 @@ TEST(ReplicatedTest, RejectsZeroReplications) {
                std::invalid_argument);
 }
 
+// A miner index past the balances would read beyond a game's
+// reward_fraction on a worker; it fails on the calling thread instead.
+TEST(ReplicatedTest, RejectsOutOfRangeMiner) {
+  for (const unsigned threads : {1u, 2u}) {
+    EXPECT_THROW(ReplicatedRewardFractions(MlFactory(), {200000, 800000}, 10,
+                                           4, 1, /*miner=*/5, threads),
+                 std::invalid_argument)
+        << threads << " thread(s)";
+    EXPECT_THROW(ReplicatedRewardFractions(MlFactory(), {200000, 800000}, 10,
+                                           4, 1, /*miner=*/2, threads),
+                 std::invalid_argument)
+        << threads << " thread(s)";
+  }
+}
+
 }  // namespace
 }  // namespace fairchain::chain

@@ -20,9 +20,13 @@ namespace {
 // Long-horizon single replications: the kernel's λ must land on the
 // stationary revenue share everywhere on the α × γ grid.  Tolerance is
 // statistical (one 500k-event path), far above the O(1/n) settle bias.
+// A balanced fight forks far more often than a weak pool: at every γ the
+// α = 0.45 path orphans more blocks than the α = 0.1 path.
 TEST(SelfishCrossValidationTest, KernelMatchesClosedFormOverAlphaGammaGrid) {
-  for (const double alpha : {0.1, 0.2, 1.0 / 3.0, 0.4, 0.45, 0.5}) {
-    for (const double gamma : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+  for (const double gamma : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    std::uint64_t weak_orphans = 0;
+    std::uint64_t strong_orphans = 0;
+    for (const double alpha : {0.1, 0.2, 1.0 / 3.0, 0.4, 0.45, 0.5}) {
       ChainGameSpec spec;
       spec.dynamics = ChainDynamics::kSelfish;
       spec.alpha = alpha;
@@ -33,7 +37,10 @@ TEST(SelfishCrossValidationTest, KernelMatchesClosedFormOverAlphaGammaGrid) {
       EXPECT_NEAR(state.Lambda(spec),
                   core::SelfishMiningRevenue(alpha, gamma), 0.01)
           << "alpha=" << alpha << " gamma=" << gamma;
+      if (alpha == 0.1) weak_orphans = state.orphaned_blocks;
+      if (alpha == 0.45) strong_orphans = state.orphaned_blocks;
     }
+    EXPECT_GT(strong_orphans, weak_orphans) << "gamma=" << gamma;
   }
 }
 

@@ -1,12 +1,12 @@
-// Tests for the selfish-mining extension (Eyal-Sirer model).
+// Tests for the selfish-mining closed form and threshold (Eyal-Sirer
+// model).  The event-level state machine is the chain kernel's; its tests
+// live in tests/chain/.
 
 #include "core/selfish_mining.hpp"
 
 #include <limits>
 
 #include <gtest/gtest.h>
-
-#include "support/rng.hpp"
 
 namespace fairchain::core {
 namespace {
@@ -20,24 +20,12 @@ TEST(SelfishRevenueTest, Validation) {
 
 TEST(SelfishRevenueTest, RejectsNaNParameters) {
   // Negated-comparison validation: NaN must fail every range check
-  // instead of flowing into the closed form (or the state machine) and
-  // poisoning downstream oracle bands.
+  // instead of flowing into the closed form and poisoning downstream
+  // oracle bands.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SelfishMiningRevenue(nan, 0.5), std::invalid_argument);
   EXPECT_THROW(SelfishMiningRevenue(0.3, nan), std::invalid_argument);
   EXPECT_THROW(SelfishMiningThreshold(nan), std::invalid_argument);
-  EXPECT_THROW(SelfishMiningSimulator(nan, 0.5), std::invalid_argument);
-  EXPECT_THROW(SelfishMiningSimulator(0.3, nan), std::invalid_argument);
-}
-
-TEST(SelfishRevenueTest, MajorityPoolThrowsWhileSimulatorRuns) {
-  // The documented domain split: the formula refuses alpha > 0.5 (the
-  // stationary revenue diverges), the simulator stays defined there.
-  EXPECT_THROW(SelfishMiningRevenue(0.51, 0.0), std::invalid_argument);
-  SelfishMiningSimulator simulator(0.6, 0.0);
-  RngStream rng(77);
-  const SelfishMiningResult result = simulator.Run(rng, 200000);
-  EXPECT_GT(result.RevenueShare(), 0.6);
 }
 
 TEST(SelfishRevenueTest, EqualsAlphaAtThreshold) {
@@ -71,67 +59,6 @@ TEST(SelfishThresholdTest, ClassicValues) {
   EXPECT_NEAR(SelfishMiningThreshold(0.5), 0.25, 1e-12);
   EXPECT_NEAR(SelfishMiningThreshold(1.0), 0.0, 1e-12);
   EXPECT_THROW(SelfishMiningThreshold(-0.1), std::invalid_argument);
-}
-
-TEST(SelfishSimulatorTest, Validation) {
-  EXPECT_THROW(SelfishMiningSimulator(0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(SelfishMiningSimulator(1.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(SelfishMiningSimulator(0.3, 2.0), std::invalid_argument);
-}
-
-TEST(SelfishSimulatorTest, MatchesClosedFormAcrossAlphas) {
-  for (const double alpha : {0.15, 0.25, 0.35, 0.45}) {
-    for (const double gamma : {0.0, 0.5, 1.0}) {
-      SelfishMiningSimulator simulator(alpha, gamma);
-      RngStream rng(static_cast<std::uint64_t>(alpha * 1000 + gamma * 10));
-      const SelfishMiningResult result = simulator.Run(rng, 2000000);
-      EXPECT_NEAR(result.RevenueShare(),
-                  SelfishMiningRevenue(alpha, gamma), 0.01)
-          << "alpha=" << alpha << " gamma=" << gamma;
-    }
-  }
-}
-
-TEST(SelfishSimulatorTest, OrphansOnlyWhenForking) {
-  // A selfish miner with overwhelming power rarely forks against itself;
-  // a balanced fight produces many orphans.
-  SelfishMiningSimulator weak(0.1, 0.0);
-  SelfishMiningSimulator strong(0.45, 0.0);
-  RngStream rng1(1), rng2(2);
-  const auto weak_result = weak.Run(rng1, 200000);
-  const auto strong_result = strong.Run(rng2, 200000);
-  EXPECT_GT(strong_result.orphaned_blocks, weak_result.orphaned_blocks);
-}
-
-TEST(SelfishSimulatorTest, BreaksExpectationalFairness) {
-  // The fairness framing: honest PoW gives lambda = alpha; a selfish pool
-  // with alpha = 0.4, gamma = 0.5 earns measurably more.
-  SelfishMiningSimulator simulator(0.4, 0.5);
-  RngStream rng(3);
-  const auto result = simulator.Run(rng, 1000000);
-  EXPECT_GT(result.RevenueShare(), 0.44);
-}
-
-TEST(SelfishSimulatorTest, Deterministic) {
-  SelfishMiningSimulator simulator(0.3, 0.5);
-  RngStream r1(9), r2(9);
-  const auto a = simulator.Run(r1, 100000);
-  const auto b = simulator.Run(r2, 100000);
-  EXPECT_EQ(a.selfish_blocks, b.selfish_blocks);
-  EXPECT_EQ(a.honest_blocks, b.honest_blocks);
-  EXPECT_EQ(a.orphaned_blocks, b.orphaned_blocks);
-}
-
-TEST(SelfishSimulatorTest, ConservationOfEvents) {
-  // Every simulated discovery ends up committed or orphaned (up to the
-  // settled lead).
-  SelfishMiningSimulator simulator(0.3, 0.0);
-  RngStream rng(4);
-  const std::uint64_t events = 500000;
-  const auto result = simulator.Run(rng, events);
-  EXPECT_EQ(result.selfish_blocks + result.honest_blocks +
-                result.orphaned_blocks,
-            events);
 }
 
 }  // namespace
