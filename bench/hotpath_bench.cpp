@@ -4,9 +4,11 @@
 //
 // BM_Batched_* measure the shipped execution core (compare
 // items_per_second = steps/second): one virtual RunSteps call amortised
-// over a whole segment, per-protocol inner loops with inlined sampler
-// descent and credit arms, zero steady-state allocation (verified by
+// over a whole segment — the single SteppedModel loop calling each model's
+// Step directly (PoW / ML-PoS / SL-PoS inline it with the sampler descent
+// and credit arm) — and zero steady-state allocation (verified by
 // BM_ZeroAllocSteadyState* below).
+// BM_Batched_FslPos runs the ML-PoS law under FSL-PoS's name.
 //
 // Populations are the pareto:1.16 heavy-tailed stakes of the
 // large-population-sweep scenario, m ∈ {2, 10, 100, 1k, 10k, 100k}.
@@ -34,7 +36,6 @@
 #include "sim/campaign.hpp"
 #include "protocol/c_pos.hpp"
 #include "protocol/extensions.hpp"
-#include "protocol/fsl_pos.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"

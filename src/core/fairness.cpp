@@ -8,10 +8,12 @@
 namespace fairchain::core {
 
 void FairnessSpec::Validate() const {
-  if (epsilon < 0.0) {
-    throw std::invalid_argument("FairnessSpec: epsilon must be >= 0");
+  // Written as negated acceptance tests so NaN fails both.
+  if (!(epsilon >= 0.0) || !std::isfinite(epsilon)) {
+    throw std::invalid_argument(
+        "FairnessSpec: epsilon must be finite and >= 0");
   }
-  if (delta < 0.0 || delta > 1.0) {
+  if (!(delta >= 0.0 && delta <= 1.0)) {
     throw std::invalid_argument("FairnessSpec: delta must be in [0, 1]");
   }
 }

@@ -24,7 +24,8 @@ struct FairnessSpec {
   double epsilon = 0.1;
   double delta = 0.1;
 
-  /// Validates 0 <= ε and 0 <= δ <= 1; throws std::invalid_argument.
+  /// Validates a finite ε >= 0 and 0 <= δ <= 1 (NaN fails both); throws
+  /// std::invalid_argument.
   void Validate() const;
 
   /// Lower edge of the fair area for initial share `a`: (1 - ε) a.

@@ -8,31 +8,24 @@
 
 namespace fairchain::protocol {
 
+void ValidateShardCount(std::uint64_t shards, const std::string& prefix) {
+  if (shards >= 1 && shards <= kMaxShards) return;
+  throw std::invalid_argument(
+      prefix + "shards=" + std::to_string(shards) + " is outside [1, " +
+      std::to_string(kMaxShards) + "] (kMaxShards, the proposer-slot cap)");
+}
+
 CPosModel::CPosModel(double w, double v, std::uint32_t shards)
     : w_(w), v_(v), shards_(shards) {
   ValidateReward(w, "CPosModel: w");
-  if (v < 0.0) throw std::invalid_argument("CPosModel: v must be >= 0");
-  if (shards == 0) {
-    throw std::invalid_argument("CPosModel: shards must be >= 1");
-  }
+  ValidateInflation(v, "CPosModel: v");
+  ValidateShardCount(shards, "CPosModel: ");
 }
 
 void CPosModel::Step(StakeState& state, RngStream& rng) const {
-  RunEpoch(state, rng, /*withholding=*/state.withhold_period() != 0);
-}
-
-void CPosModel::RunEpoch(StakeState& state, RngStream& rng,
-                         bool withholding) const {
   const std::size_t n = state.miner_count();
   const double total = state.total_stake();
   const double per_slot_reward = w_ / static_cast<double>(shards_);
-  const auto credit = [&state, withholding](std::size_t i, double amount) {
-    if (withholding) {
-      state.CreditWithheld(i, amount);
-    } else {
-      state.CreditCompounding(i, amount);
-    }
-  };
 
   // All rewards in an epoch are computed against the epoch-start stake
   // distribution (the paper's X ~ Bin(P, S_A / (S_A + S_B)) snapshot):
@@ -61,7 +54,7 @@ void CPosModel::RunEpoch(StakeState& state, RngStream& rng,
       slots_left -= slots;
       const double reward =
           v_ * (stake / total) + per_slot_reward * static_cast<double>(slots);
-      if (reward > 0.0) credit(i, reward);
+      if (reward > 0.0) state.CreditStake(i, reward);
     }
     return;
   }
@@ -83,23 +76,13 @@ void CPosModel::RunEpoch(StakeState& state, RngStream& rng,
   if (v_ > 0.0) {
     for (std::size_t i = 0; i < n; ++i) {
       const double stake = state.stake(i);  // epoch-start value for miner i
-      if (stake > 0.0) credit(i, v_ * (stake / total));
+      if (stake > 0.0) state.CreditStake(i, v_ * (stake / total));
     }
   }
 
   // Proposer rewards for the sampled slots.
   for (std::uint32_t slot = 0; slot < shards_; ++slot) {
-    credit(winners[slot], per_slot_reward);
-  }
-}
-
-void CPosModel::RunSteps(StakeState& state, std::uint64_t step_begin,
-                         std::uint64_t step_count, RngStream& rng) const {
-  CheckRunStepsBegin(state, step_begin);
-  const bool withholding = state.withhold_period() != 0;
-  for (std::uint64_t s = 0; s < step_count; ++s) {
-    RunEpoch(state, rng, withholding);
-    state.AdvanceStep();
+    state.CreditStake(winners[slot], per_slot_reward);
   }
 }
 

@@ -26,26 +26,41 @@
 #define FAIRCHAIN_PROTOCOL_C_POS_HPP_
 
 #include <cstdint>
+#include <string>
 
 #include "protocol/incentive_model.hpp"
 
 namespace fairchain::protocol {
 
+/// Largest accepted shard count P (proposer slots per epoch).  The paper
+/// uses P ∈ {1, 32}.  Callers holding a wider integer check it against this
+/// cap (ValidateShardCount) before narrowing to uint32_t, so 2^32 + 1
+/// cannot wrap to 1 and 3e9 cannot size a slot buffer.
+inline constexpr std::uint64_t kMaxShards = 4096;
+
+/// Throws std::invalid_argument unless 1 <= shards <= kMaxShards.  The
+/// message starts with `prefix` (e.g. "CPosModel: ") and names the value
+/// and the cap.
+void ValidateShardCount(std::uint64_t shards, const std::string& prefix);
+
 /// Compound PoS: sharded proposer lottery plus proportional inflation.
-class CPosModel : public IncentiveModel {
+class CPosModel : public SteppedModel<CPosModel> {
  public:
   /// Creates a C-PoS model.
   ///
-  /// \param w       total proposer reward per epoch (> 0)
-  /// \param v       total inflation (attester) reward per epoch (>= 0)
-  /// \param shards  number of proposer slots P per epoch (>= 1);
-  ///                Ethereum 2.0 uses P = 32
+  /// \param w       total proposer reward per epoch (finite, > 0)
+  /// \param v       total inflation (attester) reward per epoch (finite,
+  ///                >= 0)
+  /// \param shards  number of proposer slots P per epoch, in
+  ///                [1, kMaxShards]; Ethereum 2.0 uses P = 32
   CPosModel(double w, double v, std::uint32_t shards);
 
   std::string name() const override { return "C-PoS"; }
-  void Step(StakeState& state, RngStream& rng) const override;
-  void RunSteps(StakeState& state, std::uint64_t step_begin,
-                std::uint64_t step_count, RngStream& rng) const override;
+
+  /// One epoch's slot draws and credits: the count path for m <= P, the
+  /// slot path for m > P.
+  void Step(StakeState& state, RngStream& rng) const final;
+
   double RewardPerStep() const override { return w_ + v_; }
 
   /// Per-slot proposer selection probability (= stake share).
@@ -58,11 +73,6 @@ class CPosModel : public IncentiveModel {
   std::uint32_t shards() const { return shards_; }
 
  private:
-  /// One epoch's slot draws and credits (the body Step and RunSteps share):
-  /// the count path for m <= P, the slot path for m > P.  `withholding` is
-  /// hoisted so the batched loop reads the mode once, not per epoch.
-  void RunEpoch(StakeState& state, RngStream& rng, bool withholding) const;
-
   double w_;
   double v_;
   std::uint32_t shards_;

@@ -19,37 +19,31 @@
 #define FAIRCHAIN_PROTOCOL_EXTENSIONS_HPP_
 
 #include "protocol/incentive_model.hpp"
+#include "protocol/pow.hpp"
 
 namespace fairchain::protocol {
 
 /// NEO: stake-proportional proposer selection, non-compounding reward
-/// (paid in a separate gas asset).
-class NeoModel : public IncentiveModel {
+/// (paid in a separate gas asset).  Gas never becomes stake, so the base
+/// asset — and with it the selection law — stays fixed: PoW's law under
+/// its own name.
+class NeoModel : public PowModel {
  public:
-  /// Creates a NEO model with per-block gas reward `w` > 0.
-  explicit NeoModel(double w);
+  using PowModel::PowModel;
 
   std::string name() const override { return "NEO"; }
-  void Step(StakeState& state, RngStream& rng) const override;
-  void RunSteps(StakeState& state, std::uint64_t step_begin,
-                std::uint64_t step_count, RngStream& rng) const override;
-  double RewardPerStep() const override { return w_; }
-  double WinProbability(const StakeState& state, std::size_t i) const override;
-  bool RewardCompounds() const override { return false; }
-
- private:
-  double w_;
 };
 
 /// Algorand: deterministic inflation reward proportional to stake; no
 /// proposer reward.
-class AlgorandModel : public IncentiveModel {
+class AlgorandModel : public SteppedModel<AlgorandModel> {
  public:
-  /// Creates an Algorand model with per-epoch inflation total `v` > 0.
+  /// Creates an Algorand model with per-epoch inflation total `v` (finite,
+  /// > 0).
   explicit AlgorandModel(double v);
 
   std::string name() const override { return "Algorand"; }
-  void Step(StakeState& state, RngStream& rng) const override;
+  void Step(StakeState& state, RngStream& rng) const final;
   double RewardPerStep() const override { return v_; }
   /// No lottery; defined as the stake share for interface uniformity.
   double WinProbability(const StakeState& state, std::size_t i) const override;
@@ -61,16 +55,17 @@ class AlgorandModel : public IncentiveModel {
 
 /// EOS: delegated PoS round — every miner (delegate) receives w/m constant
 /// proposer reward plus v * share inflation.
-class EosModel : public IncentiveModel {
+class EosModel : public SteppedModel<EosModel> {
  public:
   /// Creates an EOS model.
   ///
-  /// \param w  total proposer reward per round (> 0), split equally
-  /// \param v  total inflation reward per round (>= 0), split by stake
+  /// \param w  total proposer reward per round (finite, > 0), split equally
+  /// \param v  total inflation reward per round (finite, >= 0), split by
+  ///           stake
   EosModel(double w, double v);
 
   std::string name() const override { return "EOS"; }
-  void Step(StakeState& state, RngStream& rng) const override;
+  void Step(StakeState& state, RngStream& rng) const final;
   double RewardPerStep() const override { return w_ + v_; }
   /// Every delegate proposes the same number of blocks per round.
   double WinProbability(const StakeState& state, std::size_t i) const override;

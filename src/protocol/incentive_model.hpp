@@ -1,5 +1,6 @@
 // IncentiveModel: the abstract interface every blockchain incentive
-// mechanism implements.
+// mechanism implements, and SteppedModel, the one stepping loop all of
+// them share.
 //
 // A model advances a StakeState by one "step" — a block for PoW / ML-PoS /
 // SL-PoS / FSL-PoS, a mining epoch for C-PoS / Algorand / EOS — crediting
@@ -30,33 +31,23 @@ class IncentiveModel {
   virtual std::string name() const = 0;
 
   /// Executes one reward step: selects proposer(s) using `rng` and credits
-  /// rewards into `state`.  Implementations must not call
-  /// StakeState::AdvanceStep — the driver does, so decorators can observe
-  /// boundaries.
+  /// rewards into `state`.  This is the protocol's law, written once.
+  /// Implementations must not call StakeState::AdvanceStep — the driver
+  /// does, so decorators can observe boundaries.
   virtual void Step(StakeState& state, RngStream& rng) const = 0;
 
-  /// Advances `state` by `step_count` whole steps — the batched hot path.
-  ///
-  /// Semantics are defined BY Step: RunSteps must perform exactly the state
-  /// transitions and RNG draws (same count, same order) of
+  /// Advances `state` by `step_count` whole steps — the batched hot path:
   ///
   ///     for (uint64 s = 0; s < step_count; ++s) { Step(state, rng);
   ///                                               state.AdvanceStep(); }
   ///
-  /// which is also the base-class implementation — the reference the
-  /// per-protocol conformance tests pin every override against
-  /// (tests/protocol/run_steps_conformance_test.cpp).  `step_begin` is the
-  /// number of steps completed before the call and must equal
-  /// `state.step()` (throws std::invalid_argument otherwise): passing it
-  /// explicitly lets checkpoint-segment drivers mis-count loudly instead of
-  /// recording λ at silently shifted steps.
-  ///
-  /// Overrides exist for the paper's six protocols so one virtual call
-  /// amortises over a whole checkpoint segment and the inner loop inlines
-  /// the sampler descent and credit arms (no per-step virtual dispatch, no
-  /// allocation).
+  /// `step_begin` is the number of steps completed before the call and
+  /// must equal `state.step()` (throws std::invalid_argument otherwise):
+  /// passing it explicitly lets checkpoint-segment drivers mis-count
+  /// loudly instead of recording λ at silently shifted steps.  The one
+  /// implementation is SteppedModel::RunSteps.
   virtual void RunSteps(StakeState& state, std::uint64_t step_begin,
-                        std::uint64_t step_count, RngStream& rng) const;
+                        std::uint64_t step_count, RngStream& rng) const = 0;
 
   /// Total reward issued per step (w, or w + v for compound protocols);
   /// used to normalise λ and for analytic bounds.
@@ -76,12 +67,39 @@ class IncentiveModel {
   void RunGame(StakeState& state, RngStream& rng, std::uint64_t steps) const;
 };
 
-/// Validates a per-block/epoch reward parameter; throws on w <= 0.
+/// Throws std::invalid_argument unless `w` is finite and > 0 (`what` names
+/// the parameter).  The one reward predicate: the model constructors and
+/// ScenarioSpec::Validate both call it, and it is what makes the unchecked
+/// StakeState credit arms safe (rewards are never negative, NaN or inf).
 void ValidateReward(double w, const char* what);
 
-/// Shared RunSteps precondition: throws std::invalid_argument unless
-/// `state.step() == step_begin`.  Every override calls this first.
+/// Throws std::invalid_argument unless `v` is finite and >= 0: the
+/// inflation reward of C-PoS and EOS.
+void ValidateInflation(double v, const char* what);
+
+/// RunSteps precondition: throws std::invalid_argument unless
+/// `state.step() == step_begin`.
 void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin);
+
+/// The stepping loop of every model: `Model` derives from
+/// SteppedModel<Model> and defines `Step` (final, and in its header so the
+/// loop inlines it).  One virtual RunSteps call then amortises over a whole
+/// checkpoint segment while the per-step call to Model::Step is direct —
+/// no per-step dispatch, no allocation — and the loop cannot drift from
+/// Step because it is nothing but Step.
+template <typename Model>
+class SteppedModel : public IncentiveModel {
+ public:
+  void RunSteps(StakeState& state, std::uint64_t step_begin,
+                std::uint64_t step_count, RngStream& rng) const final {
+    CheckRunStepsBegin(state, step_begin);
+    const Model& model = static_cast<const Model&>(*this);
+    for (std::uint64_t s = 0; s < step_count; ++s) {
+      model.Model::Step(state, rng);
+      state.AdvanceStep();
+    }
+  }
+};
 
 }  // namespace fairchain::protocol
 

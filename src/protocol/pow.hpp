@@ -14,15 +14,21 @@
 namespace fairchain::protocol {
 
 /// Proof-of-Work: i.i.d. proportional proposer selection, block reward `w`.
-class PowModel : public IncentiveModel {
+class PowModel : public SteppedModel<PowModel> {
  public:
-  /// Creates a PoW model with per-block reward `w` > 0.
+  /// Creates a PoW model with per-block reward `w` (finite, > 0).
   explicit PowModel(double w);
 
   std::string name() const override { return "PoW"; }
-  void Step(StakeState& state, RngStream& rng) const override;
-  void RunSteps(StakeState& state, std::uint64_t step_begin,
-                std::uint64_t step_count, RngStream& rng) const override;
+
+  /// Proportional proposer selection over the state's stake sampler: one
+  /// uniform draw, O(log m).  Stakes never change, so the sampler tree is
+  /// frozen and the branchless static-stake descent applies (identical
+  /// winners, ~2x faster on flat trees); the reward is income only.
+  void Step(StakeState& state, RngStream& rng) const final {
+    state.CreditIncome(state.SampleProportionalToStaticStake(rng), w_);
+  }
+
   double RewardPerStep() const override { return w_; }
   double WinProbability(const StakeState& state, std::size_t i) const override;
   bool RewardCompounds() const override { return false; }

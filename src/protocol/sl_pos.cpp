@@ -1,6 +1,5 @@
 #include "protocol/sl_pos.hpp"
 
-#include <limits>
 #include <vector>
 
 #include "protocol/win_probability.hpp"
@@ -8,48 +7,6 @@
 namespace fairchain::protocol {
 
 SlPosModel::SlPosModel(double w) : w_(w) { ValidateReward(w, "SlPosModel: w"); }
-
-std::size_t SlPosModel::RunLottery(const StakeState& state,
-                                   RngStream& rng) {
-  // One lottery ticket per miner: deadline U_i / stake_i (basetime cancels).
-  // Draws are independent uniforms, so ties have probability zero; a miner
-  // with zero stake draws no ticket and never has the smallest deadline.
-  const std::size_t n = state.miner_count();
-  std::size_t winner = 0;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double stake = state.stake(i);
-    if (stake <= 0.0) continue;
-    const double deadline = rng.NextOpenDouble() / stake;
-    if (deadline < best) {
-      best = deadline;
-      winner = i;
-    }
-  }
-  return winner;
-}
-
-void SlPosModel::Step(StakeState& state, RngStream& rng) const {
-  state.Credit(RunLottery(state, rng), w_, /*compounds=*/true);
-}
-
-void SlPosModel::RunSteps(StakeState& state, std::uint64_t step_begin,
-                          std::uint64_t step_count, RngStream& rng) const {
-  CheckRunStepsBegin(state, step_begin);
-  // The deadline race is inherently O(m) per block, but batching still
-  // removes the per-step virtual call and inlines the credit arm.
-  const double w = w_;
-  const bool withholding = state.withhold_period() != 0;
-  for (std::uint64_t s = 0; s < step_count; ++s) {
-    const std::size_t winner = RunLottery(state, rng);
-    if (withholding) {
-      state.CreditWithheld(winner, w);
-    } else {
-      state.CreditCompounding(winner, w);
-    }
-    state.AdvanceStep();
-  }
-}
 
 double SlPosModel::WinProbability(const StakeState& state,
                                   std::size_t i) const {

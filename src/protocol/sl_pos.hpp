@@ -14,20 +14,42 @@
 #ifndef FAIRCHAIN_PROTOCOL_SL_POS_HPP_
 #define FAIRCHAIN_PROTOCOL_SL_POS_HPP_
 
+#include <limits>
+
 #include "protocol/incentive_model.hpp"
 
 namespace fairchain::protocol {
 
 /// Single-lottery PoS: uniform-deadline race, reward compounds.
-class SlPosModel : public IncentiveModel {
+class SlPosModel : public SteppedModel<SlPosModel> {
  public:
-  /// Creates an SL-PoS model with per-block reward `w` > 0.
+  /// Creates an SL-PoS model with per-block reward `w` (finite, > 0).
   explicit SlPosModel(double w);
 
   std::string name() const override { return "SL-PoS"; }
-  void Step(StakeState& state, RngStream& rng) const override;
-  void RunSteps(StakeState& state, std::uint64_t step_begin,
-                std::uint64_t step_count, RngStream& rng) const override;
+
+  /// One deadline race, then a compounding credit to the winner.  One
+  /// lottery ticket per miner: deadline U_i / stake_i (basetime cancels),
+  /// exactly one uniform per positive-stake miner, in miner order.  Draws
+  /// are independent uniforms, so ties have probability zero; a miner with
+  /// zero stake draws no ticket and never has the smallest deadline.  The
+  /// race is inherently O(m) per block.
+  void Step(StakeState& state, RngStream& rng) const final {
+    const std::size_t n = state.miner_count();
+    std::size_t winner = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double stake = state.stake(i);
+      if (stake <= 0.0) continue;
+      const double deadline = rng.NextOpenDouble() / stake;
+      if (deadline < best) {
+        best = deadline;
+        winner = i;
+      }
+    }
+    state.CreditStake(winner, w_);
+  }
+
   double RewardPerStep() const override { return w_; }
 
   /// Exact win probability for the next block (two-miner closed form of
@@ -40,10 +62,6 @@ class SlPosModel : public IncentiveModel {
   double block_reward() const { return w_; }
 
  private:
-  /// One deadline race: exactly one uniform per positive-stake miner, in
-  /// miner order — the draw sequence Step and RunSteps share.
-  static std::size_t RunLottery(const StakeState& state, RngStream& rng);
-
   double w_;
 };
 

@@ -30,12 +30,10 @@ void StakeState::Credit(std::size_t i, double amount, bool compounds) {
   if (amount < 0.0) {
     throw std::invalid_argument("StakeState::Credit: negative amount");
   }
-  if (!compounds) {
-    CreditIncome(i, amount);
-  } else if (withhold_period_ == 0) {
-    CreditCompounding(i, amount);
+  if (compounds) {
+    CreditStake(i, amount);
   } else {
-    CreditWithheld(i, amount);
+    CreditIncome(i, amount);
   }
 }
 

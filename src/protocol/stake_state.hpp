@@ -85,7 +85,8 @@ class StakeState {
   /// Withholding period (0 = disabled).
   std::uint64_t withhold_period() const { return withhold_period_; }
 
-  /// Credits `amount` of reward to miner `i`.
+  /// Credits `amount` of reward to miner `i`; throws std::invalid_argument
+  /// on a negative amount.
   ///
   /// Income is always recorded immediately.  When `compounds` is true the
   /// amount also becomes mining power — immediately, or at the next
@@ -93,11 +94,11 @@ class StakeState {
   /// stake changes (the sampler tree is kept in sync), O(1) otherwise.
   void Credit(std::size_t i, double amount, bool compounds);
 
-  // Inline credit fast paths for the batched RunSteps loops.  Each is one
-  // arm of Credit with the mode branches hoisted out of the per-step loop;
-  // `amount` must be >= 0 (the models validate rewards at construction).
-  // They keep exactly Credit's state transitions, so interleaving them with
-  // Credit is safe.
+  // Unchecked inline arms of Credit for the models' Step bodies, which the
+  // stepping loop inlines.  `amount` must be finite and >= 0: the models
+  // guarantee it by validating their rewards at construction
+  // (ValidateReward / ValidateInflation).  They make exactly Credit's state
+  // transitions, so mixing them with Credit is safe.
 
   /// Credit(i, amount, compounds=false): income only, O(1).
   void CreditIncome(std::size_t i, double amount) {
@@ -105,25 +106,18 @@ class StakeState {
     total_income_ += amount;
   }
 
-  /// Credit(i, amount, compounds=true) with withholding disabled: income
-  /// plus immediate mining power, O(log m).  Precondition:
-  /// withhold_period() == 0.
-  void CreditCompounding(std::size_t i, double amount) {
-    income_[i] += amount;
-    total_income_ += amount;
-    stake_[i] += amount;
-    total_stake_ += amount;
-    sampler_.Add(i, amount);
-    ++stake_version_;
-  }
-
-  /// Credit(i, amount, compounds=true) with withholding enabled: income
-  /// now, mining power at the next boundary, O(1).  Precondition:
-  /// withhold_period() != 0.
-  void CreditWithheld(std::size_t i, double amount) {
-    income_[i] += amount;
-    total_income_ += amount;
-    pending_[i] += amount;
+  /// Credit(i, amount, compounds=true): income now; mining power now
+  /// (O(log m)) or, under withholding, at the next boundary (O(1)).
+  void CreditStake(std::size_t i, double amount) {
+    CreditIncome(i, amount);
+    if (withhold_period_ == 0) {
+      stake_[i] += amount;
+      total_stake_ += amount;
+      sampler_.Add(i, amount);
+      ++stake_version_;
+    } else {
+      pending_[i] += amount;
+    }
   }
 
   /// Marks the end of a step: advances the block/epoch counter and releases

@@ -10,6 +10,8 @@
 
 #include "chain/chain_replication.hpp"
 #include "core/population.hpp"
+#include "protocol/c_pos.hpp"
+#include "protocol/incentive_model.hpp"
 #include "protocol/model_factory.hpp"
 
 namespace fairchain::sim {
@@ -88,16 +90,6 @@ std::vector<std::uint64_t> ParseU64List(const std::string& key,
     throw std::invalid_argument("ScenarioSpec: " + key + " must not be empty");
   }
   return parsed;
-}
-
-// Shard counts are checked at full u64 width, before the narrowing
-// store, so parsing and Validate share one message.
-void RequireShardCount(std::uint64_t shards) {
-  if (shards >= 1 && shards <= kMaxShards) return;
-  throw std::invalid_argument(
-      "ScenarioSpec: shards=" + std::to_string(shards) +
-      " is outside [1, " + std::to_string(kMaxShards) +
-      "] (kMaxShards, the proposer-slot cap)");
 }
 
 CheckpointSpacing ParseSpacing(const std::string& value) {
@@ -180,7 +172,8 @@ void Assign(ScenarioSpec& spec, const std::string& key,
   } else if (key == "shards") {
     spec.shard_counts.clear();
     for (const std::uint64_t p : ParseU64List(key, value)) {
-      RequireShardCount(p);
+      // Checked at full u64 width, before the narrowing store.
+      protocol::ValidateShardCount(p, "ScenarioSpec: ");
       spec.shard_counts.push_back(static_cast<std::uint32_t>(p));
     }
   } else if (key == "withhold") {
@@ -417,11 +410,17 @@ void ScenarioSpec::Validate() const {
     require(a > 0.0 && a < 1.0, "every a must lie in (0, 1)");
   }
   require(!rewards.empty(), "w must not be empty");
-  for (const double w : rewards) require(w > 0.0, "every w must be > 0");
+  for (const double w : rewards) {
+    protocol::ValidateReward(w, "ScenarioSpec: w");
+  }
   require(!inflations.empty(), "v must not be empty");
-  for (const double v : inflations) require(v >= 0.0, "every v must be >= 0");
+  for (const double v : inflations) {
+    protocol::ValidateInflation(v, "ScenarioSpec: v");
+  }
   require(!shard_counts.empty(), "shards must not be empty");
-  for (const std::uint32_t shards : shard_counts) RequireShardCount(shards);
+  for (const std::uint32_t shards : shard_counts) {
+    protocol::ValidateShardCount(shards, "ScenarioSpec: ");
+  }
   require(!withhold_periods.empty(), "withhold must not be empty");
   require(!stake_dists.empty(), "stakes must not be empty");
   for (const std::string& dist : stake_dists) {

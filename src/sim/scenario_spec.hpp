@@ -63,12 +63,6 @@ struct StakeDistribution {
 /// before any banner or allocation instead of ending in std::bad_alloc.
 inline constexpr std::uint64_t kMaxCellMatrixBytes = std::uint64_t{1} << 32;
 
-/// Largest accepted C-PoS shard count P (proposer slots per epoch).  The
-/// paper uses P ∈ {1, 32}.  Parsing checks the cap before narrowing to
-/// uint32_t, so 2^32 + 1 cannot wrap to 1 and 3e9 cannot size a slot
-/// buffer.
-inline constexpr std::uint64_t kMaxShards = 4096;
-
 /// Parses a stake-distribution token; throws std::invalid_argument on an
 /// unknown form or an out-of-range parameter.
 StakeDistribution ParseStakeDistribution(const std::string& text);
@@ -172,9 +166,10 @@ struct ScenarioSpec {
   bool keep_final_lambdas = true;
 
   /// Throws std::invalid_argument on an empty axis, an unknown protocol,
-  /// out-of-range allocations / miner counts / shard counts (kMaxShards),
-  /// zero steps/replications, or cell matrices larger than
-  /// kMaxCellMatrixBytes.
+  /// out-of-range allocations / miner counts / shard counts
+  /// (protocol::kMaxShards), a w or v the models reject
+  /// (protocol::ValidateReward / ValidateInflation), zero
+  /// steps/replications, or cell matrices larger than kMaxCellMatrixBytes.
   void Validate() const;
 
   /// Number of cells the grid expands to (product of the axis sizes).

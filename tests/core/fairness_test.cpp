@@ -2,6 +2,8 @@
 
 #include "core/fairness.hpp"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace fairchain::core {
@@ -41,6 +43,16 @@ TEST(FairnessSpecTest, ValidationRejectsBadValues) {
   EXPECT_THROW((FairnessSpec{0.1, 1.1}.Validate()), std::invalid_argument);
   EXPECT_NO_THROW((FairnessSpec{0.0, 0.0}.Validate()));
   EXPECT_NO_THROW((FairnessSpec{0.5, 1.0}.Validate()));
+}
+
+TEST(FairnessSpecTest, ValidationRejectsNanAndInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((FairnessSpec{nan, 0.1}.Validate()), std::invalid_argument);
+  EXPECT_THROW((FairnessSpec{inf, 0.1}.Validate()), std::invalid_argument);
+  EXPECT_THROW((FairnessSpec{0.1, nan}.Validate()), std::invalid_argument);
+  EXPECT_THROW((FairnessSpec{0.1, inf}.Validate()), std::invalid_argument);
+  EXPECT_THROW((FairnessSpec{0.1, -inf}.Validate()), std::invalid_argument);
 }
 
 TEST(ExpectationalFairnessTest, ConsistentSample) {

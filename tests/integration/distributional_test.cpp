@@ -17,7 +17,6 @@
 #include "math/ks_test.hpp"
 #include "math/special.hpp"
 #include "protocol/c_pos.hpp"
-#include "protocol/fsl_pos.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "support/rng.hpp"

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "chain/mining_game.hpp"
-#include "protocol/fsl_pos.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"

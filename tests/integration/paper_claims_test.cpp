@@ -11,7 +11,6 @@
 #include "core/experiments.hpp"
 #include "core/monte_carlo.hpp"
 #include "protocol/c_pos.hpp"
-#include "protocol/fsl_pos.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"

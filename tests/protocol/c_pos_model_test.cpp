@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "math/ks_test.hpp"
@@ -32,6 +33,32 @@ TEST(CPosModelTest, RejectsInvalidParameters) {
   EXPECT_THROW(CPosModel(0.0, 0.1, 32), std::invalid_argument);
   EXPECT_THROW(CPosModel(0.01, -0.1, 32), std::invalid_argument);
   EXPECT_THROW(CPosModel(0.01, 0.1, 0), std::invalid_argument);
+}
+
+TEST(CPosModelTest, RejectsNonFiniteRewards) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CPosModel(inf, 0.1, 32), std::invalid_argument);
+  EXPECT_THROW(CPosModel(nan, 0.1, 32), std::invalid_argument);
+  EXPECT_THROW(CPosModel(0.01, inf, 32), std::invalid_argument);
+  EXPECT_THROW(CPosModel(0.01, nan, 32), std::invalid_argument);
+}
+
+// The model owns the proposer-slot cap: the spec parser and the CLI check
+// their wider integers against the same kMaxShards before narrowing.
+TEST(CPosModelTest, ShardCountIsCappedAtKMaxShards) {
+  const auto cap = static_cast<std::uint32_t>(kMaxShards);
+  EXPECT_NO_THROW(CPosModel(0.01, 0.1, cap));
+  EXPECT_THROW(CPosModel(0.01, 0.1, cap + 1), std::invalid_argument);
+  EXPECT_THROW(CPosModel(0.01, 0.1, 4294967295u), std::invalid_argument);
+  try {
+    ValidateShardCount(std::uint64_t{1} << 32, "spec: ");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "spec: shards=4294967296 is outside [1, 4096] (kMaxShards, "
+                 "the proposer-slot cap)");
+  }
 }
 
 TEST(CPosModelTest, EpochMintsExactTotalReward) {

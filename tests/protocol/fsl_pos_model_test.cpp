@@ -1,8 +1,6 @@
 // Tests for FSL-PoS (Section 6.2): the exponential-deadline treatment
 // restores proportional win probability.
 
-#include "protocol/fsl_pos.hpp"
-
 #include <gtest/gtest.h>
 
 #include "protocol/ml_pos.hpp"

@@ -17,7 +17,6 @@
 
 #include "protocol/c_pos.hpp"
 #include "protocol/extensions.hpp"
-#include "protocol/fsl_pos.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
 #include "protocol/sl_pos.hpp"

@@ -1,11 +1,14 @@
-// RunSteps ≡ iterated Step: per-protocol conformance of the batched hot
-// path against the reference implementation.
+// RunSteps ≡ iterated Step: every model's batched hot path against the
+// one-step-at-a-time reference.
 //
-// The contract (incentive_model.hpp): RunSteps must perform exactly the
-// state transitions and RNG draws — same count, same order — of repeated
-// { Step; AdvanceStep; }.  These tests pin it EXACTLY (== on every double,
-// == on the raw RNG state), not approximately: a single extra or reordered
-// draw would silently change every downstream campaign golden.
+// Every model runs the one SteppedModel::RunSteps loop over its own Step
+// (incentive_model.hpp).  These tests pin that the loop is invariant to how
+// steps are split into segments: driving it in irregular segments must
+// perform exactly the state transitions and RNG draws — same count, same
+// order — of repeated { Step; AdvanceStep; }.  They compare EXACTLY (== on
+// every double, == on the raw RNG state), not approximately: a single
+// extra or reordered draw would silently change every downstream campaign
+// golden.
 
 #include <array>
 #include <cstdint>

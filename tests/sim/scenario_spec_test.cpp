@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/c_pos.hpp"
+
 namespace fairchain::sim {
 namespace {
 
@@ -424,7 +426,7 @@ TEST(ScenarioSpecTest, MatrixAboveTheCellLimitIsRejectedWithTheProduct) {
 // kMaxShards must fail at parse time with the value and the cap, never
 // wrap (2^32 + 1 -> 1, 2^32 -> 0) or reach the kernel (3e9 slots).
 void ExpectShardsRejected(const std::string& value) {
-  const std::string cap = std::to_string(kMaxShards);
+  const std::string cap = std::to_string(protocol::kMaxShards);
   for (const bool from_flags : {false, true}) {
     const std::string message = FailureMessage([&] {
       if (from_flags) {
@@ -450,20 +452,44 @@ TEST(ScenarioSpecTest, ShardsThatWrapToZeroNameTheCap) {
 
 TEST(ScenarioSpecTest, ShardsThatFitUint32ButExceedTheCapAreRejected) {
   ExpectShardsRejected("3000000000");
-  ExpectShardsRejected(std::to_string(kMaxShards + 1));
+  ExpectShardsRejected(std::to_string(protocol::kMaxShards + 1));
 }
 
 TEST(ScenarioSpecTest, ShardCapBoundsValidateAndAdmitsTheCap) {
   ScenarioSpec spec;
-  spec.shard_counts = {1, static_cast<std::uint32_t>(kMaxShards)};
+  spec.shard_counts = {1, static_cast<std::uint32_t>(protocol::kMaxShards)};
   EXPECT_NO_THROW(spec.Validate());
   EXPECT_EQ(ScenarioSpec::FromText(spec.ToText()).shard_counts,
             spec.shard_counts);
-  spec.shard_counts = {static_cast<std::uint32_t>(kMaxShards + 1)};
+  spec.shard_counts = {static_cast<std::uint32_t>(protocol::kMaxShards + 1)};
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
   spec.shard_counts = {0};
   EXPECT_NE(FailureMessage([&] { spec.Validate(); }).find("shards=0"),
             std::string::npos);
+}
+
+// w and v pass through the models' own predicates: an infinite reward
+// would otherwise run and print NaN λ, and a NaN v would pass a `v < 0`
+// test.
+TEST(ScenarioSpecTest, NonFiniteRewardsAreRejectedWithTheKey) {
+  for (const std::string line : {"w=inf", "w=nan", "w=0.01,inf"}) {
+    const std::string message = FailureMessage(
+        [&] { ScenarioSpec::FromText(line + "\n").Validate(); });
+    EXPECT_NE(message.find("ScenarioSpec: w must be finite"),
+              std::string::npos)
+        << line << ": " << message;
+  }
+  for (const std::string line : {"v=inf", "v=nan", "v=-0.1"}) {
+    const std::string message = FailureMessage(
+        [&] { ScenarioSpec::FromText(line + "\n").Validate(); });
+    EXPECT_NE(message.find("ScenarioSpec: v must be finite"),
+              std::string::npos)
+        << line << ": " << message;
+  }
+  ScenarioSpec spec;
+  spec.ApplyOverrides(FlagSet::Parse({"--w", "inf"}));
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  EXPECT_NO_THROW(ScenarioSpec::FromText("w=0.5\nv=0\n").Validate());
 }
 
 TEST(ScenarioSpecTest, OverridesMayRepeatKeysParsedFromText) {

@@ -28,8 +28,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -42,8 +44,9 @@
 #include "obs/export.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "protocol/c_pos.hpp"
 #include "protocol/model_factory.hpp"
-#include "protocol/win_probability.hpp"
+#include "protocol/stake_state.hpp"
 #include "sim/campaign.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/scenario_registry.hpp"
@@ -91,18 +94,32 @@ int Usage() {
       "  bound     --protocol pow|mlpos|cpos [--a] [--w] [--v] [--shards] "
       "[--n]\n"
       "  design    [--a 0.2] [--w 0.01] [--shards 32] [--eps] [--delta]\n"
-      "  winprob   --protocol slpos|proportional s1 s2 [s3 ...]\n"
+      "  winprob   --protocol slpos|proportional|<model> s1 s2 [s3 ...]\n"
       "  version   print the build version and exit\n");
   return 2;
+}
+
+// --shards is read at u64 width and checked against the proposer-slot cap
+// before narrowing, so 2^32 + 32 fails instead of running as P = 32.
+std::uint32_t ReadShards(const FlagSet& flags) {
+  const std::uint64_t shards =
+      flags.GetU64("shards", core::experiments::kDefaultShards);
+  protocol::ValidateShardCount(shards, "--");
+  return static_cast<std::uint32_t>(shards);
+}
+
+core::FairnessSpec ReadFairnessSpec(const FlagSet& flags) {
+  const core::FairnessSpec spec{flags.GetDouble("eps", 0.1),
+                                flags.GetDouble("delta", 0.1)};
+  spec.Validate();
+  return spec;
 }
 
 std::unique_ptr<protocol::IncentiveModel> MakeModel(const FlagSet& flags) {
   return protocol::MakeModel(
       flags.GetString("protocol", "mlpos"),
       flags.GetDouble("w", core::experiments::kDefaultW),
-      flags.GetDouble("v", core::experiments::kDefaultV),
-      static_cast<std::uint32_t>(
-          flags.GetU64("shards", core::experiments::kDefaultShards)));
+      flags.GetDouble("v", core::experiments::kDefaultV), ReadShards(flags));
 }
 
 int RunSimulate(const FlagSet& flags) {
@@ -115,8 +132,7 @@ int RunSimulate(const FlagSet& flags) {
   config.replications = flags.GetU64("reps", 10000);
   config.seed = flags.GetU64("seed", 20210620);
   config.withhold_period = flags.GetU64("withhold", 0);
-  const core::FairnessSpec spec{flags.GetDouble("eps", 0.1),
-                                flags.GetDouble("delta", 0.1)};
+  const core::FairnessSpec spec = ReadFairnessSpec(flags);
   core::MonteCarloEngine engine(config, spec);
   const auto result = engine.RunTwoMiner(*model, a);
   const auto& final_stats = result.Final();
@@ -544,11 +560,9 @@ int RunBound(const FlagSet& flags) {
   const double a = flags.GetDouble("a", core::experiments::kDefaultA);
   const double w = flags.GetDouble("w", core::experiments::kDefaultW);
   const double v = flags.GetDouble("v", core::experiments::kDefaultV);
-  const auto shards = static_cast<std::uint32_t>(
-      flags.GetU64("shards", core::experiments::kDefaultShards));
+  const std::uint32_t shards = ReadShards(flags);
   const std::uint64_t n = flags.GetU64("n", core::experiments::kDefaultSteps);
-  const core::FairnessSpec spec{flags.GetDouble("eps", 0.1),
-                                flags.GetDouble("delta", 0.1)};
+  const core::FairnessSpec spec = ReadFairnessSpec(flags);
   Table table({"quantity", "value"});
   if (name == "pow") {
     table.SetTitle("PoW bounds (Theorem 4.2)");
@@ -601,10 +615,8 @@ int RunDesign(const FlagSet& flags) {
   flags.RejectUnknown({"a", "w", "shards", "eps", "delta"});
   const double a = flags.GetDouble("a", core::experiments::kDefaultA);
   const double w = flags.GetDouble("w", core::experiments::kDefaultW);
-  const auto shards = static_cast<std::uint32_t>(
-      flags.GetU64("shards", core::experiments::kDefaultShards));
-  const core::FairnessSpec spec{flags.GetDouble("eps", 0.1),
-                                flags.GetDouble("delta", 0.1)};
+  const std::uint32_t shards = ReadShards(flags);
+  const core::FairnessSpec spec = ReadFairnessSpec(flags);
   Table table({"protocol", "design rule", "value"});
   table.SetTitle("Parameters achieving (" + std::to_string(spec.epsilon) +
                  ", " + std::to_string(spec.delta) + ")-fairness at a = " +
@@ -625,31 +637,56 @@ int RunDesign(const FlagSet& flags) {
   return 0;
 }
 
+// winprob's stake vector: every positional after the subcommand must be a
+// whole finite number >= 0 ("0.3abc" is an error, not 0.3).  StakeState
+// then requires a positive sum.
+std::vector<double> ReadStakes(const FlagSet& flags) {
+  std::vector<double> stakes;
+  for (std::size_t i = 1; i < flags.positionals().size(); ++i) {
+    const std::string& token = flags.positionals()[i];
+    std::size_t consumed = 0;
+    double stake = std::numeric_limits<double>::quiet_NaN();
+    try {
+      stake = std::stod(token, &consumed);
+    } catch (const std::exception&) {
+      // Not a number at all: `stake` stays NaN and fails below.
+    }
+    if (consumed != token.size() || !std::isfinite(stake) || stake < 0.0) {
+      throw std::invalid_argument("winprob: stake '" + token +
+                                  "' is not a finite number >= 0");
+    }
+    stakes.push_back(stake);
+  }
+  return stakes;
+}
+
 int RunWinProb(const FlagSet& flags) {
   flags.RejectUnknown({"protocol"});
   const std::string name = flags.GetString("protocol", "slpos");
-  std::vector<double> stakes;
-  for (std::size_t i = 1; i < flags.positionals().size(); ++i) {
-    stakes.push_back(std::stod(flags.positionals()[i]));
+  // "proportional" is the bare law; any other name must be a model, whose
+  // own WinProbability answers (MakeModel rejects unknown names).
+  std::unique_ptr<protocol::IncentiveModel> model;
+  if (name != "proportional") {
+    model = protocol::MakeModel(name, core::experiments::kDefaultW,
+                                core::experiments::kDefaultV,
+                                core::experiments::kDefaultShards);
   }
+  const std::vector<double> stakes = ReadStakes(flags);
   if (stakes.size() < 2) {
     std::fprintf(stderr, "winprob: need at least two stakes\n");
     return Usage();
   }
+  const protocol::StakeState state(stakes);
   Table table({"miner", "stake", "win probability", "proportional"});
-  table.SetTitle(name == "slpos" ? "SL-PoS lottery (Lemma 6.1)"
-                                 : "proportional selection");
-  double total = 0.0;
-  for (const double s : stakes) total += s;
+  table.SetTitle(model ? model->name() + " next-block selection"
+                       : "proportional selection");
   for (std::size_t i = 0; i < stakes.size(); ++i) {
     table.AddRow();
     table.Cell(static_cast<std::uint64_t>(i));
     table.Cell(stakes[i], 4);
-    table.Cell(name == "slpos"
-                   ? protocol::SlPosMultiMinerWinProbability(stakes, i)
-                   : protocol::ProportionalWinProbability(stakes, i),
+    table.Cell(model ? model->WinProbability(state, i) : state.StakeShare(i),
                6);
-    table.Cell(stakes[i] / total, 6);
+    table.Cell(state.StakeShare(i), 6);
   }
   table.Emit("cli_winprob");
   return 0;
