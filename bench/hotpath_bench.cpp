@@ -86,8 +86,9 @@ std::vector<double> ParetoStakes(std::size_t miners) {
 // ns/step would depend on how many total iterations the harness happened
 // to run (CI smoke runs and long local runs would measure different
 // regimes).  16384 steps at w = 0.01 spans the whole realistic
-// concentration range; the O(m) reset amortises to < 4 ns/step even at
-// m = 100k.  Static-stake protocols (PoW / NEO) have nothing to reset.
+// concentration range; the reset undoes only the miners the game credited,
+// so it costs no more than the game did.  Static-stake protocols (PoW /
+// NEO) have nothing to reset.
 constexpr std::uint64_t kGameSteps = 16384;
 
 // One benchmark iteration = one RunSteps segment — the shape the engine
@@ -155,6 +156,45 @@ BENCHMARK(BM_Batched_CPosEpochInflation)
     ->Arg(10)
     ->Arg(32)
     ->Arg(100);
+
+// --- population-scale replications -----------------------------------------
+
+// One iteration = one replication as a large-population-sweep cell runs
+// it: Reset() to the initial pareto:1.16 stakes, then a 2000-step game.
+// At m = 10^5 a game credits at most 2000 miners, so this is the series
+// where the restart, not the game, could dominate: the reset must cost
+// O(miners credited), not O(m).  items_per_second counts game steps.
+constexpr std::uint64_t kPopulationGameSteps = 2000;
+
+void PopulationReplicationLoop(benchmark::State& bench_state,
+                               const protocol::IncentiveModel& model,
+                               std::size_t miners) {
+  protocol::StakeState state(ParetoStakes(miners));
+  RngStream rng(20210620);
+  for (auto _ : bench_state) {
+    state.Reset();
+    model.RunSteps(state, 0, kPopulationGameSteps, rng);
+    benchmark::DoNotOptimize(state.total_income());
+  }
+  bench_state.SetItemsProcessed(static_cast<int64_t>(
+      bench_state.iterations() *
+      static_cast<int64_t>(kPopulationGameSteps)));
+}
+
+void BM_PopulationReplication_PoW(benchmark::State& state) {
+  PopulationReplicationLoop(state, protocol::PowModel(0.01),
+                            static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_PopulationReplication_PoW)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_PopulationReplication_MlPos(benchmark::State& state) {
+  PopulationReplicationLoop(state, protocol::MlPosModel(0.01),
+                            static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_PopulationReplication_MlPos)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 // --- chain-dynamics kernels -------------------------------------------------
 
@@ -358,7 +398,16 @@ void BM_ZeroAllocSteadyState_MlPos(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(0)),
                 /*population=*/false);
 }
-BENCHMARK(BM_ZeroAllocSteadyState_MlPos)->Arg(2)->Arg(1000);
+// m = 100000: the scale where Reset undoes only the dirty miners; their
+// list is reserved at Bind, so it must never grow on the heap.
+BENCHMARK(BM_ZeroAllocSteadyState_MlPos)->Arg(2)->Arg(1000)->Arg(100000);
+
+void BM_ZeroAllocSteadyState_PoW(benchmark::State& state) {
+  ZeroAllocLoop(state, protocol::PowModel(0.01),
+                static_cast<std::size_t>(state.range(0)),
+                /*population=*/false);
+}
+BENCHMARK(BM_ZeroAllocSteadyState_PoW)->Arg(100000);
 
 void BM_ZeroAllocSteadyState_MlPosWithMetrics(benchmark::State& state) {
   ZeroAllocLoop(state, protocol::MlPosModel(0.01),

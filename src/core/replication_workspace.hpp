@@ -4,9 +4,11 @@
 // (including its Fenwick stake sampler) and the wealth / population-metric
 // scratch buffers — and is reused across replications, chunks, and cells.
 // Binding to a cell's (initial stakes, withholding period) allocates; every
-// subsequent replication of the same cell only Reset()s in place, so
-// steady-state stepping performs ZERO heap allocations (pinned by
-// bench/hotpath_bench.cpp's allocation counter).
+// subsequent replication of the same cell only Reset()s in place, which
+// undoes just the miners the previous replication credited (O(d log m) for
+// d of them, not O(m); see StakeState), so steady-state stepping performs
+// ZERO heap allocations (pinned by bench/hotpath_bench.cpp's allocation
+// counter).
 //
 // Threading: a workspace is NOT thread-safe; the execution backends give
 // every worker its own via ThreadLocalReplicationWorkspace().  Results

@@ -1,6 +1,8 @@
 #include "protocol/stake_state.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace fairchain::protocol {
 
@@ -10,25 +12,37 @@ StakeState::StakeState(std::vector<double> initial,
   if (initial_.empty()) {
     throw std::invalid_argument("StakeState: at least one miner required");
   }
-  for (const double s : initial_) {
-    if (s < 0.0) {
-      throw std::invalid_argument("StakeState: negative initial stake");
+  for (std::size_t i = 0; i < initial_.size(); ++i) {
+    if (!std::isfinite(initial_[i]) || initial_[i] < 0.0) {
+      throw std::invalid_argument(
+          "StakeState: initial stake " + std::to_string(i) +
+          " must be finite and >= 0, got " + std::to_string(initial_[i]));
     }
-    initial_total_ += s;
+    // -0.0 becomes +0.0: a zero-amount credit would turn it into +0.0
+    // without dirtying the miner, and Reset could not restore the sign.
+    initial_[i] += 0.0;
+    initial_total_ += initial_[i];
   }
   if (!(initial_total_ > 0.0)) {
     throw std::invalid_argument("StakeState: initial stakes sum to zero");
   }
+  if (!std::isfinite(initial_total_)) {
+    throw std::invalid_argument("StakeState: initial stakes sum to infinity");
+  }
   stake_ = initial_;
   income_.assign(initial_.size(), 0.0);
   pending_.assign(initial_.size(), 0.0);
+  dirty_.resize(initial_.size() + 1);
   total_stake_ = initial_total_;
   sampler_.Build(stake_);
+  pristine_sampler_ = sampler_;
 }
 
 void StakeState::Credit(std::size_t i, double amount, bool compounds) {
-  if (amount < 0.0) {
-    throw std::invalid_argument("StakeState::Credit: negative amount");
+  if (!std::isfinite(amount) || amount < 0.0) {
+    throw std::invalid_argument(
+        "StakeState::Credit: amount for miner " + std::to_string(i) +
+        " must be finite and >= 0, got " + std::to_string(amount));
   }
   if (compounds) {
     CreditStake(i, amount);
@@ -62,14 +76,24 @@ double StakeState::PendingTotal() const {
 }
 
 void StakeState::Reset() {
-  stake_ = initial_;
-  for (auto& value : income_) value = 0.0;
-  for (auto& value : pending_) value = 0.0;
+  // Only a dirty miner's stake, income, pending reward or tree path can
+  // differ from the initial state: every credit that changes them is a
+  // positive credit to that miner.  PoW and NEO never touch the tree, so
+  // an unmoved stake_version_ skips the path restores.
+  const bool tree_moved = stake_version_ != reset_version_;
+  for (std::size_t k = 0; k < dirty_count_; ++k) {
+    const std::size_t i = dirty_[k];
+    stake_[i] = initial_[i];
+    income_[i] = 0.0;
+    pending_[i] = 0.0;
+    if (tree_moved) sampler_.RestorePath(i, pristine_sampler_);
+  }
+  dirty_count_ = 0;
   total_stake_ = initial_total_;
   total_income_ = 0.0;
   step_ = 0;
-  sampler_.Build(stake_);
   ++stake_version_;
+  reset_version_ = stake_version_;
 }
 
 void StakeState::WealthVector(std::vector<double>* out) const {

@@ -16,7 +16,13 @@
 // the flat vectors, so proportional proposer selection
 // (SampleProportionalToStake) and reinforcement (Credit) are both O(log m)
 // — the property that lets one replication step stay cheap at 100k-miner
-// populations.  Reset and withholding releases rebuild the tree in O(m).
+// populations.  Withholding releases rebuild the tree in O(m).  Reset costs
+// O(d log m) for the d miners the game credited: a miner joins a dirty list
+// on its first positive credit, and Reset restores exactly those miners'
+// entries and tree paths from the initial vector and a pristine copy of the
+// initial tree (one extra tree per state, about 1 MB at m = 10^5).  Every
+// other miner, and every tree node whose range holds no dirty miner, still
+// has its initial bits, so the reset state is bit-identical to a fresh one.
 
 #ifndef FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
 #define FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
@@ -41,7 +47,7 @@ class StakeState {
   /// block 1024 with period 1000 takes effect at block 2000).
   ///
   /// Throws std::invalid_argument when `initial` is empty, contains a
-  /// negative entry, or sums to zero.
+  /// negative or non-finite entry, or sums to zero or to infinity.
   explicit StakeState(std::vector<double> initial,
                       std::uint64_t withhold_period = 0);
 
@@ -86,7 +92,7 @@ class StakeState {
   std::uint64_t withhold_period() const { return withhold_period_; }
 
   /// Credits `amount` of reward to miner `i`; throws std::invalid_argument
-  /// on a negative amount.
+  /// on a negative or non-finite amount.
   ///
   /// Income is always recorded immediately.  When `compounds` is true the
   /// amount also becomes mining power — immediately, or at the next
@@ -102,6 +108,16 @@ class StakeState {
 
   /// Credit(i, amount, compounds=false): income only, O(1).
   void CreditIncome(std::size_t i, double amount) {
+    // A miner's first positive credit appends it to the list Reset undoes.
+    // Branch-free: the index is always written one past the list's end and
+    // kept only on a first credit, because a mispredicted branch here would
+    // flush the next step's sampler descent (first credits are frequent
+    // and unpredictable while a game spreads over a large population).
+    // Income only grows, so each miner is kept at most once: the m + 1
+    // slots sized at construction always suffice.
+    dirty_[dirty_count_] = i;
+    dirty_count_ += static_cast<std::size_t>((income_[i] == 0.0) &
+                                             (amount > 0.0));
     income_[i] += amount;
     total_income_ += amount;
   }
@@ -134,7 +150,8 @@ class StakeState {
   /// Sum of rewards issued but not yet effective (0 without withholding).
   double PendingTotal() const;
 
-  /// Resets to the initial configuration (reuses allocations).
+  /// Resets to the initial configuration, bit for bit, in O(d log m) for
+  /// the d miners credited since the last reset (allocates nothing).
   void Reset();
 
   /// Draws the next proposer proportionally to effective stake: one uniform
@@ -199,6 +216,9 @@ class StakeState {
   std::vector<double> income_;
   std::vector<double> pending_;
   FenwickSampler sampler_;
+  FenwickSampler pristine_sampler_;  ///< sampler_ as built from initial_
+  std::vector<std::size_t> dirty_;   ///< miners credited since the Reset
+  std::size_t dirty_count_ = 0;      ///< live entries of dirty_
   mutable WinProbabilityCache win_probability_cache_;
   mutable std::vector<std::size_t> index_scratch_;
   double initial_total_ = 0.0;
@@ -207,6 +227,7 @@ class StakeState {
   std::uint64_t step_ = 0;
   std::uint64_t withhold_period_ = 0;
   std::uint64_t stake_version_ = 0;
+  std::uint64_t reset_version_ = 0;  ///< stake_version_ after the Reset
 };
 
 }  // namespace fairchain::protocol

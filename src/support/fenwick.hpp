@@ -5,9 +5,12 @@
 // protocol models draw the next proposer proportionally to stake with
 // Sample() (one prefix-sum descent) and reinforce the winner with Add()
 // (one update path), replacing the O(m) cumulative scan that capped
-// simulations at small miner populations.  Build() is O(m) and is used by
-// StakeState::Reset and after batched stake releases (reward withholding),
-// where rebuilding once beats m individual update paths.
+// simulations at small miner populations.  Build() is O(m) and is used at
+// construction and after batched stake releases (reward withholding), where
+// rebuilding once beats m individual update paths.  RestorePath() undoes
+// one element's updates in O(log m) by copying its path back from a
+// pristine tree, which is how StakeState::Reset restarts a game without
+// touching the elements the game never credited.
 //
 // Weights live in the tree as partial sums only; Weight() recovers a single
 // element in O(log m) for tests and debugging.
@@ -46,6 +49,18 @@ class FenwickSampler {
     }
     for (std::size_t k = i + 1; k <= size_; k += k & (~k + 1)) {
       tree_[k] += delta;
+    }
+  }
+
+  /// Copies, from `pristine` (a tree of the same size), the nodes on
+  /// element i's Add path and the total, in O(log m).  Add(i, .) writes
+  /// only those nodes, and Build computes every node from the weights in
+  /// that node's own range, so once every element whose weight changed has
+  /// been restored this way the tree is bit-identical to `pristine`.
+  void RestorePath(std::size_t i, const FenwickSampler& pristine) {
+    total_ = pristine.total_;
+    for (std::size_t k = i + 1; k <= size_; k += k & (~k + 1)) {
+      tree_[k] = pristine.tree_[k];
     }
   }
 

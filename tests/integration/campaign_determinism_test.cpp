@@ -113,7 +113,8 @@ TEST(CampaignDeterminismTest, RepeatedRunsAreIdentical) {
 // recording must stay byte-deterministic at m = 10,000 — the scale the
 // O(log m) sampler exists for — across thread counts.  Chunked scheduling
 // splits the replications across workers mid-cell, so this exercises the
-// sampler's rebuild-on-Reset path under every partition.
+// dirty-path Reset (each workspace undoes only the miners its previous
+// replication credited) under every partition.
 sim::ScenarioSpec LargePopulationSpec() {
   return sim::ScenarioSpec::FromText(
       "name=golden-large\n"

@@ -185,5 +185,45 @@ TEST(FenwickSamplerTest, AllZeroTreeClampsInRange) {
   }
 }
 
+// RestorePath undoes a game's updates element by element: after random
+// Adds (and, in the second pass, a Build over the updated weights, as a
+// withholding release does), restoring the path of every touched element
+// from the pristine tree must give back the pristine tree exactly.
+TEST(FenwickSamplerTest, RestoringTouchedPathsMatchesFreshBuildExactly) {
+  for (const std::size_t size : {1u, 2u, 3u, 5u, 17u, 1000u}) {
+    for (const bool rebuild : {false, true}) {
+      RngStream rng(size * 2 + (rebuild ? 1 : 0));
+      std::vector<double> weights(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        weights[i] = i % 4 == 1 ? 0.0 : rng.NextDouble();
+      }
+      FenwickSampler pristine;
+      pristine.Build(weights);
+      FenwickSampler sampler = pristine;
+      std::vector<double> updated = weights;
+      std::vector<bool> touched(size, false);
+      const std::size_t adds = 1 + size / 3;
+      for (std::size_t a = 0; a < adds; ++a) {
+        const std::size_t i = rng.NextBounded(size);
+        const double delta = 0.001 + rng.NextDouble();
+        sampler.Add(i, delta);
+        updated[i] += delta;
+        touched[i] = true;
+      }
+      if (rebuild) sampler.Build(updated);
+      for (std::size_t i = 0; i < size; ++i) {
+        if (touched[i]) sampler.RestorePath(i, pristine);
+      }
+      FenwickSampler fresh;
+      fresh.Build(weights);
+      EXPECT_EQ(sampler.Total(), fresh.Total()) << "size " << size;
+      for (std::size_t i = 0; i <= size; ++i) {
+        EXPECT_EQ(sampler.PrefixSum(i), fresh.PrefixSum(i))
+            << "size " << size << " rebuild " << rebuild << " prefix " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fairchain
