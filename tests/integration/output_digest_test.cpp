@@ -10,7 +10,11 @@
 // disturb: m = 10^5 populations (large-population-sweep), withholding
 // releases and still-pending rewards (withhold-grid), population metrics
 // (pareto-population), both C-PoS epoch paths (fig5d: P = 32 draws slot
-// counts, P = 1 draws slots) and the multi-miner game (table1).
+// counts, P = 1 draws slots), the multi-miner game (table1), the chain
+// family's gamma/delay/orphan/reorg columns (propagation-delay-sweep) and
+// a mixed-family grid (hetero-cost-mix).  VerdictDigestTest pins the
+// verdict CSV and JSONL that VerifyCampaign writes for fig5d and
+// hetero-cost-mix the same way.
 
 #include <cstdint>
 #include <ostream>
@@ -25,6 +29,8 @@
 #include "sim/result_sink.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/scenario_spec.hpp"
+#include "verify/verdict_sink.hpp"
+#include "verify/verification_plan.hpp"
 
 namespace fairchain {
 namespace {
@@ -41,6 +47,14 @@ struct PinnedCampaign {
 void PrintTo(const PinnedCampaign& pinned, std::ostream* out) {
   *out << pinned.scenario << " (" << pinned.replications << " reps x "
        << pinned.steps << " steps)";
+}
+
+// gtest parameter names allow only [A-Za-z0-9_].
+std::string TestName(std::string scenario) {
+  for (char& c : scenario) {
+    if (c == '-') c = '_';
+  }
+  return scenario;
 }
 
 class OutputDigestTest : public ::testing::TestWithParam<PinnedCampaign> {};
@@ -90,13 +104,58 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedCampaign{
             "table1", 8, 300,
             "4db3b000667cd1ef10b6d49bae44277dbfb720183b6b6de50653cbfa0004fec9",
-            "1b942a7e23dd667b4176d56e9f3a11e0a358e75850f2c8fd8ffa04f1835e7c43"}),
+            "1b942a7e23dd667b4176d56e9f3a11e0a358e75850f2c8fd8ffa04f1835e7c43"},
+        PinnedCampaign{
+            "propagation-delay-sweep", 8, 300,
+            "1b2929908ea38421d1f93e4f059accfb08f976d1f5719cb389bca67cdcbe4c6e",
+            "d166d0b983408bbe1730662a85d0a22580b51c501b2f76ca5c97f5f93e54ab53"},
+        PinnedCampaign{
+            "hetero-cost-mix", 8, 300,
+            "e0ca62d8d973fae64620daa9146e37315a0da9bbcf8f2d6a721e4e9c9cacab1d",
+            "d5998c57bd82f51c4ec8f5a5a973357bccaedb35233f32699a0343e493ca4770"}),
     [](const ::testing::TestParamInfo<PinnedCampaign>& param) {
-      std::string name = param.param.scenario;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return TestName(param.param.scenario);
+    });
+
+class VerdictDigestTest : public ::testing::TestWithParam<PinnedCampaign> {};
+
+TEST_P(VerdictDigestTest, SerialVerdictBytesMatchPinnedDigests) {
+  const PinnedCampaign& pinned = GetParam();
+  sim::ScenarioSpec spec =
+      sim::ScenarioRegistry::BuiltIn().Get(pinned.scenario);
+  spec.replications = pinned.replications;
+  spec.steps = pinned.steps;
+  const verify::VerificationPlan plan(spec);
+  std::ostringstream csv_out;
+  std::ostringstream jsonl_out;
+  verify::VerdictCsvSink csv(csv_out);
+  verify::VerdictJsonlSink jsonl(jsonl_out);
+  const core::SerialBackend serial;
+  verify::VerificationOptions options;
+  options.campaign.backend = &serial;
+  verify::VerifyCampaign(plan, options, {&csv, &jsonl});
+  ASSERT_FALSE(csv_out.str().empty());
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256Digest(csv_out.str())),
+            pinned.csv_sha256)
+      << pinned.scenario << " verdict CSV bytes moved";
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256Digest(jsonl_out.str())),
+            pinned.jsonl_sha256)
+      << pinned.scenario << " verdict JSONL bytes moved";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, VerdictDigestTest,
+    ::testing::Values(
+        PinnedCampaign{
+            "fig5d", 60, 240,
+            "aae1fe8527854773314fe7043dec98663eb3e16a7eedfb5d6cc774618bd3f6cf",
+            "0b689cae84fd9532bcf849716785b498a25ba85dfe6a7207cea61a3a3729513c"},
+        PinnedCampaign{
+            "hetero-cost-mix", 60, 240,
+            "deb5078b000dc9aa57ff487fb4e67eeeea3881cd557c644735e3bd96192974e8",
+            "e8939721a9974edec6ae3dc1aea54304799eb60c6e9cfaf698eef7f8b0f1912c"}),
+    [](const ::testing::TestParamInfo<PinnedCampaign>& param) {
+      return TestName(param.param.scenario);
     });
 
 }  // namespace

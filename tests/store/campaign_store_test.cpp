@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/campaign.hpp"
+#include "sim/scenario_registry.hpp"
 #include "sim/scenario_spec.hpp"
 #include "store/campaign_store.hpp"
 #include "store/result_codec.hpp"
@@ -138,6 +139,24 @@ TEST(CellPreimageTest, CoversResultDeterminantsAndNothingElse) {
   sim::ScenarioSpec tighter = spec;
   tighter.fairness.epsilon = 0.05;
   EXPECT_NE(sim::CellStorePreimage(tighter, tighter.ExpandCells()[0]), base);
+}
+
+TEST(CellPreimageTest, PinnedPreimagesNeverDrift) {
+  // Golden preimage digests of one incentive and one chain cell, taken on
+  // an earlier build: every other preimage test compares within one build.
+  // A moved preimage silently orphans every existing store entry, so a
+  // failure here is a schema break (bump kStoreSchemaRevision).
+  const sim::ScenarioRegistry& registry = sim::ScenarioRegistry::BuiltIn();
+  const sim::ScenarioSpec table1 = registry.Get("table1");
+  EXPECT_EQ(
+      MakeCellKey(sim::CellStorePreimage(table1, table1.ExpandCells()[0]))
+          .Hex(),
+      "e69f070c44347f5e0a16d9765c0e2dcf84a50f5e2903703cec9cdf59f9b4d601");
+  const sim::ScenarioSpec selfish = registry.Get("selfish-grid");
+  EXPECT_EQ(
+      MakeCellKey(sim::CellStorePreimage(selfish, selfish.ExpandCells()[0]))
+          .Hex(),
+      "f5e3981d9eb0e7ca9902389684a6c50955bbb96f951f49d9c75c476fcf8381a3");
 }
 
 class CampaignStoreTest : public ::testing::Test {
