@@ -51,7 +51,8 @@ inline std::vector<sim::CellOutcome> RunScenarioCampaign(
       static_cast<unsigned long long>(spec.replications),
       FastModeEnabled() ? "  [FAIRCHAIN_FAST]" : "");
 
-  sim::CampaignFileSinks sinks(name);
+  sim::FileSinks<sim::CampaignRow, sim::SummarySink> sinks(
+      "campaign_" + name + "_summary");
   if (const auto dir = GetEnv("FAIRCHAIN_CSV_DIR")) {
     // Best-effort in the bench harness: an unwritable dir drops the file
     // sinks but keeps the stdout summary.

@@ -49,48 +49,18 @@ struct CellExecution {
 };
 
 void EmitCellRows(const ScenarioSpec& spec, const CellExecution& execution,
-                  const std::vector<ResultSink*>& sinks) {
-  const auto convergence = execution.result.ConvergenceStep();
+                  const std::vector<RowSink<CampaignRow>*>& sinks) {
+  CampaignRow row;
+  row.scenario = spec.name;
+  row.cell = execution.cell;
+  row.steps = spec.steps;
+  row.replications = spec.replications;
+  row.cell_seed = execution.config.seed;
+  row.convergence_step = execution.result.ConvergenceStep();
   for (std::size_t c = 0; c < execution.result.checkpoints.size(); ++c) {
-    const core::CheckpointStats& stats = execution.result.checkpoints[c];
-    CampaignRow row;
-    row.scenario = spec.name;
-    row.cell = execution.cell.index;
-    row.protocol = execution.cell.protocol;
-    row.miners = execution.cell.miners;
-    row.whales = execution.cell.whales;
-    row.a = execution.cell.a;
-    row.w = execution.cell.w;
-    row.v = execution.cell.v;
-    row.shards = execution.cell.shards;
-    row.withhold = execution.cell.withhold;
-    row.steps = spec.steps;
-    row.replications = spec.replications;
-    row.cell_seed = execution.config.seed;
     row.checkpoint = c;
-    row.step = stats.step;
-    row.mean = stats.mean;
-    row.std_dev = stats.std_dev;
-    row.p05 = stats.p05;
-    row.p25 = stats.p25;
-    row.median = stats.median;
-    row.p75 = stats.p75;
-    row.p95 = stats.p95;
-    row.min = stats.min;
-    row.max = stats.max;
-    row.unfair_probability = stats.unfair_probability;
-    row.convergence_step = convergence;
-    row.stake_dist = execution.cell.stake_dist;
-    row.gini = stats.gini;
-    row.hhi = stats.hhi;
-    row.nakamoto = stats.nakamoto;
-    row.top_decile_share = stats.top_decile_share;
-    row.gamma = execution.cell.gamma;
-    row.delay = execution.cell.delay;
-    row.orphan_rate = stats.orphan_rate;
-    row.reorg_depth_mean = stats.reorg_depth_mean;
-    row.reorg_depth_max = stats.reorg_depth_max;
-    for (ResultSink* sink : sinks) sink->WriteRow(row);
+    row.stats = execution.result.checkpoints[c];
+    for (RowSink<CampaignRow>* sink : sinks) sink->WriteRow(row);
   }
 }
 
@@ -162,59 +132,50 @@ std::vector<double> ComputeChunk(const CellExecution& execution,
 std::string CellStorePreimage(const ScenarioSpec& spec,
                               const CampaignCell& cell) {
   const core::SimulationConfig config = CellConfig(spec, cell);
+  std::string out;
   if (cell.chain_dynamics) {
     // Chain cells fork the preimage under their own header: the physics is
     // different (fork races instead of incentive games), so a chain cell
     // must never collide with an incentive entry — and incentive preimages
     // stay byte-for-byte what they were before chain campaigns existed.
-    std::string out = "fairchain-chain-cell-v1\n";
+    out = "fairchain-chain-cell-v1\n";
     out += "dynamics=" + cell.protocol + "\n";
     out += "alpha=" + DoubleBits(cell.a) + "\n";
     out += "gamma=" + DoubleBits(cell.gamma) + "\n";
     out += "delay=" + DoubleBits(cell.delay) + "\n";
-    out += "steps=" + std::to_string(config.steps);
-    out += "\nreplications=" + std::to_string(config.replications);
-    out += "\nseed=" + std::to_string(config.seed);
-    out += "\ncheckpoints=";
-    for (std::size_t i = 0; i < config.checkpoints.size(); ++i) {
+  } else {
+    out = "fairchain-cell-v1\n";
+    out += "protocol=" + cell.protocol + "\n";
+    out += "w=" + DoubleBits(cell.w) + "\n";
+    out += "v=" + DoubleBits(cell.v) + "\n";
+    out += "shards=" + std::to_string(cell.shards) + "\n";
+    out += "withhold=" + std::to_string(config.withhold_period) + "\n";
+    out += "miner=" + std::to_string(config.miner) + "\n";
+    out += "stakes=";
+    const std::vector<double> stakes = cell.Stakes();
+    for (std::size_t i = 0; i < stakes.size(); ++i) {
       if (i != 0) out += ',';
-      out += std::to_string(config.checkpoints[i]);
+      out += DoubleBits(stakes[i]);
     }
-    out += "\nkeep_final_lambdas=";
-    out += config.keep_final_lambdas ? '1' : '0';
-    out += "\nepsilon=" + DoubleBits(spec.fairness.epsilon);
-    out += "\ndelta=" + DoubleBits(spec.fairness.delta);
     out += "\n";
-    return out;
   }
-  std::string out = "fairchain-cell-v1\n";
-  out += "protocol=" + cell.protocol + "\n";
-  out += "w=" + DoubleBits(cell.w) + "\n";
-  out += "v=" + DoubleBits(cell.v) + "\n";
-  out += "shards=" + std::to_string(cell.shards) + "\n";
-  out += "withhold=" + std::to_string(config.withhold_period) + "\n";
-  out += "miner=" + std::to_string(config.miner) + "\n";
-  out += "stakes=";
-  const std::vector<double> stakes = cell.Stakes();
-  for (std::size_t i = 0; i < stakes.size(); ++i) {
-    if (i != 0) out += ',';
-    out += DoubleBits(stakes[i]);
-  }
-  out += "\nsteps=" + std::to_string(config.steps);
-  out += "\nreplications=" + std::to_string(config.replications);
-  out += "\nseed=" + std::to_string(config.seed);
-  out += "\ncheckpoints=";
+  out += "steps=" + std::to_string(config.steps) + "\n";
+  out += "replications=" + std::to_string(config.replications) + "\n";
+  out += "seed=" + std::to_string(config.seed) + "\n";
+  out += "checkpoints=";
   for (std::size_t i = 0; i < config.checkpoints.size(); ++i) {
     if (i != 0) out += ',';
     out += std::to_string(config.checkpoints[i]);
   }
-  out += "\npopulation_metrics=";
-  out += config.population_metrics ? '1' : '0';
-  out += "\nkeep_final_lambdas=";
-  out += config.keep_final_lambdas ? '1' : '0';
-  out += "\nepsilon=" + DoubleBits(spec.fairness.epsilon);
-  out += "\ndelta=" + DoubleBits(spec.fairness.delta);
   out += "\n";
+  if (!cell.chain_dynamics) {
+    out += "population_metrics=";
+    out += config.population_metrics ? "1\n" : "0\n";
+  }
+  out += "keep_final_lambdas=";
+  out += config.keep_final_lambdas ? "1\n" : "0\n";
+  out += "epsilon=" + DoubleBits(spec.fairness.epsilon) + "\n";
+  out += "delta=" + DoubleBits(spec.fairness.delta) + "\n";
   return out;
 }
 
@@ -316,7 +277,8 @@ std::vector<ChunkJob> CampaignRunner::PlanJobs(
 }
 
 std::vector<CellOutcome> CampaignRunner::Run(
-    const ScenarioSpec& spec, const std::vector<ResultSink*>& sinks) const {
+    const ScenarioSpec& spec,
+    const std::vector<RowSink<CampaignRow>*>& sinks) const {
   const std::vector<CampaignCell> cells = spec.ExpandCells();
   // Campaign-wide metrics (always on; two clock reads per multi-ms unit of
   // work).  Resolved once per Run so the worker lambdas never touch the
@@ -428,7 +390,7 @@ std::vector<CellOutcome> CampaignRunner::Run(
     }
   }
 
-  for (ResultSink* sink : sinks) sink->BeginCampaign(spec);
+  for (RowSink<CampaignRow>* sink : sinks) sink->Begin(spec);
 
   // Ordered streaming: the worker that reduces a cell drains every
   // consecutive reduced cell starting at next_emit, so sinks always see
@@ -542,7 +504,7 @@ std::vector<CellOutcome> CampaignRunner::Run(
         commit_chunk);
   }
 
-  for (ResultSink* sink : sinks) sink->EndCampaign();
+  for (RowSink<CampaignRow>* sink : sinks) sink->End();
 
   std::vector<CellOutcome> outcomes;
   outcomes.reserve(executions.size());

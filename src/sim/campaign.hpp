@@ -108,11 +108,12 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignOptions options = {});
 
   /// Expands `spec`, executes every cell over one shared pool, streams
-  /// rows to `sinks` (BeginCampaign / WriteRow* / EndCampaign; WriteRow
-  /// calls are serialised and ordered), and returns per-cell outcomes in
-  /// grid order.  Throws std::invalid_argument on an invalid spec.
-  std::vector<CellOutcome> Run(const ScenarioSpec& spec,
-                               const std::vector<ResultSink*>& sinks) const;
+  /// rows to `sinks` (Begin / WriteRow* / End; WriteRow calls are
+  /// serialised and ordered), and returns per-cell outcomes in grid order.
+  /// Throws std::invalid_argument on an invalid spec.
+  std::vector<CellOutcome> Run(
+      const ScenarioSpec& spec,
+      const std::vector<RowSink<CampaignRow>*>& sinks) const;
 
   /// The job grid Run would schedule: every cell's replication chunks, in
   /// grid order (the longest-first dispatch reordering happens at

@@ -1,6 +1,8 @@
 #include "sim/result_sink.hpp"
 
 #include <cmath>
+#include <filesystem>
+#include <system_error>
 
 #include "core/experiments.hpp"
 #include "support/escape.hpp"
@@ -14,113 +16,32 @@ std::string JsonNumber(double value) {
 }
 
 // ---------------------------------------------------------------------------
-// CsvSink
+// Column values
 // ---------------------------------------------------------------------------
 
-const std::string& CsvSink::Header() {
-  static const std::string header =
-      "scenario,cell,protocol,miners,whales,a,w,v,shards,withhold,steps,"
-      "replications,cell_seed,checkpoint,step,mean,std_dev,p05,p25,median,"
-      "p75,p95,min,max,unfair_probability,convergence_step,stake_dist,gini,"
-      "hhi,nakamoto,top_decile_share,gamma,delay,orphan_rate,"
-      "reorg_depth_mean,reorg_depth_max";
-  return header;
+std::string CsvValue(const std::string& value) { return EscapeCsvField(value); }
+std::string CsvValue(std::uint64_t value) { return std::to_string(value); }
+std::string CsvValue(double value) { return FormatDouble(value); }
+std::string CsvValue(const std::optional<std::uint64_t>& value) {
+  return value ? std::to_string(*value) : "never";
 }
+std::string CsvValue(bool passed) { return passed ? "pass" : "FAIL"; }
 
-void CsvSink::BeginCampaign(const ScenarioSpec& spec) {
-  (void)spec;
-  out_ << Header() << "\n";
+std::string JsonValue(const std::string& value) {
+  return '"' + EscapeJsonString(value) + '"';
 }
-
-void CsvSink::WriteRow(const CampaignRow& row) {
-  // Scenario and protocol names come from a restricted alphabet, so
-  // EscapeCsvField leaves them byte-identical; the escaping is defensive
-  // for rows constructed outside the campaign runner.
-  out_ << EscapeCsvField(row.scenario) << ',' << row.cell << ','
-       << EscapeCsvField(row.protocol) << ','
-       << row.miners << ',' << row.whales << ',' << FormatDouble(row.a) << ','
-       << FormatDouble(row.w) << ',' << FormatDouble(row.v) << ','
-       << row.shards << ',' << row.withhold << ',' << row.steps << ','
-       << row.replications << ',' << row.cell_seed << ',' << row.checkpoint
-       << ',' << row.step << ',' << FormatDouble(row.mean) << ','
-       << FormatDouble(row.std_dev) << ',' << FormatDouble(row.p05) << ','
-       << FormatDouble(row.p25) << ',' << FormatDouble(row.median) << ','
-       << FormatDouble(row.p75) << ',' << FormatDouble(row.p95) << ','
-       << FormatDouble(row.min) << ',' << FormatDouble(row.max) << ','
-       << FormatDouble(row.unfair_probability) << ',';
-  if (row.convergence_step) {
-    out_ << *row.convergence_step;
-  } else {
-    out_ << "never";
-  }
-  out_ << ',' << EscapeCsvField(row.stake_dist) << ','
-       << FormatDouble(row.gini) << ',' << FormatDouble(row.hhi) << ','
-       << FormatDouble(row.nakamoto) << ','
-       << FormatDouble(row.top_decile_share) << ','
-       << FormatDouble(row.gamma) << ',' << FormatDouble(row.delay) << ','
-       << FormatDouble(row.orphan_rate) << ','
-       << FormatDouble(row.reorg_depth_mean) << ','
-       << FormatDouble(row.reorg_depth_max) << "\n";
+std::string JsonValue(std::uint64_t value) { return std::to_string(value); }
+std::string JsonValue(double value) { return JsonNumber(value); }
+std::string JsonValue(const std::optional<std::uint64_t>& value) {
+  return value ? std::to_string(*value) : "null";
 }
-
-void CsvSink::EndCampaign() { out_.flush(); }
-
-// ---------------------------------------------------------------------------
-// JsonlSink
-// ---------------------------------------------------------------------------
-
-void JsonlSink::WriteRow(const CampaignRow& row) {
-  // Strings are escaped and non-finite metrics rendered as null so every
-  // emitted line is valid JSON even for degenerate rows.
-  out_ << "{\"scenario\":\"" << EscapeJsonString(row.scenario)
-       << "\",\"cell\":" << row.cell << ",\"protocol\":\""
-       << EscapeJsonString(row.protocol) << "\",\"miners\":" << row.miners
-       << ",\"whales\":" << row.whales << ",\"a\":" << JsonNumber(row.a)
-       << ",\"w\":" << JsonNumber(row.w) << ",\"v\":" << JsonNumber(row.v)
-       << ",\"shards\":" << row.shards << ",\"withhold\":" << row.withhold
-       << ",\"steps\":" << row.steps
-       << ",\"replications\":" << row.replications
-       // As a string: seeds are full-range 64-bit values, beyond the 2^53
-       // exact-integer range of double-based JSON parsers, and the row
-       // exists to make the cell reproducible via --seed.
-       << ",\"cell_seed\":\"" << row.cell_seed << "\""
-       << ",\"checkpoint\":" << row.checkpoint << ",\"step\":" << row.step
-       << ",\"mean\":" << JsonNumber(row.mean)
-       << ",\"std_dev\":" << JsonNumber(row.std_dev)
-       << ",\"p05\":" << JsonNumber(row.p05)
-       << ",\"p25\":" << JsonNumber(row.p25)
-       << ",\"median\":" << JsonNumber(row.median)
-       << ",\"p75\":" << JsonNumber(row.p75)
-       << ",\"p95\":" << JsonNumber(row.p95)
-       << ",\"min\":" << JsonNumber(row.min)
-       << ",\"max\":" << JsonNumber(row.max)
-       << ",\"unfair_probability\":" << JsonNumber(row.unfair_probability)
-       << ",\"convergence_step\":";
-  if (row.convergence_step) {
-    out_ << *row.convergence_step;
-  } else {
-    out_ << "null";
-  }
-  out_ << ",\"stake_dist\":\"" << EscapeJsonString(row.stake_dist) << "\""
-       << ",\"gini\":" << JsonNumber(row.gini)
-       << ",\"hhi\":" << JsonNumber(row.hhi)
-       << ",\"nakamoto\":" << JsonNumber(row.nakamoto)
-       << ",\"top_decile_share\":" << JsonNumber(row.top_decile_share)
-       << ",\"gamma\":" << JsonNumber(row.gamma)
-       << ",\"delay\":" << JsonNumber(row.delay)
-       << ",\"orphan_rate\":" << JsonNumber(row.orphan_rate)
-       << ",\"reorg_depth_mean\":" << JsonNumber(row.reorg_depth_mean)
-       << ",\"reorg_depth_max\":" << JsonNumber(row.reorg_depth_max)
-       << "}\n";
-}
-
-void JsonlSink::EndCampaign() { out_.flush(); }
+std::string JsonValue(bool passed) { return passed ? "true" : "false"; }
 
 // ---------------------------------------------------------------------------
 // SummarySink
 // ---------------------------------------------------------------------------
 
-void SummarySink::BeginCampaign(const ScenarioSpec& spec) {
+void SummarySink::Begin(const ScenarioSpec& spec) {
   title_ = spec.name + " — " + spec.description;
   final_rows_.clear();
 }
@@ -128,64 +49,66 @@ void SummarySink::BeginCampaign(const ScenarioSpec& spec) {
 void SummarySink::WriteRow(const CampaignRow& row) {
   // The runner emits a cell's checkpoints in ascending order, so the last
   // row seen for a cell is its final checkpoint.
-  if (!final_rows_.empty() && final_rows_.back().cell == row.cell) {
+  if (!final_rows_.empty() && final_rows_.back().cell.index == row.cell.index) {
     final_rows_.back() = row;
   } else {
     final_rows_.push_back(row);
   }
 }
 
-void SummarySink::EndCampaign() {
+void SummarySink::End() {
   Table table({"cell", "protocol", "miners", "a", "w", "v", "shards",
                "withhold", "mean", "p5", "p95", "unfair prob", "gini",
                "cvg"});
   table.SetTitle(title_);
   for (const CampaignRow& row : final_rows_) {
     table.AddRow();
-    table.Cell(static_cast<std::uint64_t>(row.cell));
-    table.Cell(row.protocol);
-    table.Cell(static_cast<std::uint64_t>(row.miners));
-    table.Cell(row.a, 2);
-    table.CellSci(row.w, 0);
-    table.Cell(row.v, 2);
-    table.Cell(static_cast<std::uint64_t>(row.shards));
-    table.Cell(row.withhold);
-    table.Cell(row.mean, 4);
-    table.Cell(row.p05, 4);
-    table.Cell(row.p95, 4);
-    table.Cell(row.unfair_probability, 3);
-    table.Cell(row.gini, 3);
+    table.Cell(static_cast<std::uint64_t>(row.cell.index));
+    table.Cell(row.cell.protocol);
+    table.Cell(static_cast<std::uint64_t>(row.cell.miners));
+    table.Cell(row.cell.a, 2);
+    table.CellSci(row.cell.w, 0);
+    table.Cell(row.cell.v, 2);
+    table.Cell(static_cast<std::uint64_t>(row.cell.shards));
+    table.Cell(row.cell.withhold);
+    table.Cell(row.stats.mean, 4);
+    table.Cell(row.stats.p05, 4);
+    table.Cell(row.stats.p95, 4);
+    table.Cell(row.stats.unfair_probability, 3);
+    table.Cell(row.stats.gini, 3);
     table.Cell(core::experiments::FormatConvergence(row.convergence_step));
   }
   table.Emit(emit_basename_);
 }
 
 // ---------------------------------------------------------------------------
-// CampaignFileSinks
+// OpenFilePair
 // ---------------------------------------------------------------------------
 
-CampaignFileSinks::CampaignFileSinks(const std::string& scenario_name)
-    : summary_("campaign_" + scenario_name + "_summary") {}
-
-bool CampaignFileSinks::OpenFiles(const std::string& csv_path,
-                                  const std::string& jsonl_path) {
-  csv_file_.open(csv_path);
-  jsonl_file_.open(jsonl_path);
-  if (!csv_file_ || !jsonl_file_) {
-    csv_file_.close();
-    jsonl_file_.close();
+bool OpenFilePair(const std::string& first_path,
+                  const std::string& second_path, std::ofstream& first,
+                  std::ofstream& second) {
+  // Probe both paths in append mode, which never truncates: only when both
+  // are writable is either one opened for real.  A file the probe had to
+  // create is removed again, so a failure leaves the disk as it was.
+  namespace fs = std::filesystem;
+  std::error_code error;
+  const bool first_existed = fs::exists(first_path, error);
+  const bool second_existed = fs::exists(second_path, error);
+  if (!std::ofstream(first_path, std::ios::app) ||
+      !std::ofstream(second_path, std::ios::app)) {
+    if (!first_existed) fs::remove(first_path, error);
+    if (!second_existed) fs::remove(second_path, error);
     return false;
   }
-  csv_ = std::make_unique<CsvSink>(csv_file_);
-  jsonl_ = std::make_unique<JsonlSink>(jsonl_file_);
+  first.open(first_path);
+  second.open(second_path);
+  if (!first || !second) {
+    first.close();
+    second.close();
+    return false;
+  }
   return true;
-}
-
-std::vector<ResultSink*> CampaignFileSinks::sinks() {
-  std::vector<ResultSink*> attached = {&summary_};
-  if (csv_) attached.push_back(csv_.get());
-  if (jsonl_) attached.push_back(jsonl_.get());
-  return attached;
 }
 
 }  // namespace fairchain::sim

@@ -2,15 +2,35 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 
 namespace fairchain::store {
 
 namespace {
 
-// Absurd-length guard: no real campaign result holds a billion elements in
-// one vector; a corrupt length must fail fast, not attempt a 2^60 resize.
-constexpr std::uint64_t kMaxElements = 1ULL << 30;
+// A checkpoint-stats record on the wire: `step` as a u64, then these
+// doubles in this order.  The one field list both directions walk.
+constexpr double core::CheckpointStats::*kStatsDoubles[] = {
+    &core::CheckpointStats::mean,
+    &core::CheckpointStats::std_dev,
+    &core::CheckpointStats::p05,
+    &core::CheckpointStats::p25,
+    &core::CheckpointStats::median,
+    &core::CheckpointStats::p75,
+    &core::CheckpointStats::p95,
+    &core::CheckpointStats::min,
+    &core::CheckpointStats::max,
+    &core::CheckpointStats::unfair_probability,
+    &core::CheckpointStats::gini,
+    &core::CheckpointStats::hhi,
+    &core::CheckpointStats::nakamoto,
+    &core::CheckpointStats::top_decile_share,
+    &core::CheckpointStats::orphan_rate,
+    &core::CheckpointStats::reorg_depth_mean,
+    &core::CheckpointStats::reorg_depth_max,
+};
+constexpr std::size_t kStatsBytes = 8 * (1 + std::size(kStatsDoubles));
 
 void PutU64(std::string& out, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
@@ -51,9 +71,7 @@ class Reader {
 
   std::string String() {
     const std::uint64_t length = U64();
-    if (length > kMaxElements || bytes_.size() - offset_ < length) {
-      Fail("truncated string");
-    }
+    if (bytes_.size() - offset_ < length) Fail("truncated string");
     std::string value(bytes_.substr(offset_, length));
     offset_ += length;
     return value;
@@ -66,10 +84,14 @@ class Reader {
     return value == '\1';
   }
 
+  // `element_bytes` is the encoded size of one element: a count the bytes
+  // left cannot hold fails here, before anything is reserved.
   template <typename T, typename Fn>
-  std::vector<T> Vector(Fn element) {
+  std::vector<T> Vector(std::size_t element_bytes, Fn element) {
     const std::uint64_t count = U64();
-    if (count > kMaxElements) Fail("absurd vector length");
+    if (count > (bytes_.size() - offset_) / element_bytes) {
+      Fail("vector length exceeds the payload");
+    }
     std::vector<T> values;
     values.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) values.push_back(element());
@@ -114,23 +136,7 @@ std::string EncodeSimulationResult(const core::SimulationResult& result) {
   PutU64(out, result.checkpoints.size());
   for (const core::CheckpointStats& stats : result.checkpoints) {
     PutU64(out, stats.step);
-    PutDouble(out, stats.mean);
-    PutDouble(out, stats.std_dev);
-    PutDouble(out, stats.p05);
-    PutDouble(out, stats.p25);
-    PutDouble(out, stats.median);
-    PutDouble(out, stats.p75);
-    PutDouble(out, stats.p95);
-    PutDouble(out, stats.min);
-    PutDouble(out, stats.max);
-    PutDouble(out, stats.unfair_probability);
-    PutDouble(out, stats.gini);
-    PutDouble(out, stats.hhi);
-    PutDouble(out, stats.nakamoto);
-    PutDouble(out, stats.top_decile_share);
-    PutDouble(out, stats.orphan_rate);
-    PutDouble(out, stats.reorg_depth_mean);
-    PutDouble(out, stats.reorg_depth_max);
+    for (const auto field : kStatsDoubles) PutDouble(out, stats.*field);
   }
   PutU64(out, result.final_lambdas.size());
   for (const double lambda : result.final_lambdas) PutDouble(out, lambda);
@@ -149,36 +155,21 @@ core::SimulationResult DecodeSimulationResult(std::string_view bytes) {
   result.config.replications = reader.U64();
   result.config.seed = reader.U64();
   result.config.checkpoints =
-      reader.Vector<std::uint64_t>([&reader] { return reader.U64(); });
+      reader.Vector<std::uint64_t>(8, [&reader] { return reader.U64(); });
   result.config.withhold_period = reader.U64();
   result.config.miner = static_cast<std::size_t>(reader.U64());
   result.config.population_metrics = reader.Bool();
   result.config.keep_final_lambdas = reader.Bool();
 
-  result.checkpoints = reader.Vector<core::CheckpointStats>([&reader] {
-    core::CheckpointStats stats;
-    stats.step = reader.U64();
-    stats.mean = reader.Double();
-    stats.std_dev = reader.Double();
-    stats.p05 = reader.Double();
-    stats.p25 = reader.Double();
-    stats.median = reader.Double();
-    stats.p75 = reader.Double();
-    stats.p95 = reader.Double();
-    stats.min = reader.Double();
-    stats.max = reader.Double();
-    stats.unfair_probability = reader.Double();
-    stats.gini = reader.Double();
-    stats.hhi = reader.Double();
-    stats.nakamoto = reader.Double();
-    stats.top_decile_share = reader.Double();
-    stats.orphan_rate = reader.Double();
-    stats.reorg_depth_mean = reader.Double();
-    stats.reorg_depth_max = reader.Double();
-    return stats;
-  });
+  result.checkpoints =
+      reader.Vector<core::CheckpointStats>(kStatsBytes, [&reader] {
+        core::CheckpointStats stats;
+        stats.step = reader.U64();
+        for (const auto field : kStatsDoubles) stats.*field = reader.Double();
+        return stats;
+      });
   result.final_lambdas =
-      reader.Vector<double>([&reader] { return reader.Double(); });
+      reader.Vector<double>(8, [&reader] { return reader.Double(); });
   reader.ExpectEnd();
   return result;
 }

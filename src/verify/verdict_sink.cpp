@@ -2,100 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
-#include "sim/result_sink.hpp"
-#include "support/escape.hpp"
 #include "support/table.hpp"
 
 namespace fairchain::verify {
 
-using sim::FormatDouble;
-using sim::JsonNumber;
-
-// ---------------------------------------------------------------------------
-// VerdictCsvSink
-// ---------------------------------------------------------------------------
-
-const std::string& VerdictCsvSink::Header() {
-  static const std::string header =
-      "scenario,cell,protocol,miners,whales,a,w,v,shards,withhold,oracle,"
-      "check,statistic,p_value,threshold,passed,detail";
-  return header;
-}
-
-void VerdictCsvSink::BeginVerification(const sim::ScenarioSpec& spec) {
-  (void)spec;
-  out_ << Header() << "\n";
-}
-
-void VerdictCsvSink::WriteRow(const VerdictRow& row) {
-  out_ << EscapeCsvField(row.scenario) << ',' << row.cell << ','
-       << EscapeCsvField(row.protocol) << ',' << row.miners << ','
-       << row.whales << ',' << FormatDouble(row.a) << ','
-       << FormatDouble(row.w) << ',' << FormatDouble(row.v) << ','
-       << row.shards << ',' << row.withhold << ','
-       << EscapeCsvField(row.oracle) << ',' << EscapeCsvField(row.check)
-       << ',' << FormatDouble(row.statistic) << ','
-       << FormatDouble(row.p_value) << ',' << FormatDouble(row.threshold)
-       << ',' << (row.passed ? "pass" : "FAIL") << ','
-       << EscapeCsvField(row.detail) << "\n";
-}
-
-void VerdictCsvSink::EndVerification() { out_.flush(); }
-
-// ---------------------------------------------------------------------------
-// VerdictJsonlSink
-// ---------------------------------------------------------------------------
-
-void VerdictJsonlSink::WriteRow(const VerdictRow& row) {
-  out_ << "{\"scenario\":\"" << EscapeJsonString(row.scenario)
-       << "\",\"cell\":" << row.cell << ",\"protocol\":\""
-       << EscapeJsonString(row.protocol) << "\",\"miners\":" << row.miners
-       << ",\"whales\":" << row.whales << ",\"a\":" << JsonNumber(row.a)
-       << ",\"w\":" << JsonNumber(row.w) << ",\"v\":" << JsonNumber(row.v)
-       << ",\"shards\":" << row.shards << ",\"withhold\":" << row.withhold
-       << ",\"oracle\":\"" << EscapeJsonString(row.oracle)
-       << "\",\"check\":\"" << EscapeJsonString(row.check)
-       << "\",\"statistic\":" << JsonNumber(row.statistic)
-       << ",\"p_value\":" << JsonNumber(row.p_value)
-       << ",\"threshold\":" << JsonNumber(row.threshold)
-       << ",\"passed\":" << (row.passed ? "true" : "false")
-       << ",\"detail\":\"" << EscapeJsonString(row.detail) << "\"}\n";
-}
-
-void VerdictJsonlSink::EndVerification() { out_.flush(); }
-
-// ---------------------------------------------------------------------------
-// VerdictSummarySink
-// ---------------------------------------------------------------------------
-
-void VerdictSummarySink::BeginVerification(const sim::ScenarioSpec& spec) {
+void VerdictSummarySink::Begin(const sim::ScenarioSpec& spec) {
   title_ = "verify " + spec.name + " — " + spec.description;
   cells_.clear();
 }
 
 void VerdictSummarySink::WriteRow(const VerdictRow& row) {
-  if (cells_.empty() || cells_.back().cell != row.cell) {
+  if (cells_.empty() || cells_.back().cell != row.cell.index) {
     CellSummary summary;
-    summary.cell = row.cell;
-    summary.protocol = row.protocol;
+    summary.cell = row.cell.index;
+    summary.protocol = row.cell.protocol;
     summary.oracle = row.oracle;
     cells_.push_back(summary);
   }
   CellSummary& summary = cells_.back();
   ++summary.checks;
-  if (std::isfinite(row.p_value)) {
+  if (std::isfinite(row.result.p_value)) {
     summary.has_p = true;
-    summary.min_p = std::min(summary.min_p, row.p_value);
+    summary.min_p = std::min(summary.min_p, row.result.p_value);
   }
-  if (!row.passed) {
+  if (!row.result.passed) {
     ++summary.failures;
     if (!summary.failed_checks.empty()) summary.failed_checks += ",";
-    summary.failed_checks += row.check;
+    summary.failed_checks += row.result.check;
   }
 }
 
-void VerdictSummarySink::EndVerification() {
+void VerdictSummarySink::End() {
   Table table({"cell", "protocol", "oracle", "checks", "min p", "verdict"});
   table.SetTitle(title_);
   for (const CellSummary& summary : cells_) {
@@ -115,34 +54,6 @@ void VerdictSummarySink::EndVerification() {
                    : "FAIL(" + summary.failed_checks + ")");
   }
   table.Emit(emit_basename_);
-}
-
-// ---------------------------------------------------------------------------
-// VerdictFileSinks
-// ---------------------------------------------------------------------------
-
-VerdictFileSinks::VerdictFileSinks(const std::string& scenario_name)
-    : summary_("verify_" + scenario_name + "_summary") {}
-
-bool VerdictFileSinks::OpenFiles(const std::string& csv_path,
-                                 const std::string& jsonl_path) {
-  csv_file_.open(csv_path);
-  jsonl_file_.open(jsonl_path);
-  if (!csv_file_ || !jsonl_file_) {
-    csv_file_.close();
-    jsonl_file_.close();
-    return false;
-  }
-  csv_ = std::make_unique<VerdictCsvSink>(csv_file_);
-  jsonl_ = std::make_unique<VerdictJsonlSink>(jsonl_file_);
-  return true;
-}
-
-std::vector<VerdictSink*> VerdictFileSinks::sinks() {
-  std::vector<VerdictSink*> attached = {&summary_};
-  if (csv_) attached.push_back(csv_.get());
-  if (jsonl_) attached.push_back(jsonl_.get());
-  return attached;
 }
 
 }  // namespace fairchain::verify

@@ -1,21 +1,22 @@
-// Streaming sinks for verification verdicts.
+// Verdict rows and the verdict summary.
 //
 // VerifyCampaign flattens every cell's CellVerdict into VerdictRows (one
-// row per check, tidy-data style, same grid-coordinate prefix as the
-// campaign CampaignRow schema) and streams them in ascending (cell, check)
-// order — deterministic for any thread count, like the campaign sinks.
-// The column schema is append-only, mirroring the CampaignRow contract.
+// row per check, tidy-data style, starting with the same grid-coordinate
+// prefix as the campaign CampaignRow) and streams them in ascending
+// (cell, check) order through the shared sink family of
+// sim/result_sink.hpp — sim::CsvSink<VerdictRow>,
+// sim::JsonlSink<VerdictRow> and sim::FileSinks<VerdictRow,
+// VerdictSummarySink> — under the same append-only schema contract.
 
 #ifndef FAIRCHAIN_VERIFY_VERDICT_SINK_HPP_
 #define FAIRCHAIN_VERIFY_VERDICT_SINK_HPP_
 
-#include <cstdint>
-#include <fstream>
-#include <memory>
-#include <ostream>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/result_sink.hpp"
 #include "sim/scenario_spec.hpp"
 #include "verify/statistical_judge.hpp"
 
@@ -24,82 +25,38 @@ namespace fairchain::verify {
 /// One acceptance check of one campaign cell, fully denormalised.
 struct VerdictRow {
   std::string scenario;
-  std::size_t cell = 0;
-  std::string protocol;
-  std::size_t miners = 2;
-  std::size_t whales = 1;
-  double a = 0.0;
-  double w = 0.0;
-  double v = 0.0;
-  std::uint32_t shards = 0;
-  std::uint64_t withhold = 0;
+  sim::CampaignCell cell;
   std::string oracle;  ///< producing oracle ("none" when sanity-only)
-  std::string check;   ///< "sanity", "mean", "distribution", ...
-  double statistic = 0.0;
-  double p_value = 0.0;    ///< NaN for structural checks
+  /// The check; its p-value is NaN for structural checks and its detail
+  /// (failure context) may contain commas and quotes.
+  CheckResult result;
   double threshold = 0.0;  ///< Bonferroni-corrected p-value threshold
-  bool passed = true;
-  std::string detail;  ///< failure context; may contain commas/quotes
 };
 
-/// Abstract streaming consumer of verdict rows.
-class VerdictSink {
- public:
-  virtual ~VerdictSink() = default;
-
-  /// Called once before any row.
-  virtual void BeginVerification(const sim::ScenarioSpec& spec) {
-    (void)spec;
-  }
-
-  /// Called once per row, ascending (cell, check) order.
-  virtual void WriteRow(const VerdictRow& row) = 0;
-
-  /// Called once after the last row.
-  virtual void EndVerification() {}
-};
-
-/// CSV with the stable verdict column schema (Header()); free-text fields
-/// are RFC-4180 escaped, non-finite p-values render via FormatDouble
-/// ("nan").
-class VerdictCsvSink : public VerdictSink {
- public:
-  explicit VerdictCsvSink(std::ostream& out) : out_(out) {}
-
-  /// The exact header line (no newline); tests pin the schema against it.
-  static const std::string& Header();
-
-  void BeginVerification(const sim::ScenarioSpec& spec) override;
-  void WriteRow(const VerdictRow& row) override;
-  void EndVerification() override;
-
- private:
-  std::ostream& out_;
-};
-
-/// One JSON object per line; strings escaped, NaN p-values emitted as null.
-class VerdictJsonlSink : public VerdictSink {
- public:
-  explicit VerdictJsonlSink(std::ostream& out) : out_(out) {}
-
-  void WriteRow(const VerdictRow& row) override;
-  void EndVerification() override;
-
- private:
-  std::ostream& out_;
-};
+/// The verdict schema: the one list of VerdictRow's columns.
+template <typename F>
+void ForEachColumn(const VerdictRow& row, F&& f) {
+  sim::ForEachColumn(row.scenario, row.cell, f);
+  f("oracle", row.oracle);
+  f("check", row.result.check);
+  f("statistic", row.result.statistic);
+  f("p_value", row.result.p_value);
+  f("threshold", row.threshold);
+  f("passed", row.result.passed);
+  f("detail", row.result.detail);
+}
 
 /// Collects per-cell outcomes and prints an aligned summary table (one row
-/// per cell) at EndVerification — the human-facing view the CLI shows.
-class VerdictSummarySink : public VerdictSink {
+/// per cell) at End — the human-facing view the CLI shows.
+class VerdictSummarySink : public sim::RowSink<VerdictRow> {
  public:
   /// `emit_basename` feeds Table::Emit (stdout + FAIRCHAIN_CSV_DIR copy).
   explicit VerdictSummarySink(std::string emit_basename)
       : emit_basename_(std::move(emit_basename)) {}
 
-  void BeginVerification(const sim::ScenarioSpec& spec) override;
+  void Begin(const sim::ScenarioSpec& spec) override;
   void WriteRow(const VerdictRow& row) override;
-  void EndVerification() override;
+  void End() override;
 
  private:
   struct CellSummary {
@@ -116,27 +73,6 @@ class VerdictSummarySink : public VerdictSink {
   std::string emit_basename_;
   std::string title_;
   std::vector<CellSummary> cells_;
-};
-
-/// The standard verdict sink trio: a stdout summary plus optional
-/// streaming CSV and JSONL file sinks (mirrors sim::CampaignFileSinks).
-class VerdictFileSinks {
- public:
-  explicit VerdictFileSinks(const std::string& scenario_name);
-
-  /// Opens the file sinks; returns false — leaving both detached — when
-  /// either path cannot be opened for writing.
-  bool OpenFiles(const std::string& csv_path, const std::string& jsonl_path);
-
-  /// The attached sinks, ready to pass to VerifyCampaign.
-  std::vector<VerdictSink*> sinks();
-
- private:
-  VerdictSummarySink summary_;
-  std::ofstream csv_file_;
-  std::ofstream jsonl_file_;
-  std::unique_ptr<VerdictCsvSink> csv_;
-  std::unique_ptr<VerdictJsonlSink> jsonl_;
 };
 
 }  // namespace fairchain::verify

@@ -61,8 +61,8 @@ std::size_t VerificationPlan::StochasticComparisons() const {
 
 VerificationReport VerifyCampaign(
     const VerificationPlan& plan, const VerificationOptions& options,
-    const std::vector<VerdictSink*>& verdict_sinks,
-    const std::vector<sim::ResultSink*>& row_sinks) {
+    const std::vector<sim::RowSink<VerdictRow>*>& verdict_sinks,
+    const std::vector<sim::RowSink<sim::CampaignRow>*>& row_sinks) {
   JudgeConfig judge_config = options.judge;
   judge_config.comparisons = plan.StochasticComparisons();
   const StatisticalJudge judge(judge_config);
@@ -75,8 +75,8 @@ VerificationReport VerifyCampaign(
   report.scenario = plan.spec().name;
   report.threshold = judge_config.Threshold();
 
-  for (VerdictSink* sink : verdict_sinks) {
-    sink->BeginVerification(plan.spec());
+  for (sim::RowSink<VerdictRow>* sink : verdict_sinks) {
+    sink->Begin(plan.spec());
   }
 
   // Cross-cell physics the per-cell judge cannot see: within a group of
@@ -138,26 +138,14 @@ VerificationReport VerifyCampaign(
         verdict.checks.push_back(std::move(check));
       }
     }
+    VerdictRow row;
+    row.scenario = plan.spec().name;
+    row.cell = planned.cell;
+    row.oracle = verdict.oracle.empty() ? "none" : verdict.oracle;
+    row.threshold = report.threshold;
     for (const CheckResult& check : verdict.checks) {
-      VerdictRow row;
-      row.scenario = plan.spec().name;
-      row.cell = planned.cell.index;
-      row.protocol = planned.cell.protocol;
-      row.miners = planned.cell.miners;
-      row.whales = planned.cell.whales;
-      row.a = planned.cell.a;
-      row.w = planned.cell.w;
-      row.v = planned.cell.v;
-      row.shards = planned.cell.shards;
-      row.withhold = planned.cell.withhold;
-      row.oracle = verdict.oracle.empty() ? "none" : verdict.oracle;
-      row.check = check.check;
-      row.statistic = check.statistic;
-      row.p_value = check.p_value;
-      row.threshold = report.threshold;
-      row.passed = check.passed;
-      row.detail = check.detail;
-      for (VerdictSink* sink : verdict_sinks) sink->WriteRow(row);
+      row.result = check;
+      for (sim::RowSink<VerdictRow>* sink : verdict_sinks) sink->WriteRow(row);
     }
     ++report.cells;
     report.checks += verdict.checks.size();
@@ -166,7 +154,7 @@ VerificationReport VerifyCampaign(
     report.verdicts.push_back(std::move(verdict));
   }
 
-  for (VerdictSink* sink : verdict_sinks) sink->EndVerification();
+  for (sim::RowSink<VerdictRow>* sink : verdict_sinks) sink->End();
   return report;
 }
 

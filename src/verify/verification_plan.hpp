@@ -90,8 +90,8 @@ struct VerificationReport {
 /// report.  Deterministic for a fixed spec seed at any thread count.
 VerificationReport VerifyCampaign(
     const VerificationPlan& plan, const VerificationOptions& options,
-    const std::vector<VerdictSink*>& verdict_sinks,
-    const std::vector<sim::ResultSink*>& row_sinks = {});
+    const std::vector<sim::RowSink<VerdictRow>*>& verdict_sinks,
+    const std::vector<sim::RowSink<sim::CampaignRow>*>& row_sinks = {});
 
 }  // namespace fairchain::verify
 

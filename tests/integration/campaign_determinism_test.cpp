@@ -43,8 +43,8 @@ struct Captured {
 Captured RunWithThreads(unsigned threads) {
   std::ostringstream csv_out;
   std::ostringstream jsonl_out;
-  sim::CsvSink csv(csv_out);
-  sim::JsonlSink jsonl(jsonl_out);
+  sim::CsvSink<sim::CampaignRow> csv(csv_out);
+  sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
   sim::CampaignOptions options;
   options.threads = threads;
   sim::CampaignRunner(options).Run(GoldenSpec(), {&csv, &jsonl});
@@ -86,8 +86,8 @@ TEST(CampaignDeterminismTest, BackendsEmitByteIdenticalStreams) {
   auto run = [](const core::ExecutionBackend& backend) {
     std::ostringstream csv_out;
     std::ostringstream jsonl_out;
-    sim::CsvSink csv(csv_out);
-    sim::JsonlSink jsonl(jsonl_out);
+    sim::CsvSink<sim::CampaignRow> csv(csv_out);
+    sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
     sim::CampaignOptions options;
     options.backend = &backend;
     sim::CampaignRunner(options).Run(GoldenSpec(), {&csv, &jsonl});
@@ -162,8 +162,8 @@ TEST_P(CrossBackendGoldenMatrixTest, SerialPoolAndShardsEmitIdenticalBytes) {
   auto run = [&spec](const core::ExecutionBackend& backend) {
     std::ostringstream csv_out;
     std::ostringstream jsonl_out;
-    sim::CsvSink csv(csv_out);
-    sim::JsonlSink jsonl(jsonl_out);
+    sim::CsvSink<sim::CampaignRow> csv(csv_out);
+    sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
     sim::CampaignOptions options;
     options.backend = &backend;
     options.chunk_replications = 4;  // 3 chunks per cell at 12 replications
@@ -189,8 +189,8 @@ TEST(CampaignDeterminismTest, TenThousandMinersByteIdenticalAcrossThreads) {
   auto run = [](unsigned threads) {
     std::ostringstream csv_out;
     std::ostringstream jsonl_out;
-    sim::CsvSink csv(csv_out);
-    sim::JsonlSink jsonl(jsonl_out);
+    sim::CsvSink<sim::CampaignRow> csv(csv_out);
+    sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
     sim::CampaignOptions options;
     options.threads = threads;
     sim::CampaignRunner(options).Run(LargePopulationSpec(), {&csv, &jsonl});

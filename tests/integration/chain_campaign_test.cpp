@@ -58,8 +58,8 @@ Captured RunChainCampaign(const core::ExecutionBackend* backend,
                           store::CampaignStore* store = nullptr) {
   std::ostringstream csv_out;
   std::ostringstream jsonl_out;
-  sim::CsvSink csv(csv_out);
-  sim::JsonlSink jsonl(jsonl_out);
+  sim::CsvSink<sim::CampaignRow> csv(csv_out);
+  sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
   sim::CampaignOptions options;
   options.backend = backend;
   options.chunk_replications = kChunkReplications;

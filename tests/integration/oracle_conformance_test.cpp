@@ -40,7 +40,7 @@ verify::VerificationReport VerifyScenario(const std::string& name,
   const verify::VerificationPlan plan(ReducedSpec(name));
   verify::VerificationOptions options;
   options.campaign.threads = threads;
-  const std::vector<verify::VerdictSink*> no_sinks;
+  const std::vector<sim::RowSink<verify::VerdictRow>*> no_sinks;
   return verify::VerifyCampaign(plan, options, no_sinks);
 }
 

@@ -67,8 +67,8 @@ TEST_P(OutputDigestTest, SerialCampaignBytesMatchPinnedDigests) {
   spec.steps = pinned.steps;
   std::ostringstream csv_out;
   std::ostringstream jsonl_out;
-  sim::CsvSink csv(csv_out);
-  sim::JsonlSink jsonl(jsonl_out);
+  sim::CsvSink<sim::CampaignRow> csv(csv_out);
+  sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
   const core::SerialBackend serial;
   sim::CampaignOptions options;
   options.backend = &serial;
@@ -128,8 +128,8 @@ TEST_P(VerdictDigestTest, SerialVerdictBytesMatchPinnedDigests) {
   const verify::VerificationPlan plan(spec);
   std::ostringstream csv_out;
   std::ostringstream jsonl_out;
-  verify::VerdictCsvSink csv(csv_out);
-  verify::VerdictJsonlSink jsonl(jsonl_out);
+  sim::CsvSink<verify::VerdictRow> csv(csv_out);
+  sim::JsonlSink<verify::VerdictRow> jsonl(jsonl_out);
   const core::SerialBackend serial;
   verify::VerificationOptions options;
   options.campaign.backend = &serial;

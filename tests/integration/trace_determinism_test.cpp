@@ -46,8 +46,8 @@ Captured RunCampaign(const core::ExecutionBackend* backend, bool traced) {
   obs::SetTraceEnabled(traced);
   std::ostringstream csv_out;
   std::ostringstream jsonl_out;
-  sim::CsvSink csv(csv_out);
-  sim::JsonlSink jsonl(jsonl_out);
+  sim::CsvSink<sim::CampaignRow> csv(csv_out);
+  sim::JsonlSink<sim::CampaignRow> jsonl(jsonl_out);
   sim::CampaignOptions options;
   options.backend = backend;
   options.chunk_replications = 4;

@@ -47,7 +47,7 @@ sim::ScenarioSpec FaultSpec() {
 void RunShardCampaign() {
   const core::ShardBackend backend(2);
   std::ostringstream csv_out;
-  sim::CsvSink csv(csv_out);
+  sim::CsvSink<sim::CampaignRow> csv(csv_out);
   sim::CampaignOptions options;
   options.backend = &backend;
   options.chunk_replications = 4;

@@ -29,7 +29,7 @@ ScenarioSpec SmallSpec() {
 }
 
 // Collects rows in arrival order.
-class CollectSink : public ResultSink {
+class CollectSink : public RowSink<CampaignRow> {
  public:
   void WriteRow(const CampaignRow& row) override { rows.push_back(row); }
   std::vector<CampaignRow> rows;
@@ -43,9 +43,10 @@ TEST(CampaignRunnerTest, RowsArriveInCellThenCheckpointOrder) {
   EXPECT_EQ(outcomes.size(), 4u);
   ASSERT_EQ(sink.rows.size(), 4u * 4u);  // 4 cells x 4 checkpoints
   for (std::size_t i = 1; i < sink.rows.size(); ++i) {
-    const bool cell_advances = sink.rows[i].cell > sink.rows[i - 1].cell;
+    const bool cell_advances =
+        sink.rows[i].cell.index > sink.rows[i - 1].cell.index;
     const bool checkpoint_advances =
-        sink.rows[i].cell == sink.rows[i - 1].cell &&
+        sink.rows[i].cell.index == sink.rows[i - 1].cell.index &&
         sink.rows[i].checkpoint == sink.rows[i - 1].checkpoint + 1;
     EXPECT_TRUE(cell_advances || checkpoint_advances) << "row " << i;
   }
@@ -63,12 +64,13 @@ TEST(CampaignRunnerTest, ResultsIdenticalForAnyThreadCount) {
   const auto parallel = run(4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].cell, parallel[i].cell);
-    EXPECT_EQ(serial[i].step, parallel[i].step);
+    EXPECT_EQ(serial[i].cell.index, parallel[i].cell.index);
+    EXPECT_EQ(serial[i].stats.step, parallel[i].stats.step);
     // Bitwise equality: the determinism contract, not a tolerance check.
-    EXPECT_EQ(serial[i].mean, parallel[i].mean) << i;
-    EXPECT_EQ(serial[i].p05, parallel[i].p05) << i;
-    EXPECT_EQ(serial[i].unfair_probability, parallel[i].unfair_probability)
+    EXPECT_EQ(serial[i].stats.mean, parallel[i].stats.mean) << i;
+    EXPECT_EQ(serial[i].stats.p05, parallel[i].stats.p05) << i;
+    EXPECT_EQ(serial[i].stats.unfair_probability,
+              parallel[i].stats.unfair_probability)
         << i;
   }
 }

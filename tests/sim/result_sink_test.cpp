@@ -3,8 +3,11 @@
 
 #include "sim/result_sink.hpp"
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,41 +19,41 @@ namespace {
 CampaignRow SampleRow() {
   CampaignRow row;
   row.scenario = "demo";
-  row.cell = 3;
-  row.protocol = "cpos";
-  row.miners = 5;
-  row.whales = 2;
-  row.a = 0.25;
-  row.w = 0.01;
-  row.v = 0.1;
-  row.shards = 32;
-  row.withhold = 1000;
+  row.cell.index = 3;
+  row.cell.protocol = "cpos";
+  row.cell.miners = 5;
+  row.cell.whales = 2;
+  row.cell.a = 0.25;
+  row.cell.w = 0.01;
+  row.cell.v = 0.1;
+  row.cell.shards = 32;
+  row.cell.withhold = 1000;
   row.steps = 5000;
   row.replications = 100;
   row.cell_seed = 42;
   row.checkpoint = 7;
-  row.step = 800;
-  row.mean = 0.2;
-  row.std_dev = 0.015;
-  row.p05 = 0.17;
-  row.p25 = 0.19;
-  row.median = 0.2;
-  row.p75 = 0.21;
-  row.p95 = 0.23;
-  row.min = 0.1;
-  row.max = 0.3;
-  row.unfair_probability = 0.05;
+  row.stats.step = 800;
+  row.stats.mean = 0.2;
+  row.stats.std_dev = 0.015;
+  row.stats.p05 = 0.17;
+  row.stats.p25 = 0.19;
+  row.stats.median = 0.2;
+  row.stats.p75 = 0.21;
+  row.stats.p95 = 0.23;
+  row.stats.min = 0.1;
+  row.stats.max = 0.3;
+  row.stats.unfair_probability = 0.05;
   row.convergence_step = 400;
-  row.stake_dist = "pareto:1.16";
-  row.gini = 0.42;
-  row.hhi = 0.3;
-  row.nakamoto = 2;
-  row.top_decile_share = 0.6;
-  row.gamma = 0.5;
-  row.delay = 0.2;
-  row.orphan_rate = 0.03;
-  row.reorg_depth_mean = 1.5;
-  row.reorg_depth_max = 4.0;
+  row.cell.stake_dist = "pareto:1.16";
+  row.stats.gini = 0.42;
+  row.stats.hhi = 0.3;
+  row.stats.nakamoto = 2;
+  row.stats.top_decile_share = 0.6;
+  row.cell.gamma = 0.5;
+  row.cell.delay = 0.2;
+  row.stats.orphan_rate = 0.03;
+  row.stats.reorg_depth_mean = 1.5;
+  row.stats.reorg_depth_max = 4.0;
   return row;
 }
 
@@ -58,7 +61,7 @@ TEST(ResultSinkTest, CsvHeaderSchemaIsStable) {
   // Pinned on purpose: downstream plotting scripts key on these columns.
   // New columns may only be appended (stake_dist..top_decile_share were,
   // then the chain-dynamics gamma..reorg_depth_max block).
-  EXPECT_EQ(CsvSink::Header(),
+  EXPECT_EQ(CsvSink<CampaignRow>::Header(),
             "scenario,cell,protocol,miners,whales,a,w,v,shards,withhold,"
             "steps,replications,cell_seed,checkpoint,step,mean,std_dev,p05,"
             "p25,median,p75,p95,min,max,unfair_probability,convergence_step,"
@@ -68,16 +71,16 @@ TEST(ResultSinkTest, CsvHeaderSchemaIsStable) {
 
 TEST(ResultSinkTest, CsvRowMatchesSchema) {
   std::ostringstream out;
-  CsvSink sink(out);
-  sink.BeginCampaign(ScenarioSpec{});
+  CsvSink<CampaignRow> sink(out);
+  sink.Begin(ScenarioSpec{});
   sink.WriteRow(SampleRow());
-  sink.EndCampaign();
+  sink.End();
   std::istringstream lines(out.str());
   std::string header;
   std::string row;
   ASSERT_TRUE(std::getline(lines, header));
   ASSERT_TRUE(std::getline(lines, row));
-  EXPECT_EQ(header, CsvSink::Header());
+  EXPECT_EQ(header, CsvSink<CampaignRow>::Header());
   EXPECT_EQ(row,
             "demo,3,cpos,5,2,0.25,0.01,0.1,32,1000,5000,100,42,7,800,0.2,"
             "0.015,0.17,0.19,0.2,0.21,0.23,0.1,0.3,0.05,400,pareto:1.16,"
@@ -88,7 +91,7 @@ TEST(ResultSinkTest, CsvNeverConvergedRendersAsNever) {
   CampaignRow row = SampleRow();
   row.convergence_step.reset();
   std::ostringstream out;
-  CsvSink sink(out);
+  CsvSink<CampaignRow> sink(out);
   sink.WriteRow(row);
   const std::string rendered = out.str();
   EXPECT_NE(rendered.find(",never,"), std::string::npos);
@@ -98,20 +101,20 @@ TEST(ResultSinkTest, DisabledPopulationMetricsRenderAsNanAndNull) {
   // A campaign with population metrics off leaves the appended metric
   // columns NaN: `nan` tokens in CSV, null in JSONL — never silent zeros.
   CampaignRow row = SampleRow();
-  row.gini = std::numeric_limits<double>::quiet_NaN();
-  row.hhi = std::numeric_limits<double>::quiet_NaN();
-  row.nakamoto = std::numeric_limits<double>::quiet_NaN();
-  row.top_decile_share = std::numeric_limits<double>::quiet_NaN();
+  row.stats.gini = std::numeric_limits<double>::quiet_NaN();
+  row.stats.hhi = std::numeric_limits<double>::quiet_NaN();
+  row.stats.nakamoto = std::numeric_limits<double>::quiet_NaN();
+  row.stats.top_decile_share = std::numeric_limits<double>::quiet_NaN();
   {
     std::ostringstream out;
-    CsvSink sink(out);
+    CsvSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_NE(out.str().find(",pareto:1.16,nan,nan,nan,nan"),
               std::string::npos);
   }
   {
     std::ostringstream out;
-    JsonlSink sink(out);
+    JsonlSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_NE(out.str().find("\"gini\":null"), std::string::npos);
     EXPECT_NE(out.str().find("\"top_decile_share\":null"), std::string::npos);
@@ -124,20 +127,20 @@ TEST(ResultSinkTest, IncentiveRowsRenderChainObservablesAsNanAndNull) {
   // (nan in CSV, null in JSONL), while the gamma/delay axes keep their 0.0
   // defaults.
   CampaignRow row = SampleRow();
-  row.gamma = 0.0;
-  row.delay = 0.0;
-  row.orphan_rate = std::numeric_limits<double>::quiet_NaN();
-  row.reorg_depth_mean = std::numeric_limits<double>::quiet_NaN();
-  row.reorg_depth_max = std::numeric_limits<double>::quiet_NaN();
+  row.cell.gamma = 0.0;
+  row.cell.delay = 0.0;
+  row.stats.orphan_rate = std::numeric_limits<double>::quiet_NaN();
+  row.stats.reorg_depth_mean = std::numeric_limits<double>::quiet_NaN();
+  row.stats.reorg_depth_max = std::numeric_limits<double>::quiet_NaN();
   {
     std::ostringstream out;
-    CsvSink sink(out);
+    CsvSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_NE(out.str().find(",0.6,0,0,nan,nan,nan"), std::string::npos);
   }
   {
     std::ostringstream out;
-    JsonlSink sink(out);
+    JsonlSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_NE(out.str().find("\"orphan_rate\":null"), std::string::npos);
     EXPECT_NE(out.str().find("\"reorg_depth_mean\":null"), std::string::npos);
@@ -149,13 +152,13 @@ TEST(ResultSinkTest, JsonlRowHasAllColumnsAndNullConvergence) {
   CampaignRow row = SampleRow();
   row.convergence_step.reset();
   std::ostringstream out;
-  JsonlSink sink(out);
+  JsonlSink<CampaignRow> sink(out);
   sink.WriteRow(row);
   const std::string line = out.str();
   EXPECT_EQ(line.front(), '{');
   EXPECT_EQ(line.substr(line.size() - 2), "}\n");
   // Every CSV column name appears as a JSON key.
-  std::istringstream header(CsvSink::Header());
+  std::istringstream header(CsvSink<CampaignRow>::Header());
   std::string column;
   while (std::getline(header, column, ',')) {
     EXPECT_NE(line.find("\"" + column + "\":"), std::string::npos) << column;
@@ -207,10 +210,10 @@ TEST(EscapingTest, JsonNumberRendersNonFiniteAsNull) {
 
 TEST(ResultSinkTest, JsonlRowWithNonFiniteMetricsStaysValidJson) {
   CampaignRow row = SampleRow();
-  row.mean = std::numeric_limits<double>::quiet_NaN();
-  row.max = std::numeric_limits<double>::infinity();
+  row.stats.mean = std::numeric_limits<double>::quiet_NaN();
+  row.stats.max = std::numeric_limits<double>::infinity();
   std::ostringstream out;
-  JsonlSink sink(out);
+  JsonlSink<CampaignRow> sink(out);
   sink.WriteRow(row);
   const std::string line = out.str();
   EXPECT_NE(line.find("\"mean\":null"), std::string::npos);
@@ -223,10 +226,10 @@ TEST(ResultSinkTest, JsonlRowWithNonFiniteMetricsStaysValidJson) {
 TEST(ResultSinkTest, CsvRowWithNonFiniteMetricsUsesNanInfTokens) {
   // CSV has no null literal; the documented rendering is to_chars' tokens.
   CampaignRow row = SampleRow();
-  row.mean = std::numeric_limits<double>::quiet_NaN();
-  row.min = -std::numeric_limits<double>::infinity();
+  row.stats.mean = std::numeric_limits<double>::quiet_NaN();
+  row.stats.min = -std::numeric_limits<double>::infinity();
   std::ostringstream out;
-  CsvSink sink(out);
+  CsvSink<CampaignRow> sink(out);
   sink.WriteRow(row);
   EXPECT_NE(out.str().find(",nan,"), std::string::npos);
   EXPECT_NE(out.str().find(",-inf,"), std::string::npos);
@@ -239,17 +242,51 @@ TEST(ResultSinkTest, HostileScenarioNameWouldBeEscapedInBothFormats) {
   row.scenario = "bad,\"name\"";
   {
     std::ostringstream out;
-    CsvSink sink(out);
+    CsvSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_EQ(out.str().rfind("\"bad,\"\"name\"\"\",", 0), 0u);
   }
   {
     std::ostringstream out;
-    JsonlSink sink(out);
+    JsonlSink<CampaignRow> sink(out);
     sink.WriteRow(row);
     EXPECT_NE(out.str().find("\"scenario\":\"bad,\\\"name\\\"\""),
               std::string::npos);
   }
+}
+
+// --- file sinks ------------------------------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(FileSinksTest, FailedOpenLeavesTheOtherFileUntouched) {
+  // `--csv keep.csv --jsonl /missing_dir/x.jsonl` must fail without
+  // truncating keep.csv, in either order, and must not leave a new empty
+  // file behind at a writable path that did not exist before.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "file_sinks_open/";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string existing = dir + "keep.out";
+  const std::string fresh = dir + "fresh.out";
+  const std::string bad = dir + "missing_dir/x.out";
+  for (const bool bad_second : {true, false}) {
+    std::ofstream(existing) << "keep me\n";
+    for (const std::string& good : {existing, fresh}) {
+      FileSinks<CampaignRow, SummarySink> sinks("unused_summary");
+      EXPECT_FALSE(bad_second ? sinks.OpenFiles(good, bad)
+                              : sinks.OpenFiles(bad, good));
+      EXPECT_EQ(sinks.sinks().size(), 1u);  // summary only
+    }
+    EXPECT_EQ(ReadFile(existing), "keep me\n") << "bad_second=" << bad_second;
+    EXPECT_FALSE(fs::exists(fresh)) << "bad_second=" << bad_second;
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

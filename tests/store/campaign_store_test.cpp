@@ -91,6 +91,40 @@ TEST(ResultCodecTest, AbsurdVectorLengthIsRejectedFast) {
   EXPECT_THROW(DecodeSimulationResult(bytes), std::runtime_error);
 }
 
+// A payload whose vectors are empty, with `count` patched into the length
+// field `fields_from_end` u64s before its end (1 = final λs, 2 =
+// checkpoint stats).
+std::string PayloadClaiming(std::uint64_t count, int fields_from_end) {
+  core::SimulationResult result = SampleResult();
+  result.config.checkpoints.clear();
+  result.checkpoints.clear();
+  result.final_lambdas.clear();
+  std::string bytes = EncodeSimulationResult(result);
+  const std::size_t offset = bytes.size() - 8 * fields_from_end;
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>((count >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(ResultCodecTest, CheckpointCountBeyondPayloadIsRejectedBeforeReserving) {
+  // 2^30 claimed checkpoint-stats records would reserve ~154 GB; the
+  // count must be checked against the bytes present (144 B per record)
+  // and rejected as a malformed payload, not as std::bad_alloc.
+  EXPECT_THROW(DecodeSimulationResult(PayloadClaiming(1ULL << 30, 2)),
+               std::runtime_error);
+  // One record more than the 8 bytes left can hold is rejected too.
+  EXPECT_THROW(DecodeSimulationResult(PayloadClaiming(1, 2)),
+               std::runtime_error);
+}
+
+TEST(ResultCodecTest, FinalLambdaCountBeyondPayloadIsRejectedBeforeReserving) {
+  EXPECT_THROW(DecodeSimulationResult(PayloadClaiming(1ULL << 30, 1)),
+               std::runtime_error);
+  EXPECT_THROW(DecodeSimulationResult(PayloadClaiming(1, 1)),
+               std::runtime_error);
+}
+
 TEST(CellKeyTest, PinnedDigestNeverDrifts) {
   // Golden content address: if this changes, every existing store on disk
   // silently stops matching — treat a failure here as a schema break and

@@ -15,39 +15,39 @@ namespace {
 VerdictRow SampleRow() {
   VerdictRow row;
   row.scenario = "fig2";
-  row.cell = 3;
-  row.protocol = "cpos";
-  row.miners = 2;
-  row.whales = 1;
-  row.a = 0.2;
-  row.w = 0.01;
-  row.v = 0.1;
-  row.shards = 32;
-  row.withhold = 0;
+  row.cell.index = 3;
+  row.cell.protocol = "cpos";
+  row.cell.miners = 2;
+  row.cell.whales = 1;
+  row.cell.a = 0.2;
+  row.cell.w = 0.01;
+  row.cell.v = 0.1;
+  row.cell.shards = 32;
+  row.cell.withhold = 0;
   row.oracle = "cpos-martingale";
-  row.check = "mean";
-  row.statistic = 1.25;
-  row.p_value = 0.211;
+  row.result.check = "mean";
+  row.result.statistic = 1.25;
+  row.result.p_value = 0.211;
   row.threshold = 7.7e-05;
-  row.passed = true;
+  row.result.passed = true;
   return row;
 }
 
 TEST(VerdictCsvSinkTest, HeaderSchemaIsStable) {
   // Append-only contract: changing this line breaks downstream consumers.
-  EXPECT_EQ(VerdictCsvSink::Header(),
+  EXPECT_EQ(sim::CsvSink<VerdictRow>::Header(),
             "scenario,cell,protocol,miners,whales,a,w,v,shards,withhold,"
             "oracle,check,statistic,p_value,threshold,passed,detail");
 }
 
 TEST(VerdictCsvSinkTest, RowMatchesSchema) {
   std::ostringstream out;
-  VerdictCsvSink sink(out);
-  sink.BeginVerification(sim::ScenarioSpec{});
+  sim::CsvSink<VerdictRow> sink(out);
+  sink.Begin(sim::ScenarioSpec{});
   sink.WriteRow(SampleRow());
-  sink.EndVerification();
+  sink.End();
   const std::string text = out.str();
-  EXPECT_NE(text.find(VerdictCsvSink::Header() + "\n"), std::string::npos);
+  EXPECT_NE(text.find(sim::CsvSink<VerdictRow>::Header() + "\n"), std::string::npos);
   EXPECT_NE(text.find("fig2,3,cpos,2,1,0.2,0.01,0.1,32,0,cpos-martingale,"
                       "mean,1.25,0.211,7.7e-05,pass,"),
             std::string::npos);
@@ -55,10 +55,10 @@ TEST(VerdictCsvSinkTest, RowMatchesSchema) {
 
 TEST(VerdictCsvSinkTest, DetailWithCommasAndQuotesIsEscaped) {
   std::ostringstream out;
-  VerdictCsvSink sink(out);
+  sim::CsvSink<VerdictRow> sink(out);
   VerdictRow row = SampleRow();
-  row.passed = false;
-  row.detail = "mean 0.21 vs exact 0.2, z=\"4.2\"";
+  row.result.passed = false;
+  row.result.detail = "mean 0.21 vs exact 0.2, z=\"4.2\"";
   sink.WriteRow(row);
   // RFC 4180: the field is quoted, embedded quotes doubled.
   EXPECT_NE(out.str().find(",FAIL,\"mean 0.21 vs exact 0.2, z=\"\"4.2\"\"\""),
@@ -67,20 +67,20 @@ TEST(VerdictCsvSinkTest, DetailWithCommasAndQuotesIsEscaped) {
 
 TEST(VerdictCsvSinkTest, StructuralNanPValueRendersAsNan) {
   std::ostringstream out;
-  VerdictCsvSink sink(out);
+  sim::CsvSink<VerdictRow> sink(out);
   VerdictRow row = SampleRow();
-  row.check = "sanity";
-  row.p_value = std::numeric_limits<double>::quiet_NaN();
+  row.result.check = "sanity";
+  row.result.p_value = std::numeric_limits<double>::quiet_NaN();
   sink.WriteRow(row);
   EXPECT_NE(out.str().find("sanity,1.25,nan,"), std::string::npos);
 }
 
 TEST(VerdictJsonlSinkTest, NanPValueBecomesNullAndStringsAreEscaped) {
   std::ostringstream out;
-  VerdictJsonlSink sink(out);
+  sim::JsonlSink<VerdictRow> sink(out);
   VerdictRow row = SampleRow();
-  row.p_value = std::numeric_limits<double>::quiet_NaN();
-  row.detail = "lambda \"spike\"\nat step 5";
+  row.result.p_value = std::numeric_limits<double>::quiet_NaN();
+  row.result.detail = "lambda \"spike\"\nat step 5";
   sink.WriteRow(row);
   const std::string line = out.str();
   EXPECT_NE(line.find("\"p_value\":null"), std::string::npos);
@@ -92,7 +92,7 @@ TEST(VerdictJsonlSinkTest, NanPValueBecomesNullAndStringsAreEscaped) {
 
 TEST(VerdictJsonlSinkTest, RowHasEveryColumn) {
   std::ostringstream out;
-  VerdictJsonlSink sink(out);
+  sim::JsonlSink<VerdictRow> sink(out);
   sink.WriteRow(SampleRow());
   const std::string line = out.str();
   for (const char* key :

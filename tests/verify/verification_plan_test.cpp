@@ -86,8 +86,8 @@ TEST(VerifyCampaignTest, StreamsOrderedVerdictRowsAndPasses) {
   options.campaign.threads = 2;
 
   std::ostringstream csv;
-  VerdictCsvSink sink(csv);
-  std::vector<VerdictSink*> sinks = {&sink};
+  sim::CsvSink<VerdictRow> sink(csv);
+  std::vector<sim::RowSink<VerdictRow>*> sinks = {&sink};
   const VerificationReport report = VerifyCampaign(plan, options, sinks);
 
   EXPECT_TRUE(report.passed);
@@ -100,7 +100,7 @@ TEST(VerifyCampaignTest, StreamsOrderedVerdictRowsAndPasses) {
   std::istringstream lines(csv.str());
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, VerdictCsvSink::Header());
+  EXPECT_EQ(line, sim::CsvSink<VerdictRow>::Header());
   std::size_t rows = 0;
   std::size_t previous_cell = 0;
   while (std::getline(lines, line)) {
@@ -123,8 +123,8 @@ TEST(VerifyCampaignTest, ByteIdenticalVerdictsAcrossThreadCounts) {
     VerificationOptions options;
     options.campaign.threads = thread_counts[i];
     std::ostringstream csv;
-    VerdictCsvSink sink(csv);
-    std::vector<VerdictSink*> sinks = {&sink};
+    sim::CsvSink<VerdictRow> sink(csv);
+    std::vector<sim::RowSink<VerdictRow>*> sinks = {&sink};
     VerifyCampaign(plan, options, sinks);
     outputs[i] = csv.str();
   }
@@ -160,8 +160,8 @@ TEST(VerifyCampaignTest, ByteIdenticalVerdictsAcrossBackends) {
     VerificationOptions options;
     options.campaign.backend = backends[i];
     std::ostringstream csv;
-    VerdictCsvSink sink(csv);
-    std::vector<VerdictSink*> sinks = {&sink};
+    sim::CsvSink<VerdictRow> sink(csv);
+    std::vector<sim::RowSink<VerdictRow>*> sinks = {&sink};
     const VerificationReport report = VerifyCampaign(plan, options, sinks);
     EXPECT_TRUE(report.passed);
     outputs[i] = csv.str();
@@ -195,7 +195,7 @@ TEST(VerifyCampaignTest, WrongOracleIsRejected) {
   spec.protocols = {"pow"};
   const VerificationPlan plan(spec, &catalogue);
   VerificationOptions options;
-  const std::vector<VerdictSink*> no_sinks;
+  const std::vector<sim::RowSink<VerdictRow>*> no_sinks;
   const VerificationReport report = VerifyCampaign(plan, options, no_sinks);
   EXPECT_FALSE(report.passed);
   EXPECT_GE(report.failures, plan.cells().size());
@@ -205,9 +205,9 @@ TEST(VerifyCampaignTest, ForwardsCampaignRowsToRowSinks) {
   const VerificationPlan plan(TinySpec());
   VerificationOptions options;
   std::ostringstream campaign_csv;
-  sim::CsvSink row_sink(campaign_csv);
-  const std::vector<VerdictSink*> no_sinks;
-  std::vector<sim::ResultSink*> row_sinks = {&row_sink};
+  sim::CsvSink<sim::CampaignRow> row_sink(campaign_csv);
+  const std::vector<sim::RowSink<VerdictRow>*> no_sinks;
+  std::vector<sim::RowSink<sim::CampaignRow>*> row_sinks = {&row_sink};
   VerifyCampaign(plan, options, no_sinks, row_sinks);
   // 4 cells x 5 checkpoints + header.
   std::istringstream lines(campaign_csv.str());

@@ -335,7 +335,8 @@ int RunCampaign(const FlagSet& flags) {
   const sim::CampaignRunner runner(options);
 
   // Sinks: summary table on stdout, CSV + JSONL files unless --no-files.
-  sim::CampaignFileSinks sinks(spec.name);
+  sim::FileSinks<sim::CampaignRow, sim::SummarySink> sinks(
+      "campaign_" + spec.name + "_summary");
   std::string csv_path;
   std::string jsonl_path;
   if (!flags.GetBool("no-files")) {
@@ -451,7 +452,8 @@ int RunVerify(const FlagSet& flags) {
     spec.Validate();
     const verify::VerificationPlan plan(std::move(spec));
 
-    verify::VerdictFileSinks sinks(plan.spec().name);
+    sim::FileSinks<verify::VerdictRow, verify::VerdictSummarySink> sinks(
+        "verify_" + plan.spec().name + "_summary");
     std::string csv_path;
     std::string jsonl_path;
     if (!flags.GetBool("no-files")) {
