@@ -166,18 +166,22 @@ class CsvSink : public RowSink<Row> {
   }
 
   void WriteRow(const Row& row) override {
+    line_.clear();
     const char* separator = "";
     ForEachColumn(row, [&](const char*, const auto& value) {
-      out_ << separator << CsvValue(value);
+      line_ += separator;
+      line_ += CsvValue(value);
       separator = ",";
     });
-    out_ << '\n';
+    line_ += '\n';
+    out_ << line_;
   }
 
   void End() override { out_.flush(); }
 
  private:
   std::ostream& out_;
+  std::string line_;  // reused: one stream write per row
 };
 
 /// One JSON object per line, keyed by the CSV column names.
@@ -187,18 +191,25 @@ class JsonlSink : public RowSink<Row> {
   explicit JsonlSink(std::ostream& out) : out_(out) {}
 
   void WriteRow(const Row& row) override {
+    line_.clear();
     char open = '{';
     ForEachColumn(row, [&](const char* name, const auto& value) {
-      out_ << open << '"' << name << "\":" << JsonValue(value);
+      line_ += open;
+      line_ += '"';
+      line_ += name;
+      line_ += "\":";
+      line_ += JsonValue(value);
       open = ',';
     });
-    out_ << "}\n";
+    line_ += "}\n";
+    out_ << line_;
   }
 
   void End() override { out_.flush(); }
 
  private:
   std::ostream& out_;
+  std::string line_;  // reused: one stream write per row
 };
 
 /// Collects each cell's final checkpoint and prints an aligned summary

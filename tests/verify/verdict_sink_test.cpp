@@ -47,7 +47,8 @@ TEST(VerdictCsvSinkTest, RowMatchesSchema) {
   sink.WriteRow(SampleRow());
   sink.End();
   const std::string text = out.str();
-  EXPECT_NE(text.find(sim::CsvSink<VerdictRow>::Header() + "\n"), std::string::npos);
+  EXPECT_NE(text.find(sim::CsvSink<VerdictRow>::Header() + "\n"),
+            std::string::npos);
   EXPECT_NE(text.find("fig2,3,cpos,2,1,0.2,0.01,0.1,32,0,cpos-martingale,"
                       "mean,1.25,0.211,7.7e-05,pass,"),
             std::string::npos);
