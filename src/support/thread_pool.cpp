@@ -14,12 +14,13 @@ namespace fairchain {
 
 namespace {
 
-// One worker's deque.  A mutex per deque is ample here: the callers
-// schedule multi-hundred-microsecond chunks, so even a pathological steal
-// storm spends a vanishing fraction of its time under these locks.
+// One worker's deque of task indices.  A mutex per deque is ample here:
+// the callers schedule multi-hundred-microsecond chunks, so even a
+// pathological steal storm spends a vanishing fraction of its time under
+// these locks.
 struct StealableDeque {
   std::mutex mutex;
-  std::deque<std::function<void()>> tasks;
+  std::deque<std::size_t> tasks;
 };
 
 }  // namespace
@@ -38,8 +39,13 @@ std::uint64_t RunStealingBatch(unsigned threads,
   for (unsigned w = 0; w < workers; ++w) {
     deques.push_back(std::make_unique<StealableDeque>());
   }
+  // Workers get indices and run tasks in place, so every closure is
+  // freed on this thread when `tasks` goes out of scope.  A worker that
+  // freed a closure would reuse that memory, via its allocator cache, for
+  // its own hot replication state, right beside another worker's: false
+  // sharing that moved campaign CPU time by ~20% with the heap layout.
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    deques[i % workers]->tasks.push_back(std::move(tasks[i]));
+    deques[i % workers]->tasks.push_back(i);
   }
   std::atomic<std::uint64_t> steals{0};
   std::mutex failure_mutex;
@@ -48,11 +54,11 @@ std::uint64_t RunStealingBatch(unsigned threads,
   auto worker_loop = [&](unsigned self) {
     std::uint64_t executed = 0;
     for (;;) {
-      std::function<void()> task;
+      std::function<void()>* task = nullptr;
       {
         std::lock_guard<std::mutex> lock(deques[self]->mutex);
         if (!deques[self]->tasks.empty()) {
-          task = std::move(deques[self]->tasks.front());
+          task = &tasks[deques[self]->tasks.front()];
           deques[self]->tasks.pop_front();
         }
       }
@@ -75,7 +81,7 @@ std::uint64_t RunStealingBatch(unsigned threads,
         if (victim == workers) break;
         std::lock_guard<std::mutex> lock(deques[victim]->mutex);
         if (deques[victim]->tasks.empty()) continue;
-        task = std::move(deques[victim]->tasks.back());
+        task = &tasks[deques[victim]->tasks.back()];
         deques[victim]->tasks.pop_back();
         steals.fetch_add(1, std::memory_order_relaxed);
       }
@@ -83,7 +89,7 @@ std::uint64_t RunStealingBatch(unsigned threads,
       // means this worker is permanently out of work.
       if (!task) return;
       try {
-        task();
+        (*task)();
       } catch (...) {
         std::lock_guard<std::mutex> lock(failure_mutex);
         if (!failure) failure = std::current_exception();

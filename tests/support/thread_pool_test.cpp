@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -63,6 +65,36 @@ TEST(RunStealingBatchTest, IdleWorkersStealFromTheBusyOne) {
 
 // A throwing task must reach the caller, not std::terminate the process
 // from a worker thread, and the rest of the batch still runs.
+TEST(RunStealingBatchTest, TasksAreFreedOnTheCallingThread) {
+  // Workers only run tasks.  A worker that freed a closure allocated on
+  // the caller would recycle that memory for its own hot data, beside
+  // other workers' data.
+  struct Probe {
+    Probe(std::mutex* m, std::vector<std::thread::id>* ids)
+        : mutex(m), freed_on(ids) {}
+    Probe(const Probe&) = delete;
+    Probe& operator=(const Probe&) = delete;
+    std::mutex* mutex;
+    std::vector<std::thread::id>* freed_on;
+    ~Probe() {
+      const std::lock_guard<std::mutex> lock(*mutex);
+      freed_on->push_back(std::this_thread::get_id());
+    }
+  };
+  std::mutex mutex;
+  std::vector<std::thread::id> freed_on;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 16; ++i) {
+    auto probe = std::make_shared<Probe>(&mutex, &freed_on);
+    tasks.emplace_back([probe] { std::this_thread::yield(); });
+  }
+  RunStealingBatch(4, std::move(tasks));
+  ASSERT_EQ(freed_on.size(), 16u);
+  for (const std::thread::id id : freed_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(RunStealingBatchTest, FirstTaskExceptionIsRethrownAfterJoin) {
   std::atomic<int> ran{0};
   std::vector<std::function<void()>> tasks;
