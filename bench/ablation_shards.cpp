@@ -15,7 +15,7 @@ int main() {
   using namespace fairchain;
   namespace exp = core::experiments;
 
-  auto config = bench::FigureConfig(exp::kDefaultSteps, 6000, 300, 25);
+  auto config = bench::FigureConfig(exp::kDefaultSteps, 6000, 25);
   bench::Banner("Ablation", "C-PoS shard count sweep (a = 0.2, w = 0.01)",
                 config);
   const core::FairnessSpec spec = exp::DefaultSpec();
@@ -41,7 +41,7 @@ int main() {
               ? "yes"
               : "no"));
     }
-    table.Emit("ablation_shards_v" + std::to_string(v));
+    table.Emit();
   }
 
   std::printf(

@@ -9,21 +9,17 @@
 
 #include "core/experiments.hpp"
 #include "core/monte_carlo.hpp"
-#include "support/env.hpp"
 #include "support/table.hpp"
 
 namespace fairchain::bench {
 
-/// Standard simulation configuration for a figure: paper-scale replication
-/// counts by default, scaled down under FAIRCHAIN_FAST / FAIRCHAIN_REPS.
+/// Standard simulation configuration for a figure at paper scale.
 inline core::SimulationConfig FigureConfig(std::uint64_t steps,
-                                           std::uint64_t default_reps,
-                                           std::uint64_t fast_reps,
+                                           std::uint64_t replications,
                                            std::size_t checkpoints = 50) {
   core::SimulationConfig config;
-  config.steps = FastModeEnabled() ? std::min<std::uint64_t>(steps, 1000)
-                                   : steps;
-  config.replications = EnvReps(default_reps, fast_reps);
+  config.steps = steps;
+  config.replications = replications;
   config.seed = 20210620;
   config.checkpoints = core::LinearCheckpoints(config.steps, checkpoints);
   return config;
@@ -34,10 +30,9 @@ inline void Banner(const std::string& id, const std::string& what,
                    const core::SimulationConfig& config) {
   std::printf("================================================================\n");
   std::printf("%s — %s\n", id.c_str(), what.c_str());
-  std::printf("horizon n = %llu, replications = %llu%s\n",
+  std::printf("horizon n = %llu, replications = %llu\n",
               static_cast<unsigned long long>(config.steps),
-              static_cast<unsigned long long>(config.replications),
-              FastModeEnabled() ? "  [FAIRCHAIN_FAST]" : "");
+              static_cast<unsigned long long>(config.replications));
   std::printf("================================================================\n\n");
 }
 

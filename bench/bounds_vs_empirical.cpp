@@ -19,7 +19,7 @@ int main() {
   const core::FairnessSpec spec = exp::DefaultSpec();
   const double a = exp::kDefaultA;
   const std::uint64_t horizons[] = {250, 500, 1000, 2500, 5000};
-  const std::uint64_t reps = EnvReps(10000, 400);
+  const std::uint64_t reps = 10000;
 
   std::printf(
       "================================================================\n"
@@ -55,7 +55,7 @@ int main() {
       table.Cell(bound, 4);
       table.Cell(std::string(empirical <= bound + 0.02 ? "yes" : "NO"));
     }
-    table.Emit("bounds_pow");
+    table.Emit();
   }
 
   // ML-PoS.
@@ -77,7 +77,7 @@ int main() {
       table.Cell(bound, 4);
       table.Cell(std::string(empirical <= bound + 0.02 ? "yes" : "NO"));
     }
-    table.Emit("bounds_mlpos");
+    table.Emit();
   }
 
   // C-PoS.
@@ -105,7 +105,7 @@ int main() {
                                  ? "yes"
                                  : "no"));
     }
-    table.Emit("bounds_cpos");
+    table.Emit();
   }
 
   std::printf(

@@ -41,7 +41,7 @@ double SimulatedRevenueShare(double alpha, double gamma,
 }  // namespace
 
 int main() {
-  const std::uint64_t events = FastModeEnabled() ? 200000 : 2000000;
+  const std::uint64_t events = 2000000;
   std::printf(
       "================================================================\n"
       "Extension — selfish mining vs PoW expectational fairness\n"
@@ -66,7 +66,7 @@ int main() {
       table.Cell(SimulatedRevenueShare(alpha, gamma, events, seed), 4);
     }
   }
-  table.Emit("ext_selfish_mining");
+  table.Emit();
 
   Table thresholds({"gamma", "profitability threshold alpha"});
   thresholds.SetTitle("Eyal-Sirer thresholds: alpha above which selfish "
@@ -76,7 +76,7 @@ int main() {
     thresholds.Cell(gamma, 2);
     thresholds.Cell(core::SelfishMiningThreshold(gamma), 4);
   }
-  thresholds.Emit("ext_selfish_thresholds");
+  thresholds.Emit();
 
   std::printf(
       "Above the threshold the pool's lambda exceeds alpha: PoW's "

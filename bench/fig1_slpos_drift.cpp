@@ -6,14 +6,15 @@
 // probability and drift f(Z) over a share grid (the plotted curve), the
 // drift's zero set with stability classification (Theorem 4.9), and an
 // empirical cross-check of the win probability at the paper's highlighted
-// shares.
+// shares.  The game-level leg (the drift played out over whole mining games)
+// is the registry scenario: `fairchain campaign fig1`.
 
 #include <cstdio>
 
-#include "campaign_common.hpp"
 #include "core/stochastic_approximation.hpp"
 #include "protocol/win_probability.hpp"
 #include "support/rng.hpp"
+#include "support/table.hpp"
 
 int main() {
   using namespace fairchain;
@@ -39,7 +40,7 @@ int main() {
                            : drift > 1e-12 ? "toward 1"
                                            : "equilibrium"));
   }
-  curve.Emit("fig1_curve");
+  curve.Emit();
 
   Table zeros({"zero point", "stable", "interpretation"});
   zeros.SetTitle("Zero set of the drift (Theorem 4.9)");
@@ -52,7 +53,7 @@ int main() {
         : zero.location > 0.75 ? "miner A monopolises"
                                : "knife edge: never converged to"));
   }
-  zeros.Emit("fig1_zeros");
+  zeros.Emit();
 
   // Empirical cross-check at the paper's highlighted shares.
   Table check({"share Z", "closed form", "simulated (1e6 lotteries)"});
@@ -71,12 +72,7 @@ int main() {
     check.Cell(protocol::SlPosTwoMinerWinProbability(z, 1.0 - z), 4);
     check.Cell(static_cast<double>(wins) / trials, 4);
   }
-  check.Emit("fig1_check");
-
-  // Game-level leg: the registry's fig1 scenario plays the drift out over
-  // whole mining games at the highlighted shares.
-  std::printf("\n");
-  bench::RunScenarioCampaign("fig1");
+  check.Emit();
 
   std::printf(
       "Shape vs paper: win probability below the diagonal for Z < 1/2 and\n"

@@ -1,15 +1,14 @@
 // Figure 2: "Evolution of λ_A along with the number n of blocks under
-// a = 0.2, w = 0.01 and v = 0.1" — the four-protocol panel set, now a thin
-// wrapper over the registry's `fig2` scenario run through the campaign
-// runner (full per-checkpoint evolution streams to FAIRCHAIN_CSV_DIR as
-// CSV/JSONL).  The real-system leg (the paper's green bars from
-// Geth / Qtum / NXT on EC2) is substituted by the hash-level chain engines
-// at the paper's smaller repeat counts.
+// a = 0.2, w = 0.01 and v = 0.1" — the real-system leg.  The paper's green
+// bars (Geth / Qtum / NXT on EC2) are substituted by the hash-level chain
+// engines at the paper's smaller repeat counts.  The four model panels are
+// the registry scenario: `fairchain campaign fig2`.
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
-#include "campaign_common.hpp"
 #include "chain/mining_game.hpp"
 #include "support/stats.hpp"
 
@@ -32,15 +31,13 @@ void PrintChainBar(const char* name, const std::vector<double>& lambdas) {
 int main() {
   using namespace fairchain;
 
-  bench::RunScenarioCampaign("fig2");
-
   // Real-system analog: hash-level chain games (paper: 10 PoW / 500 PoS
-  // repeats; we default to 10 / 200 and honour FAIRCHAIN_FAST).
+  // repeats; we run 10 / 200).
   std::printf(
-      "\nReal-system analog (hash-level chain substrate, n = 1000):\n");
-  const std::uint64_t pow_reps = FastModeEnabled() ? 3 : 10;
-  const std::uint64_t pos_reps = EnvReps(200, 25);
-  const std::uint64_t chain_blocks = FastModeEnabled() ? 200 : 1000;
+      "Real-system analog (hash-level chain substrate, n = 1000):\n");
+  const std::uint64_t pow_reps = 10;
+  const std::uint64_t pos_reps = 200;
+  const std::uint64_t chain_blocks = 1000;
 
   PrintChainBar("PoW/chain",
                 chain::ReplicatedRewardFractions(

@@ -43,11 +43,13 @@
 #include <string>
 #include <vector>
 
+#include "support/env.hpp"
+
 namespace fairchain::core {
 
 /// Upper bound on worker threads and shard processes (`--threads`,
-/// ThreadPoolBackend and `shard:<N>` all enforce it).
-inline constexpr unsigned kMaxWorkers = 4096;
+/// ThreadPoolBackend, `shard:<N>` and FAIRCHAIN_THREADS all enforce it).
+inline constexpr unsigned kMaxWorkers = kMaxThreads;
 
 /// Computes chunk j's payload.  Runs on a worker thread or, on the shard
 /// backend, in a forked worker process.

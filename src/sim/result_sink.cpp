@@ -78,7 +78,7 @@ void SummarySink::End() {
     table.Cell(row.stats.gini, 3);
     table.Cell(core::experiments::FormatConvergence(row.convergence_step));
   }
-  table.Emit(emit_basename_);
+  table.Emit();
 }
 
 // ---------------------------------------------------------------------------

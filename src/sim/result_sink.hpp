@@ -21,7 +21,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/monte_carlo.hpp"
@@ -30,7 +29,7 @@
 namespace fairchain::sim {
 
 // String escaping (EscapeCsvField / EscapeJsonString) lives in
-// support/escape.hpp, shared with Table::WriteCsv.
+// support/escape.hpp, shared with obs/export.
 
 /// JSON-safe number rendering: FormatDouble for finite values, `null` for
 /// NaN / ±Inf (bare nan/inf tokens are not valid JSON).
@@ -213,20 +212,15 @@ class JsonlSink : public RowSink<Row> {
 };
 
 /// Collects each cell's final checkpoint and prints an aligned summary
-/// Table (one row per cell) at End — the human-facing view the CLI and the
-/// bench wrappers show.
+/// Table (one row per cell) to stdout at End — the human-facing view the
+/// CLI shows.
 class SummarySink : public RowSink<CampaignRow> {
  public:
-  /// `emit_basename` feeds Table::Emit (stdout + FAIRCHAIN_CSV_DIR copy).
-  explicit SummarySink(std::string emit_basename)
-      : emit_basename_(std::move(emit_basename)) {}
-
   void Begin(const ScenarioSpec& spec) override;
   void WriteRow(const CampaignRow& row) override;
   void End() override;
 
  private:
-  std::string emit_basename_;
   std::string title_;
   std::vector<CampaignRow> final_rows_;
 };
@@ -239,14 +233,12 @@ bool OpenFilePair(const std::string& first_path,
 
 /// The standard sink trio every campaign and verify entry point uses: a
 /// stdout `Summary` sink plus optional streaming CSV and JSONL file sinks.
-/// Owning the streams and the wiring here keeps the CLI and the bench
-/// wrappers consistent.
+/// Owning the streams and the wiring here keeps `campaign` and `verify`
+/// consistent.
 template <typename Row, typename Summary>
 class FileSinks {
  public:
-  /// `summary_basename` feeds the summary's Table::Emit.
-  explicit FileSinks(std::string summary_basename)
-      : summary_(std::move(summary_basename)) {}
+  FileSinks() = default;
   // The file sinks hold references to the streams below.
   FileSinks(const FileSinks&) = delete;
   FileSinks& operator=(const FileSinks&) = delete;

@@ -1,6 +1,9 @@
 #include "support/env.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 namespace fairchain {
@@ -11,38 +14,19 @@ std::optional<std::string> GetEnv(const std::string& name) {
   return std::string(value);
 }
 
-std::uint64_t GetEnvU64(const std::string& name, std::uint64_t fallback) {
-  auto raw = GetEnv(name);
-  if (!raw) return fallback;
-  try {
-    const unsigned long long parsed = std::stoull(*raw);
-    return static_cast<std::uint64_t>(parsed);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-double GetEnvDouble(const std::string& name, double fallback) {
-  auto raw = GetEnv(name);
-  if (!raw) return fallback;
-  try {
-    return std::stod(*raw);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-bool FastModeEnabled() { return GetEnvU64("FAIRCHAIN_FAST", 0) != 0; }
-
-std::uint64_t EnvReps(std::uint64_t fallback, std::uint64_t fast_fallback) {
-  auto explicit_reps = GetEnv("FAIRCHAIN_REPS");
-  if (explicit_reps) return GetEnvU64("FAIRCHAIN_REPS", fallback);
-  return FastModeEnabled() ? fast_fallback : fallback;
-}
-
 unsigned EnvThreads() {
-  const std::uint64_t configured = GetEnvU64("FAIRCHAIN_THREADS", 0);
-  if (configured > 0) return static_cast<unsigned>(configured);
+  if (const auto raw = GetEnv("FAIRCHAIN_THREADS")) {
+    std::uint64_t threads = 0;
+    const char* end = raw->data() + raw->size();
+    const auto [ptr, error] = std::from_chars(raw->data(), end, threads);
+    if (error != std::errc() || ptr != end || threads == 0 ||
+        threads > kMaxThreads) {
+      throw std::invalid_argument(
+          "FAIRCHAIN_THREADS must be a whole number in [1, " +
+          std::to_string(kMaxThreads) + "], got '" + *raw + "'");
+    }
+    return static_cast<unsigned>(threads);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -1,41 +1,27 @@
-// Environment-variable helpers used by the experiment harness.
+// Environment-variable helpers.
 //
-// The benchmark binaries mirror the paper's replication counts by default
-// (e.g. 10,000 Monte Carlo repetitions).  On small machines these can be
-// scaled down without recompiling:
+// FAIRCHAIN_THREADS sets the default worker-thread count wherever a caller
+// passes 0 threads (the CLI's campaign and verify when --threads is absent):
 //
-//   FAIRCHAIN_REPS=500  ./build/bench/fig2_lambda_evolution
-//   FAIRCHAIN_FAST=1    ./build/bench/table1_multiminer   (CI-sized run)
-//   FAIRCHAIN_THREADS=8 ...                               (worker threads)
+//   FAIRCHAIN_THREADS=8 ./build/fairchain_cli campaign fig3
 
 #ifndef FAIRCHAIN_SUPPORT_ENV_HPP_
 #define FAIRCHAIN_SUPPORT_ENV_HPP_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
 namespace fairchain {
 
+/// Upper bound on worker threads (core::kMaxWorkers is this bound).
+inline constexpr unsigned kMaxThreads = 4096;
+
 /// Reads an environment variable; returns std::nullopt when unset or empty.
 std::optional<std::string> GetEnv(const std::string& name);
 
-/// Reads an integer-valued environment variable.  Returns `fallback` when the
-/// variable is unset or does not parse as a non-negative integer.
-std::uint64_t GetEnvU64(const std::string& name, std::uint64_t fallback);
-
-/// Reads a floating-point environment variable with a fallback.
-double GetEnvDouble(const std::string& name, double fallback);
-
-/// True when FAIRCHAIN_FAST is set to a non-zero value.  Benchmarks use this
-/// to select a CI-sized configuration (fewer repetitions, shorter horizons).
-bool FastModeEnabled();
-
-/// Repetition count for Monte Carlo experiments: FAIRCHAIN_REPS when set,
-/// otherwise `fast_fallback` under FAIRCHAIN_FAST=1, otherwise `fallback`.
-std::uint64_t EnvReps(std::uint64_t fallback, std::uint64_t fast_fallback);
-
-/// Worker-thread count: FAIRCHAIN_THREADS when set, else hardware concurrency.
+/// Worker-thread count: FAIRCHAIN_THREADS when set, else hardware
+/// concurrency.  Throws std::invalid_argument, naming the variable, when it
+/// is set to anything but a whole number in [1, kMaxThreads].
 unsigned EnvThreads();
 
 }  // namespace fairchain

@@ -1,6 +1,7 @@
-// Text-escaping helpers shared by every tabular/streaming output surface
-// (support/table.cpp's CSV mirror, the sim campaign sinks, the verify
-// verdict sinks).  One implementation so the formats cannot drift.
+// Text-escaping helpers shared by every streaming output surface (the
+// campaign and verdict rows' CsvValue / JsonValue in sim/result_sink, and
+// obs/export's trace and metrics JSON).  One implementation so the formats
+// cannot drift.
 
 #ifndef FAIRCHAIN_SUPPORT_ESCAPE_HPP_
 #define FAIRCHAIN_SUPPORT_ESCAPE_HPP_

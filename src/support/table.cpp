@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
-
-#include "support/env.hpp"
-#include "support/escape.hpp"
 
 namespace fairchain {
 
@@ -74,34 +70,9 @@ void Table::Print(std::ostream& out) const {
   for (const auto& row : cells_) print_row(row);
 }
 
-void Table::WriteCsv(std::ostream& out) const {
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c > 0) out << ",";
-    out << EscapeCsvField(headers_[c]);
-  }
-  out << "\n";
-  for (const auto& row : cells_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ",";
-      out << EscapeCsvField(row[c]);
-    }
-    out << "\n";
-  }
-}
-
-void Table::Emit(const std::string& basename) const {
+void Table::Emit() const {
   Print(std::cout);
   std::cout << std::endl;
-  if (auto dir = GetEnv("FAIRCHAIN_CSV_DIR")) {
-    const std::string path = *dir + "/" + basename + ".csv";
-    std::ofstream file(path);
-    if (file) {
-      WriteCsv(file);
-      std::cout << "[csv] wrote " << path << "\n";
-    } else {
-      std::cerr << "[csv] could not open " << path << "\n";
-    }
-  }
 }
 
 }  // namespace fairchain

@@ -1,8 +1,9 @@
-// Console table / CSV rendering for the experiment harness.
+// Console table rendering for the CLI and the bench binaries.
 //
-// Every bench binary prints its figure or table through this class so output
-// is uniform: an aligned ASCII table on stdout and, when FAIRCHAIN_CSV_DIR is
-// set, a CSV file per experiment for plotting.
+// Every human-facing table (campaign and verify summaries, the CLI's
+// reports, the bench figures) prints through this class, so output is
+// uniform: an aligned ASCII table on stdout.  Machine-readable output is
+// the campaign and verdict CSV/JSONL of sim/result_sink.hpp.
 
 #ifndef FAIRCHAIN_SUPPORT_TABLE_HPP_
 #define FAIRCHAIN_SUPPORT_TABLE_HPP_
@@ -43,12 +44,8 @@ class Table {
   /// Renders an aligned ASCII table.
   void Print(std::ostream& out) const;
 
-  /// Writes RFC-4180-ish CSV (quotes applied only when needed).
-  void WriteCsv(std::ostream& out) const;
-
-  /// Convenience: Print to stdout and, if FAIRCHAIN_CSV_DIR is set, write
-  /// `<dir>/<basename>.csv`.
-  void Emit(const std::string& basename) const;
+  /// Prints to stdout, followed by a blank line.
+  void Emit() const;
 
  private:
   std::string title_;

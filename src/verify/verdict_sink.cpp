@@ -53,7 +53,7 @@ void VerdictSummarySink::End() {
                    ? std::string("pass")
                    : "FAIL(" + summary.failed_checks + ")");
   }
-  table.Emit(emit_basename_);
+  table.Emit();
 }
 
 }  // namespace fairchain::verify

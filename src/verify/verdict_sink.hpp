@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/result_sink.hpp"
@@ -47,13 +46,9 @@ void ForEachColumn(const VerdictRow& row, F&& f) {
 }
 
 /// Collects per-cell outcomes and prints an aligned summary table (one row
-/// per cell) at End — the human-facing view the CLI shows.
+/// per cell) to stdout at End — the human-facing view the CLI shows.
 class VerdictSummarySink : public sim::RowSink<VerdictRow> {
  public:
-  /// `emit_basename` feeds Table::Emit (stdout + FAIRCHAIN_CSV_DIR copy).
-  explicit VerdictSummarySink(std::string emit_basename)
-      : emit_basename_(std::move(emit_basename)) {}
-
   void Begin(const sim::ScenarioSpec& spec) override;
   void WriteRow(const VerdictRow& row) override;
   void End() override;
@@ -70,7 +65,6 @@ class VerdictSummarySink : public sim::RowSink<VerdictRow> {
     std::string failed_checks;
   };
 
-  std::string emit_basename_;
   std::string title_;
   std::vector<CellSummary> cells_;
 };

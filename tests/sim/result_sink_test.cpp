@@ -278,7 +278,7 @@ TEST(FileSinksTest, FailedOpenLeavesTheOtherFileUntouched) {
   for (const bool bad_second : {true, false}) {
     std::ofstream(existing) << "keep me\n";
     for (const std::string& good : {existing, fresh}) {
-      FileSinks<CampaignRow, SummarySink> sinks("unused_summary");
+      FileSinks<CampaignRow, SummarySink> sinks;
       EXPECT_FALSE(bad_second ? sinks.OpenFiles(good, bad)
                               : sinks.OpenFiles(bad, good));
       EXPECT_EQ(sinks.sinks().size(), 1u);  // summary only

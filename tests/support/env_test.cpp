@@ -3,6 +3,8 @@
 #include "support/env.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,6 @@ class EnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
     unsetenv("FAIRCHAIN_TEST_VAR");
-    unsetenv("FAIRCHAIN_FAST");
-    unsetenv("FAIRCHAIN_REPS");
     unsetenv("FAIRCHAIN_THREADS");
   }
   void TearDown() override { SetUp(); }
@@ -34,45 +34,6 @@ TEST_F(EnvTest, GetEnvReturnsValue) {
   EXPECT_EQ(GetEnv("FAIRCHAIN_TEST_VAR").value(), "hello");
 }
 
-TEST_F(EnvTest, GetEnvU64ParsesNumbers) {
-  setenv("FAIRCHAIN_TEST_VAR", "12345", 1);
-  EXPECT_EQ(GetEnvU64("FAIRCHAIN_TEST_VAR", 7), 12345u);
-}
-
-TEST_F(EnvTest, GetEnvU64FallsBackOnGarbage) {
-  setenv("FAIRCHAIN_TEST_VAR", "not-a-number", 1);
-  EXPECT_EQ(GetEnvU64("FAIRCHAIN_TEST_VAR", 7), 7u);
-}
-
-TEST_F(EnvTest, GetEnvU64FallsBackWhenUnset) {
-  EXPECT_EQ(GetEnvU64("FAIRCHAIN_TEST_VAR", 99), 99u);
-}
-
-TEST_F(EnvTest, GetEnvDoubleParses) {
-  setenv("FAIRCHAIN_TEST_VAR", "0.25", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("FAIRCHAIN_TEST_VAR", 1.0), 0.25);
-}
-
-TEST_F(EnvTest, FastModeOffByDefault) { EXPECT_FALSE(FastModeEnabled()); }
-
-TEST_F(EnvTest, FastModeOnWhenSet) {
-  setenv("FAIRCHAIN_FAST", "1", 1);
-  EXPECT_TRUE(FastModeEnabled());
-}
-
-TEST_F(EnvTest, EnvRepsDefault) { EXPECT_EQ(EnvReps(1000, 50), 1000u); }
-
-TEST_F(EnvTest, EnvRepsFastFallback) {
-  setenv("FAIRCHAIN_FAST", "1", 1);
-  EXPECT_EQ(EnvReps(1000, 50), 50u);
-}
-
-TEST_F(EnvTest, EnvRepsExplicitOverridesFast) {
-  setenv("FAIRCHAIN_FAST", "1", 1);
-  setenv("FAIRCHAIN_REPS", "77", 1);
-  EXPECT_EQ(EnvReps(1000, 50), 77u);
-}
-
 TEST_F(EnvTest, EnvThreadsExplicit) {
   setenv("FAIRCHAIN_THREADS", "3", 1);
   EXPECT_EQ(EnvThreads(), 3u);
@@ -80,6 +41,37 @@ TEST_F(EnvTest, EnvThreadsExplicit) {
 
 TEST_F(EnvTest, EnvThreadsDefaultsPositive) {
   EXPECT_GE(EnvThreads(), 1u);
+}
+
+TEST_F(EnvTest, EnvThreadsEmptyKeepsTheHardwareDefault) {
+  const unsigned hardware = EnvThreads();
+  setenv("FAIRCHAIN_THREADS", "", 1);
+  EXPECT_EQ(EnvThreads(), hardware);
+}
+
+TEST_F(EnvTest, EnvThreadsAcceptsTheBounds) {
+  setenv("FAIRCHAIN_THREADS", "1", 1);
+  EXPECT_EQ(EnvThreads(), 1u);
+  setenv("FAIRCHAIN_THREADS", "4096", 1);
+  EXPECT_EQ(EnvThreads(), 4096u);
+}
+
+// Each value must fail with a message naming the variable rather than wrap
+// (2^32 + 1 narrows to 1), run on a numeric prefix (12abc), fall back to the
+// hardware count (abc), or mean "no workers" (0).
+TEST_F(EnvTest, EnvThreadsRejectsAnythingButAWholeNumberInRange) {
+  for (const char* value :
+       {"4294967297", "12abc", "abc", "0", "4097", "-1", " 4", "4 "}) {
+    setenv("FAIRCHAIN_THREADS", value, 1);
+    try {
+      EnvThreads();
+      ADD_FAILURE() << "FAIRCHAIN_THREADS=" << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("FAIRCHAIN_THREADS"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

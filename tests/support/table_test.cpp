@@ -1,4 +1,4 @@
-// Tests for the table / CSV renderer.
+// Tests for the console table renderer.
 
 #include "support/table.hpp"
 
@@ -49,27 +49,6 @@ TEST(TableTest, ScientificFormatting) {
   std::ostringstream out;
   table.Print(out);
   EXPECT_NE(out.str().find("1.23e-04"), std::string::npos);
-}
-
-TEST(TableTest, CsvEscapesCommasAndQuotes) {
-  Table table({"name", "note"});
-  table.AddRow();
-  table.Cell(std::string("a,b"));
-  table.Cell(std::string("say \"hi\""));
-  std::ostringstream out;
-  table.WriteCsv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(TableTest, CsvPlainValuesUnquoted) {
-  Table table({"x"});
-  table.AddRow();
-  table.Cell(std::string("plain"));
-  std::ostringstream out;
-  table.WriteCsv(out);
-  EXPECT_EQ(out.str(), "x\nplain\n");
 }
 
 TEST(TableTest, AlignedColumnsHaveEqualWidths) {

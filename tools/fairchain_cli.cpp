@@ -72,25 +72,28 @@ int Usage() {
       "            [--a 0.2] [--w 0.01] [--v 0.1] [--shards 32] [--n 5000]\n"
       "            [--reps 10000] [--withhold 0] [--eps 0.1] [--delta 0.1]\n"
       "            [--seed 20210620]\n"
-      "  campaign  <name|spec-file> [--reps N] [--steps N] [--seed S]\n"
+      "  campaign  <name|spec-file> [grid overrides]\n"
       "            [--threads T] [--backend serial|pool|shard:N]\n"
       "            [--csv FILE] [--jsonl FILE] [--no-files]\n"
       "            [--store DIR] [--resume] [--no-cache]\n"
       "            [--trace FILE] [--metrics FILE] [--progress]\n"
-      "            [--protocols p1,p2] [--a 0.1,0.2] [--w ...] [--v ...]\n"
-      "            [--miners ...] [--whales ...] [--shards ...]\n"
-      "            [--withhold ...] [--checkpoints N] [--spacing linear|log]\n"
-      "            [--eps E] [--delta D] [--final_lambdas on|off]\n"
-      "            [--family incentive|chain|mixed] [--gamma 0,0.5,1] "
-      "[--delay 0,0.1]\n"
       "  scenarios [name]   list registered scenarios grouped by family\n"
       "            (paper / population / chain-dynamics) / describe one\n"
-      "  verify    <name|spec-file>|--all  [--reps N] [--steps N] [--seed S]\n"
+      "  verify    <name|spec-file>|--all  [grid overrides]\n"
       "            [--threads T] [--backend serial|pool|shard:N] [--alpha A]\n"
       "            [--csv FILE] [--jsonl FILE] [--no-files]\n"
       "            [--store DIR] [--resume] [--no-cache]\n"
       "            [--trace FILE] [--metrics FILE]\n"
       "            check scenario(s) against analytic oracles\n"
+      "  grid overrides (campaign and verify; each replaces the spec's key):\n"
+      "            [--reps N] [--steps N] [--seed S]\n"
+      "            [--family incentive|chain|mixed] [--protocols p1,p2]\n"
+      "            [--a 0.1,0.2] [--w ...] [--v ...] [--miners ...]\n"
+      "            [--whales ...] [--shards ...] [--withhold ...]\n"
+      "            [--stakes split|pareto:A|zipf:S,...] [--gamma 0,0.5,1]\n"
+      "            [--delay 0,0.1] [--checkpoints N] [--spacing linear|log]\n"
+      "            [--eps E] [--delta D] [--population on|off]\n"
+      "            [--final_lambdas on|off]\n"
       "  bound     --protocol pow|mlpos|cpos [--a] [--w] [--v] [--shards] "
       "[--n]\n"
       "  design    [--a 0.2] [--w 0.01] [--shards 32] [--eps] [--delta]\n"
@@ -166,7 +169,7 @@ int RunSimulate(const FlagSet& flags) {
   table.AddRow();
   table.Cell(std::string("equitability (normalised variance)"));
   table.Cell(equitability.normalised_variance, 6);
-  table.Emit("cli_simulate");
+  table.Emit();
   return 0;
 }
 
@@ -276,7 +279,7 @@ int ExportObservability(const FlagSet& flags, const char* command) {
     std::printf("wrote metrics %s\n", path.c_str());
   }
   std::printf("\n");
-  obs::MetricsSummaryTable().Emit("observability_summary");
+  obs::MetricsSummaryTable().Emit();
   return 0;
 }
 
@@ -296,8 +299,11 @@ void PrintStoreStats(const store::CampaignStore* store) {
 
 // --threads (default EnvThreads()), bounded like shard:<N> so a count
 // that would wrap or mean "no workers" fails instead of reaching the banner.
+// FAIRCHAIN_THREADS is read only when --threads is absent; EnvThreads checks
+// the same bound and names the variable when it fails.
 unsigned ThreadsFlag(const FlagSet& flags, const std::string& command) {
-  const std::uint64_t threads = flags.GetU64("threads", EnvThreads());
+  if (!flags.Has("threads")) return EnvThreads();
+  const std::uint64_t threads = flags.GetU64("threads", 0);
   if (threads == 0 || threads > core::kMaxWorkers) {
     throw std::invalid_argument(
         command + ": --threads must be in [1, " +
@@ -335,8 +341,7 @@ int RunCampaign(const FlagSet& flags) {
   const sim::CampaignRunner runner(options);
 
   // Sinks: summary table on stdout, CSV + JSONL files unless --no-files.
-  sim::FileSinks<sim::CampaignRow, sim::SummarySink> sinks(
-      "campaign_" + spec.name + "_summary");
+  sim::FileSinks<sim::CampaignRow, sim::SummarySink> sinks;
   std::string csv_path;
   std::string jsonl_path;
   if (!flags.GetBool("no-files")) {
@@ -452,8 +457,7 @@ int RunVerify(const FlagSet& flags) {
     spec.Validate();
     const verify::VerificationPlan plan(std::move(spec));
 
-    sim::FileSinks<verify::VerdictRow, verify::VerdictSummarySink> sinks(
-        "verify_" + plan.spec().name + "_summary");
+    sim::FileSinks<verify::VerdictRow, verify::VerdictSummarySink> sinks;
     std::string csv_path;
     std::string jsonl_path;
     if (!flags.GetBool("no-files")) {
@@ -548,7 +552,7 @@ int RunScenarios(const FlagSet& flags) {
       table.Cell(spec.description);
     }
     if (any) {
-      table.Emit("cli_scenarios");
+      table.Emit();
       std::printf("\n");
     }
   }
@@ -609,7 +613,7 @@ int RunBound(const FlagSet& flags) {
     std::fprintf(stderr, "bound: unknown protocol '%s'\n", name.c_str());
     return Usage();
   }
-  table.Emit("cli_bound");
+  table.Emit();
   return 0;
 }
 
@@ -635,7 +639,7 @@ int RunDesign(const FlagSet& flags) {
   table.Cell(std::string("C-PoS"));
   table.Cell(std::string("minimum inflation at w, P (Thm 4.10)"));
   table.CellSci(core::CPosMinInflationForFairness(w, shards, a, spec), 3);
-  table.Emit("cli_design");
+  table.Emit();
   return 0;
 }
 
@@ -690,7 +694,7 @@ int RunWinProb(const FlagSet& flags) {
                6);
     table.Cell(state.StakeShare(i), 6);
   }
-  table.Emit("cli_winprob");
+  table.Emit();
   return 0;
 }
 
