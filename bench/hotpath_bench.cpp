@@ -421,8 +421,17 @@ void BM_ZeroAllocSteadyState_CPos(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(0)),
                 /*population=*/false);
 }
-// m = 10 probes the m <= P count path, m = 1000 the slot path.
-BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(10)->Arg(1000);
+// m = 2 and m = 10 probe the m <= P count path (inline binomial draws,
+// untracked credits), m = 1000 the slot path.
+BENCHMARK(BM_ZeroAllocSteadyState_CPos)->Arg(2)->Arg(10)->Arg(1000);
+
+void BM_ZeroAllocSteadyState_SlPos(benchmark::State& state) {
+  ZeroAllocLoop(state, protocol::SlPosModel(0.01),
+                static_cast<std::size_t>(state.range(0)),
+                /*population=*/false);
+}
+// SL-PoS: the untracked credit arm at one credit per step.
+BENCHMARK(BM_ZeroAllocSteadyState_SlPos)->Arg(10);
 
 // Same property for the chain-dynamics kernel: after a warm-up
 // replication registers the kernel's counters, a full chain replication —

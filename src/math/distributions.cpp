@@ -39,9 +39,10 @@ double PowBySquaring(double base, std::uint64_t exponent) {
 }
 
 // CDF inversion starting from k = 0: one uniform, O(np) expected steps.
-// Only called while q^n stays far above the double underflow threshold.
-std::uint64_t BinomialInversionFromZero(RngStream& rng, std::uint64_t n,
-                                        double p) {
+// The n > 64 twin of detail::BinomialInversionFromZero, only called while
+// q^n stays far above the double underflow threshold.
+std::uint64_t LargeBinomialInversionFromZero(RngStream& rng, std::uint64_t n,
+                                             double p) {
   const double q = 1.0 - p;
   const double s = p / q;
   double pmf = PowBySquaring(q, n);
@@ -93,21 +94,24 @@ std::uint64_t BinomialInversionFromMode(RngStream& rng, std::uint64_t n,
 
 }  // namespace
 
-std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n, double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("SampleBinomial: p outside [0, 1]");
-  }
-  if (n == 0 || p == 0.0) return 0;
-  if (p == 1.0) return n;
+namespace detail {
+
+void ThrowBinomialProbability() {
+  throw std::invalid_argument("SampleBinomial: p outside [0, 1]");
+}
+
+std::uint64_t SampleLargeBinomial(RngStream& rng, std::uint64_t n, double p) {
   // Exploit symmetry so the walk is over the smaller tail.
-  if (p > 0.5) return n - SampleBinomial(rng, n, 1.0 - p);
-  // With p <= 1/2, q^n >= 2^-n: inversion from zero is safe for n <= 64
-  // (every C-PoS slot count) and for any n with a small mean; larger
-  // means walk from the mode, whose start point cannot underflow.
+  if (p > 0.5) return n - SampleLargeBinomial(rng, n, 1.0 - p);
+  // With p <= 1/2, q^n >= 2^-n: inversion from zero is safe for any n
+  // with a small mean; larger means walk from the mode, whose start point
+  // cannot underflow.
   const double mean = static_cast<double>(n) * p;
-  if (n <= 64 || mean < 12.0) return BinomialInversionFromZero(rng, n, p);
+  if (mean < 12.0) return LargeBinomialInversionFromZero(rng, n, p);
   return BinomialInversionFromMode(rng, n, p);
 }
+
+}  // namespace detail
 
 std::size_t SampleCategorical(RngStream& rng,
                               const std::vector<double>& weights) {

@@ -10,12 +10,17 @@
 //     v * (stake share) — deterministic and exactly proportional.
 //
 // The simulation picks its sampling method by the miner count m alone.
-// For m <= P it draws the counts directly as a conditional-binomial chain,
+// For m <= P (every paper cell but fig5d's P = 1) it draws the counts
+// directly as a conditional-binomial chain,
 // X_i ~ Bin(P - sum_{j<i} X_j, s_i / sum_{j>=i} s_j) — about one uniform
-// per miner — and credits each miner once.  For m > P that O(m) chain
-// would cost more than the slots themselves, so it makes P categorical
-// draws through the stake sampler and credits slot by slot.  Both are
-// exact draws of the same multinomial.
+// per miner — and credits each miner once.  That count path is the
+// costliest kernel of the paper's campaigns, so Step keeps it in this
+// header, where the stepping loop inlines it together with the n <= 64
+// binomial draw, and its credits skip the stake sampler tree it never
+// samples from.  For m > P the O(m) chain would cost more than the slots
+// themselves, so the slot path makes P categorical draws through the
+// stake sampler and credits slot by slot.  Both are exact draws of the
+// same multinomial.
 //
 // The inflation reward dilutes the variance contributed by proposer
 // selection, which is why C-PoS achieves robust fairness far more easily
@@ -25,9 +30,11 @@
 #ifndef FAIRCHAIN_PROTOCOL_C_POS_HPP_
 #define FAIRCHAIN_PROTOCOL_C_POS_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "math/distributions.hpp"
 #include "protocol/incentive_model.hpp"
 
 namespace fairchain::protocol {
@@ -57,9 +64,48 @@ class CPosModel : public SteppedModel<CPosModel> {
 
   std::string name() const override { return "C-PoS"; }
 
-  /// One epoch's slot draws and credits: the count path for m <= P, the
-  /// slot path for m > P.
-  void Step(StakeState& state, RngStream& rng) const final;
+  /// One epoch's slot draws and credits: the count path for m <= P,
+  /// inline here with its binomial draws; the slot path for m > P out of
+  /// line.
+  ///
+  /// All rewards in an epoch are computed against the epoch-start stake
+  /// distribution (the paper's X ~ Bin(P, S_A / (S_A + S_B)) snapshot):
+  /// the slot counts are multinomial over the epoch-start shares.
+  void Step(StakeState& state, RngStream& rng) const final {
+    const std::size_t n = state.miner_count();
+    if (n > shards_) {
+      StepSlots(state, rng);
+      return;
+    }
+    // Count path: a conditional-binomial chain over the miners,
+    //   X_i ~ Bin(P - sum_{j<i} X_j, s_i / sum_{j>=i} s_j),
+    // one uniform per positive-stake miner until the slots run out, then
+    // one credit per miner of v * s_i / S + (w / P) * X_i.  Crediting
+    // miner i mutates only stake_[i], which is read before its own credit,
+    // so every later miner still sees its epoch-start stake.  Nothing here
+    // samples from the stake tree, so the credits are untracked.
+    const double total = state.total_stake();
+    const double per_slot_reward = w_ / static_cast<double>(shards_);
+    std::size_t last = n - 1;  // the last positive stake takes the rest
+    while (state.stake(last) == 0.0) --last;
+    std::uint64_t slots_left = shards_;
+    double stake_left = total;
+    for (std::size_t i = 0; i <= last; ++i) {
+      const double stake = state.stake(i);
+      if (stake == 0.0) continue;  // no slots, no inflation, no draw
+      std::uint64_t slots = slots_left;
+      if (i != last && slots_left != 0) {
+        // Rounding in the running remainder can push the ratio past 1.
+        const double share = stake < stake_left ? stake / stake_left : 1.0;
+        slots = math::SampleBinomial(rng, slots_left, share);
+        stake_left -= stake;
+      }
+      slots_left -= slots;
+      const double reward =
+          v_ * (stake / total) + per_slot_reward * static_cast<double>(slots);
+      if (reward > 0.0) state.CreditStakeUntracked(i, reward);
+    }
+  }
 
   double RewardPerStep() const override { return w_ + v_; }
 
@@ -73,6 +119,10 @@ class CPosModel : public SteppedModel<CPosModel> {
   std::uint32_t shards() const { return shards_; }
 
  private:
+  /// The m > P slot path: P categorical draws through the stake sampler,
+  /// then slot-by-slot credits that keep the sampler tree live.
+  void StepSlots(StakeState& state, RngStream& rng) const;
+
   double w_;
   double v_;
   std::uint32_t shards_;

@@ -13,7 +13,7 @@ void AlgorandModel::Step(StakeState& state, RngStream& rng) const {
   for (std::size_t i = 0; i < n; ++i) {
     const double stake = state.stake(i);  // epoch-start value (see C-PoS)
     if (stake > 0.0) {
-      state.CreditStake(i, v_ * (stake / total));
+      state.CreditStakeUntracked(i, v_ * (stake / total));
     }
   }
 }
@@ -37,7 +37,7 @@ void EosModel::Step(StakeState& state, RngStream& rng) const {
     const double stake = state.stake(i);  // round-start value
     double credit = constant_part;
     if (v_ > 0.0 && stake > 0.0) credit += v_ * (stake / total);
-    state.CreditStake(i, credit);
+    state.CreditStakeUntracked(i, credit);
   }
 }
 

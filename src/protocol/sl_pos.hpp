@@ -28,7 +28,8 @@ class SlPosModel : public SteppedModel<SlPosModel> {
 
   std::string name() const override { return "SL-PoS"; }
 
-  /// One deadline race, then a compounding credit to the winner.  One
+  /// One deadline race, then a compounding credit to the winner, untracked
+  /// because the race never samples from the stake tree.  One
   /// lottery ticket per miner: deadline U_i / stake_i (basetime cancels),
   /// exactly one uniform per positive-stake miner, in miner order.  Draws
   /// are independent uniforms, so ties have probability zero; a miner with
@@ -47,7 +48,7 @@ class SlPosModel : public SteppedModel<SlPosModel> {
         winner = i;
       }
     }
-    state.CreditStake(winner, w_);
+    state.CreditStakeUntracked(winner, w_);
   }
 
   double RewardPerStep() const override { return w_; }

@@ -64,9 +64,14 @@ void StakeState::ReleaseWithheld() {
   if (released) {
     // A boundary can release up to m pending rewards at once; one O(m)
     // rebuild beats m separate O(log m) update paths.
-    sampler_.Build(stake_);
+    RebuildTree();
     ++stake_version_;
   }
+}
+
+void StakeState::RebuildTree() const {
+  sampler_.Build(stake_);
+  tree_stale_ = false;
 }
 
 double StakeState::PendingTotal() const {
@@ -78,7 +83,8 @@ double StakeState::PendingTotal() const {
 void StakeState::Reset() {
   // Only a dirty miner's stake, income, pending reward or tree path can
   // differ from the initial state: every credit that changes them is a
-  // positive credit to that miner.  PoW and NEO never touch the tree, so
+  // positive credit to that miner, and a rebuild of a stale tree changes
+  // only nodes over a dirty miner.  PoW and NEO never touch the tree, so
   // an unmoved stake_version_ skips the path restores.
   const bool tree_moved = stake_version_ != reset_version_;
   for (std::size_t k = 0; k < dirty_count_; ++k) {
@@ -89,6 +95,7 @@ void StakeState::Reset() {
     if (tree_moved) sampler_.RestorePath(i, pristine_sampler_);
   }
   dirty_count_ = 0;
+  tree_stale_ = false;
   total_stake_ = initial_total_;
   total_income_ = 0.0;
   step_ = 0;

@@ -12,17 +12,23 @@
 //   * for protocols where rewards compound (all PoS variants), credited
 //     income also increases mining power; for PoW / NEO it does not.
 //
-// Scale: a Fenwick tree over the effective stakes is maintained alongside
-// the flat vectors, so proportional proposer selection
-// (SampleProportionalToStake) and reinforcement (Credit) are both O(log m)
-// — the property that lets one replication step stay cheap at 100k-miner
-// populations.  Withholding releases rebuild the tree in O(m).  Reset costs
-// O(d log m) for the d miners the game credited: a miner joins a dirty list
-// on its first positive credit, and Reset restores exactly those miners'
-// entries and tree paths from the initial vector and a pristine copy of the
-// initial tree (one extra tree per state, about 1 MB at m = 10^5).  Every
-// other miner, and every tree node whose range holds no dirty miner, still
-// has its initial bits, so the reset state is bit-identical to a fresh one.
+// Scale: a Fenwick tree over the effective stakes backs proportional
+// proposer selection (SampleProportionalToStake), an O(log m) descent —
+// the property that lets one replication step stay cheap at 100k-miner
+// populations.  Only models that sample from the tree keep it live:
+// ML-PoS, FSL-PoS and the C-PoS slot path credit through CreditStake,
+// which updates it in O(log m).  The models that never sample from it
+// (the C-PoS count path, SL-PoS, Algorand, EOS) credit through
+// CreditStakeUntracked, which leaves it stale instead; a stale tree is
+// rebuilt in O(m) before the next draw.  Withholding releases rebuild the
+// tree in O(m).  Reset costs O(d log m) for the d miners the game
+// credited: a miner joins a dirty list on its first positive credit, and
+// Reset restores exactly those miners' entries and tree paths from the
+// initial vector and a pristine copy of the initial tree (one extra tree
+// per state, about 1 MB at m = 10^5).  Every other miner, and every tree
+// node whose range holds no dirty miner, still has its initial bits (a
+// rebuild recomputes each node from its own range), so the reset state is
+// bit-identical to a fresh one and its tree is no longer stale.
 
 #ifndef FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
 #define FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
@@ -125,15 +131,15 @@ class StakeState {
   /// Credit(i, amount, compounds=true): income now; mining power now
   /// (O(log m)) or, under withholding, at the next boundary (O(1)).
   void CreditStake(std::size_t i, double amount) {
-    CreditIncome(i, amount);
-    if (withhold_period_ == 0) {
-      stake_[i] += amount;
-      total_stake_ += amount;
-      sampler_.Add(i, amount);
-      ++stake_version_;
-    } else {
-      pending_[i] += amount;
-    }
+    if (CreditCompounding(i, amount)) sampler_.Add(i, amount);
+  }
+
+  /// CreditStake without the O(log m) sampler-tree update, for models that
+  /// never sample from the tree: the stake changes the same way, but the
+  /// tree goes stale, and the next SampleProportionalTo*Stake rebuilds it
+  /// in O(m) first.  O(1).
+  void CreditStakeUntracked(std::size_t i, double amount) {
+    if (CreditCompounding(i, amount)) tree_stale_ = true;
   }
 
   /// Marks the end of a step: advances the block/epoch counter and releases
@@ -161,6 +167,7 @@ class StakeState {
   /// C-PoS slot assignment when miners outnumber slots (m > P; for
   /// m <= P C-PoS draws slot counts as a binomial chain instead).
   std::size_t SampleProportionalToStake(RngStream& rng) const {
+    if (tree_stale_) RebuildTree();
     return sampler_.Sample(rng.NextDouble());
   }
 
@@ -172,6 +179,7 @@ class StakeState {
   /// keep the branchy variant: their concentrated evolving trees make the
   /// predicted-skip descent cheaper (see FenwickSampler::SampleFlat).
   std::size_t SampleProportionalToStaticStake(RngStream& rng) const {
+    if (tree_stale_) RebuildTree();
     return sampler_.SampleFlat(rng.NextDouble());
   }
 
@@ -211,12 +219,33 @@ class StakeState {
   /// out of line because a release rebuilds the sampler tree in O(m).
   void ReleaseWithheld();
 
+  /// Brings a stale sampler tree back in line with stake_, in O(m).
+  void RebuildTree() const;
+
+  /// The flat-vector half of a compounding credit: income now, and mining
+  /// power now (returns true; the caller updates or stales the tree) or at
+  /// the next withholding boundary (returns false).
+  bool CreditCompounding(std::size_t i, double amount) {
+    CreditIncome(i, amount);
+    if (withhold_period_ != 0) {
+      pending_[i] += amount;
+      return false;
+    }
+    stake_[i] += amount;
+    total_stake_ += amount;
+    ++stake_version_;
+    return true;
+  }
+
   std::vector<double> initial_;
   std::vector<double> stake_;
   std::vector<double> income_;
   std::vector<double> pending_;
-  FenwickSampler sampler_;
+  /// Proportional sampler over stake_; `mutable` because a draw may first
+  /// rebuild it, which changes no observable game state.
+  mutable FenwickSampler sampler_;
   FenwickSampler pristine_sampler_;  ///< sampler_ as built from initial_
+  mutable bool tree_stale_ = false;  ///< sampler_ misses untracked credits
   std::vector<std::size_t> dirty_;   ///< miners credited since the Reset
   std::size_t dirty_count_ = 0;      ///< live entries of dirty_
   mutable WinProbabilityCache win_probability_cache_;

@@ -3,7 +3,10 @@
 
 #include "math/distributions.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -174,6 +177,114 @@ TEST(BinomialTest, InversionRegimeSpendsExactlyOneDraw) {
       SampleBinomial(rng, n, p);
       expected.NextU64();
       EXPECT_EQ(rng.state(), expected.state()) << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(BinomialTest, RejectsNaNProbabilityBeforeAnyDraw) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::uint64_t n : {0u, 1u, 32u, 64u, 500u}) {
+    RngStream rng(78);
+    const RngStream before = rng;
+    EXPECT_THROW(SampleBinomial(rng, n, nan), std::invalid_argument) << n;
+    EXPECT_THROW(SampleBinomial(rng, n, -nan), std::invalid_argument) << n;
+    EXPECT_EQ(rng.state(), before.state()) << n;
+  }
+}
+
+// Reference walk: a run-time division for every ratio and a branchy
+// repeated-squaring start value.  The inline walk's quotient table and
+// fixed squaring steps must return the same k for every uniform.
+double ReferencePow(double base, std::uint64_t exponent) {
+  double result = 1.0;
+  while (exponent != 0) {
+    if ((exponent & 1) != 0) result *= base;
+    base *= base;
+    exponent >>= 1;
+  }
+  return result;
+}
+
+// The reference walk's running CDF: cdf[k] for k = 0..n.
+std::vector<double> ReferenceCdfs(std::uint64_t n, double p) {
+  const double q = 1.0 - p;
+  const double s = p / q;
+  double pmf = ReferencePow(q, n);
+  std::vector<double> cdfs = {pmf};
+  for (std::uint64_t k = 1; k <= n; ++k) {
+    pmf *= s * (static_cast<double>(n - k + 1) / static_cast<double>(k));
+    cdfs.push_back(cdfs.back() + pmf);
+  }
+  return cdfs;
+}
+
+// The reference walk's result: the first k whose CDF reaches u, else n.
+std::uint64_t ReferenceInversionFromZero(double u, std::uint64_t n,
+                                         double p) {
+  const std::vector<double> cdfs = ReferenceCdfs(n, p);
+  std::uint64_t k = 0;
+  while (u > cdfs[k] && k < n) ++k;
+  return k;
+}
+
+// The reference sampler for n <= 64: recursion for the upper tail.
+std::uint64_t ReferenceSmallBinomial(RngStream& rng, std::uint64_t n,
+                                     double p) {
+  if (n == 0 || p == 0.0) return 0;
+  if (p == 1.0) return n;
+  if (p > 0.5) return n - ReferenceSmallBinomial(rng, n, 1.0 - p);
+  return ReferenceInversionFromZero(rng.NextDouble(), n, p);
+}
+
+TEST(BinomialTest, RatioTableHoldsTheRuntimeQuotients) {
+  std::size_t at = 0;
+  for (std::uint64_t n = 1; n <= detail::kInlineBinomialMaxN; ++n) {
+    for (std::uint64_t k = 1; k <= n; ++k, ++at) {
+      volatile double numerator = static_cast<double>(n - k + 1);
+      volatile double denominator = static_cast<double>(k);
+      const double quotient = numerator / denominator;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(detail::kBinomialRatios[at]),
+                std::bit_cast<std::uint64_t>(quotient))
+          << "n=" << n << " k=" << k;
+    }
+  }
+  EXPECT_EQ(at, detail::kBinomialRatios.size());
+}
+
+// Every uniform that lands exactly on a CDF value, and the next double
+// above it, is where a one-ulp difference in any pmf term would move the
+// result.  Both tails are walked directly, including shares far past 1/2.
+TEST(BinomialTest, InlineWalkMatchesDivisionRecurrenceAtCdfBoundaries) {
+  const double ps[] = {std::ldexp(1.0, -40), 0.2, 0.5,
+                       std::nextafter(0.5, 1.0), 0.8,
+                       1.0 - std::ldexp(1.0, -53)};
+  for (std::uint64_t n = 1; n <= detail::kInlineBinomialMaxN; ++n) {
+    for (const double p : ps) {
+      const std::vector<double> cdfs = ReferenceCdfs(n, p);
+      for (std::uint64_t k = 0; k <= n; ++k) {
+        for (const double u : {cdfs[k], std::nextafter(cdfs[k], 2.0)}) {
+          ASSERT_EQ(detail::BinomialInversionFromZero(u, n, p),
+                    ReferenceInversionFromZero(u, n, p))
+              << "n=" << n << " p=" << p << " k=" << k << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(BinomialTest, InlineSamplerMatchesRecursiveReference) {
+  RngStream shares(79);
+  for (std::uint64_t n = 0; n <= detail::kInlineBinomialMaxN; ++n) {
+    for (const double p : {0.0, 0.2, 0.5, std::nextafter(0.5, 1.0), 0.8,
+                           1.0, shares.NextDouble(), shares.NextDouble()}) {
+      RngStream actual(1000 + n);
+      RngStream expected = actual;
+      for (int draw = 0; draw < 64; ++draw) {
+        ASSERT_EQ(SampleBinomial(actual, n, p),
+                  ReferenceSmallBinomial(expected, n, p))
+            << "n=" << n << " p=" << p << " draw " << draw;
+      }
+      EXPECT_EQ(actual.state(), expected.state()) << "n=" << n << " p=" << p;
     }
   }
 }

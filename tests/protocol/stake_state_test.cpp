@@ -140,7 +140,8 @@ TEST(StakeStateTest, ResetRestoresEverything) {
 }
 
 // Reset undoes only the miners the game credited.  After a seeded mix of
-// compounding and income-only credits, zero-amount credits, credits to
+// compounding (tracked and untracked) and income-only credits, draws that
+// rebuild a stale tree mid-game, zero-amount credits, credits to
 // zero-stake miners, and withheld rewards (some released, some still
 // pending), the reset state must equal a freshly built one bit for bit,
 // and both samplers must pick the same winners from the same uniforms.
@@ -154,24 +155,30 @@ void ExpectResetMatchesFresh(std::uint64_t withhold_period) {
   StakeState state(initial, withhold_period);
   RngStream rng(20210620);
   // Several games per state: the dirty list must be emptied by each Reset,
-  // and a game of income-only credits leaves the tree untouched.
-  for (int game = 0; game < 4; ++game) {
+  // a game of income-only credits leaves the tree untouched, and a game of
+  // untracked credits only leaves it stale.
+  for (int game = 0; game < 5; ++game) {
     // Zero-amount compounding credits to zero-stake miners: they must not
     // move any bits Reset cannot restore.
     state.Credit(4, 0.0, /*compounds=*/true);
     state.CreditStake(2, 0.0);
+    state.CreditStakeUntracked(7, 0.0);
     const std::uint64_t steps = 53 + static_cast<std::uint64_t>(game) * 16;
     for (std::uint64_t s = 0; s < steps; ++s) {
       const std::size_t i = rng.NextBounded(initial.size());
-      const std::uint64_t kind = rng.NextBounded(5);
+      const std::uint64_t kind = rng.NextBounded(6);
       const double amount = kind == 4 ? 0.0 : 0.01 + rng.NextDouble();
       if (game == 2) {
         state.Credit(i, amount, /*compounds=*/false);
+      } else if (game == 4 || kind == 5) {
+        state.CreditStakeUntracked(i, amount);
       } else if (kind == 3) {
         state.CreditStake(i, amount);
       } else {
         state.Credit(i, amount, /*compounds=*/kind % 2 == 0);
       }
+      // A draw mid-game rebuilds a stale tree from the credited stakes.
+      if (s % 17 == 16) state.SampleProportionalToStake(rng);
       state.AdvanceStep();
     }
     if (withhold_period != 0) {
@@ -211,6 +218,82 @@ TEST(StakeStateTest, ResetMatchesFreshStateBitForBit) {
 
 TEST(StakeStateTest, ResetMatchesFreshStateBitForBitUnderWithholding) {
   ExpectResetMatchesFresh(/*withhold_period=*/7);
+}
+
+// Untracked credits leave the sampler tree stale, and the next draw must
+// rebuild it: after a seeded mix of untracked and tracked credits, both
+// descents pick the same winners as a state freshly built from the
+// current stakes.  Under withholding the credits only become stake at
+// boundaries, whose releases rebuild the tree themselves.
+void ExpectSameWinnersAsFresh(const StakeState& state, bool flat, int seed,
+                              const std::string& where) {
+  std::vector<double> current;
+  for (std::size_t i = 0; i < state.miner_count(); ++i) {
+    current.push_back(state.stake(i));
+  }
+  const StakeState fresh(current);
+  RngStream a(seed + 100);
+  RngStream b(seed + 100);
+  for (int draw = 0; draw < 4096; ++draw) {
+    if (flat) {
+      ASSERT_EQ(state.SampleProportionalToStaticStake(a),
+                fresh.SampleProportionalToStaticStake(b))
+          << where << " draw " << draw;
+    } else {
+      ASSERT_EQ(state.SampleProportionalToStake(a),
+                fresh.SampleProportionalToStake(b))
+          << where << " draw " << draw;
+    }
+  }
+}
+
+void ExpectStaleTreeMatchesFresh(std::uint64_t withhold_period) {
+  std::vector<double> initial;
+  RngStream stakes_rng(11);
+  for (std::size_t i = 0; i < 29; ++i) {
+    initial.push_back(i % 7 == 3 ? 0.0 : 0.1 + stakes_rng.NextDouble());
+  }
+  StakeState state(initial, withhold_period);
+  RngStream rng(20210621);
+  for (int round = 0; round < 6; ++round) {
+    // Every round opens with an untracked credit, so the tree is stale
+    // when the round's draws begin (without withholding).
+    state.CreditStakeUntracked(rng.NextBounded(initial.size()), 0.5);
+    for (int credit = 0; credit < 40; ++credit) {
+      const std::size_t i = rng.NextBounded(initial.size());
+      const double amount = 0.01 + rng.NextDouble();
+      if (rng.NextBounded(3) == 0) {
+        state.CreditStake(i, amount);
+      } else {
+        state.CreditStakeUntracked(i, amount);
+      }
+      state.AdvanceStep();
+    }
+    const std::string where = "round " + std::to_string(round);
+    ExpectSameWinnersAsFresh(state, /*flat=*/false, round, where);
+    // Stale again, for the branchless descent.
+    state.CreditStakeUntracked(rng.NextBounded(initial.size()), 0.25);
+    ExpectSameWinnersAsFresh(state, /*flat=*/true, round, where + " flat");
+  }
+}
+
+TEST(StakeStateTest, StaleTreeIsRebuiltBeforeTheNextDraw) {
+  ExpectStaleTreeMatchesFresh(/*withhold_period=*/0);
+}
+
+TEST(StakeStateTest, StaleTreeIsRebuiltBeforeTheNextDrawUnderWithholding) {
+  ExpectStaleTreeMatchesFresh(/*withhold_period=*/5);
+}
+
+TEST(StakeStateTest, UntrackedCreditMatchesTrackedCredit) {
+  StakeState tracked({0.2, 0.8});
+  StakeState untracked({0.2, 0.8});
+  tracked.CreditStake(0, 0.01);
+  untracked.CreditStakeUntracked(0, 0.01);
+  ExpectSameBits(untracked.stake(0), tracked.stake(0), "stake");
+  ExpectSameBits(untracked.total_stake(), tracked.total_stake(), "total");
+  ExpectSameBits(untracked.income(0), tracked.income(0), "income");
+  EXPECT_EQ(untracked.stake_version(), tracked.stake_version());
 }
 
 // --- Withholding semantics (Section 6.3) ---

@@ -4,7 +4,10 @@
 
 #include "sim/campaign.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +100,60 @@ TEST(CampaignRunnerTest, SingleCellMatchesMonteCarloEngine) {
               direct.checkpoints[c].mean);
     EXPECT_EQ(outcomes[0].result.checkpoints[c].unfair_probability,
               direct.checkpoints[c].unfair_probability);
+  }
+}
+
+// A serial campaign steps every cell in one workspace, and cells with the
+// same stakes reuse its game state through Reset.  C-PoS's count path
+// leaves the stake tree stale while ML-PoS samples from it, so each cell
+// of a mixed grid must still equal that cell run alone in a fresh engine:
+// every final lambda and every checkpoint statistic, bit for bit.
+TEST(CampaignRunnerTest, CellsSharingAWorkspaceMatchEachCellRunAlone) {
+  const ScenarioSpec spec = ScenarioSpec::FromText(
+      "name=shared-workspace\n"
+      "protocols=cpos,mlpos\n"
+      "a=0.2,0.3\n"
+      "steps=300\n"
+      "reps=48\n"
+      "checkpoints=3\n");
+  CampaignOptions options;
+  options.threads = 1;
+  const auto outcomes = CampaignRunner(options).Run(spec, {});
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const CellOutcome& outcome : outcomes) {
+    const CampaignCell& cell = outcome.cell;
+    core::SimulationConfig config = CellConfig(spec, cell);
+    config.threads = 1;
+    const auto model =
+        protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
+    const core::SimulationResult alone =
+        core::MonteCarloEngine(config, spec.fairness)
+            .Run(*model, cell.Stakes());
+    const core::SimulationResult& shared = outcome.result;
+    const std::string where = cell.protocol + " cell " +
+                              std::to_string(cell.index);
+    ASSERT_EQ(shared.final_lambdas.size(), alone.final_lambdas.size());
+    for (std::size_t r = 0; r < alone.final_lambdas.size(); ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(shared.final_lambdas[r]),
+                std::bit_cast<std::uint64_t>(alone.final_lambdas[r]))
+          << where << " replication " << r;
+    }
+    ASSERT_EQ(shared.checkpoints.size(), alone.checkpoints.size());
+    for (std::size_t c = 0; c < alone.checkpoints.size(); ++c) {
+      const core::CheckpointStats& x = shared.checkpoints[c];
+      const core::CheckpointStats& y = alone.checkpoints[c];
+      EXPECT_EQ(x.step, y.step) << where;
+      for (const auto field :
+           {&core::CheckpointStats::mean, &core::CheckpointStats::std_dev,
+            &core::CheckpointStats::p05, &core::CheckpointStats::median,
+            &core::CheckpointStats::p95, &core::CheckpointStats::min,
+            &core::CheckpointStats::max,
+            &core::CheckpointStats::unfair_probability}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x.*field),
+                  std::bit_cast<std::uint64_t>(y.*field))
+            << where << " checkpoint " << c;
+      }
+    }
   }
 }
 
