@@ -355,7 +355,7 @@ BENCHMARK(BM_ObsInstrumented_MlPos)->Arg(1000);
 // Steady-state replications in a bound workspace must not allocate: after
 // one warm-up replication (Bind allocates the arena once), a full
 // replication — Reset, checkpoint-segment RunSteps, λ recording, and the
-// population-metric sort — must leave the global allocation counter
+// population-metric merge — must leave the global allocation counter
 // untouched.  The benchmark FAILS (SkipWithError) on any allocation, so a
 // future accidental per-step vector shows up in CI, not in a profile.
 void ZeroAllocLoop(benchmark::State& bench_state,
@@ -414,7 +414,20 @@ void BM_ZeroAllocSteadyState_MlPosWithMetrics(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(0)),
                 /*population=*/true);
 }
-BENCHMARK(BM_ZeroAllocSteadyState_MlPosWithMetrics)->Arg(1000);
+// With metrics on, the population meter's merge buffers are sized to m at
+// its first use: m = 2 credits every miner (the d = m sort), m = 1000 and
+// m = 100000 credit a subset (the merge into the cached initial order).
+BENCHMARK(BM_ZeroAllocSteadyState_MlPosWithMetrics)
+    ->Arg(2)
+    ->Arg(1000)
+    ->Arg(100000);
+
+void BM_ZeroAllocSteadyState_PoWWithMetrics(benchmark::State& state) {
+  ZeroAllocLoop(state, protocol::PowModel(0.01),
+                static_cast<std::size_t>(state.range(0)),
+                /*population=*/true);
+}
+BENCHMARK(BM_ZeroAllocSteadyState_PoWWithMetrics)->Arg(1000);
 
 void BM_ZeroAllocSteadyState_CPos(benchmark::State& state) {
   ZeroAllocLoop(state, protocol::CPosModel(0.01, 0.1, 32),

@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates the
 // experiment harness is built on — hashes, 256-bit arithmetic, samplers,
-// the reduction, and the Monte Carlo engine end to end.  Per-protocol
-// stepping is timed by hotpath_bench's BM_Batched_* families.
+// the population metrics, the reduction, and the Monte Carlo engine end to
+// end.  Per-protocol stepping is timed by hotpath_bench's BM_Batched_*
+// families.
 
 #include <benchmark/benchmark.h>
 
 #include "core/monte_carlo.hpp"
+#include "core/population.hpp"
 #include "crypto/sha256.hpp"
 #include "math/distributions.hpp"
 #include "protocol/ml_pos.hpp"
@@ -93,25 +95,59 @@ void BM_QuantilesReusedScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantilesReusedScratch)->Unit(benchmark::kMicrosecond);
 
+// Arg 0: λ rows only; arg 1: with the four population planes, which the
+// reduction folds into the λ pass.
 void BM_ReduceToResult120Checkpoints(benchmark::State& state) {
   core::SimulationConfig config;
   config.steps = 5000;
   config.replications = 2000;
   config.checkpoints = core::LinearCheckpoints(5000, 120);
-  config.population_metrics = false;
+  config.population_metrics = state.range(0) != 0;
   RngStream rng(12);
   std::vector<double> lambda(config.checkpoints.size() *
                              config.replications);
   for (double& v : lambda) v = rng.NextDouble();
+  std::vector<double> population;
+  if (config.population_metrics) {
+    population.resize(core::PopulationMatrixSize(config));
+    for (double& v : population) v = rng.NextDouble();
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ReduceToResult(
-        "bench", {0.2, 0.8}, config, core::FairnessSpec{}, lambda, {}));
+    benchmark::DoNotOptimize(core::ReduceToResult("bench", {0.2, 0.8}, config,
+                                                  core::FairnessSpec{}, lambda,
+                                                  population));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) *
       static_cast<int64_t>(config.checkpoints.size()));
 }
-BENCHMARK(BM_ReduceToResult120Checkpoints)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReduceToResult120Checkpoints)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// One population measurement of a mid-game state: m miners with stakes
+// 1/(i+1), 240 ML-PoS steps (the verify horizon), so at m = 1000 about a
+// hundred miners are credited (the merge) and at m <= 10 all of them (the
+// d = m sort); the `credited` counter reports d.
+void BM_MeasurePopulation(benchmark::State& state) {
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  std::vector<double> stakes(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    stakes[i] = 1.0 / static_cast<double>(i + 1);
+  }
+  protocol::StakeState game(stakes);
+  RngStream rng(13);
+  protocol::MlPosModel(0.01).RunSteps(game, 0, 240, rng);
+  core::PopulationMeter meter(game);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(meter.Measure(game));
+  }
+  state.counters["credited"] =
+      static_cast<double>(game.credited_miners().size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MeasurePopulation)->Arg(2)->Arg(10)->Arg(1000);
 
 void BM_MonteCarloCampaign(benchmark::State& state) {
   protocol::MlPosModel model(0.01);

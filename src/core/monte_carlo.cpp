@@ -149,8 +149,8 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   const RngStream master(config.seed);
   workspace.Bind(initial_stakes, config.withhold_period);
   protocol::StakeState& state = workspace.state();
-  std::vector<double>* wealth = workspace.wealth_buffer();
-  std::vector<double>* scratch = workspace.population_scratch();
+  PopulationMeter* meter =
+      population != nullptr ? &workspace.population_meter() : nullptr;
   for (std::size_t rep = begin; rep < end; ++rep) {
     state.Reset();
     RngStream rng = master.Split(rep);
@@ -166,9 +166,7 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
       const std::size_t cell = cp * span + (rep - begin);
       out[cell] = state.RewardFraction(config.miner);
       if (population != nullptr) {
-        state.WealthVector(wealth);
-        const PopulationSnapshot snapshot =
-            MeasurePopulation(*wealth, scratch);
+        const PopulationSnapshot snapshot = meter->Measure(state);
         const std::size_t plane = cp_count * span;
         population[0 * plane + cell] = snapshot.gini;
         population[1 * plane + cell] = snapshot.hhi;
@@ -231,16 +229,37 @@ SimulationResult ReduceToResult(
   std::vector<double> quantile_out;
   static const std::vector<double> kQuantiles = {0.05, 0.25, 0.5, 0.75,
                                                  0.95};
+  const bool population = !population_matrix.empty();
+  const std::size_t plane = cp_count * reps;
   for (std::size_t c = 0; c < cp_count; ++c) {
-    std::copy_n(lambda_matrix.begin() + static_cast<std::ptrdiff_t>(c * reps),
-                reps, column.begin());
     CheckpointStats stats;
     stats.step = config.checkpoints[c];
+    // One pass over the replications feeds every chain: the λ column copy,
+    // Welford, the fair-band count and the four population sums.  Each
+    // chain still adds in replication order, so the results are the bits
+    // of one loop per chain, but the independent chains overlap.
+    const double* lambdas = lambda_matrix.data() + c * reps;
+    const double* planes[kPopulationMetricCount] = {};
+    if (population) {
+      for (std::size_t metric = 0; metric < kPopulationMetricCount;
+           ++metric) {
+        planes[metric] = population_matrix.data() + metric * plane + c * reps;
+      }
+    }
     RunningStats running;
     std::size_t outside = 0;
-    for (const double lambda : column) {
+    KahanSum sums[kPopulationMetricCount];
+    for (std::uint64_t r = 0; r < reps; ++r) {
+      const double lambda = lambdas[r];
+      column[r] = lambda;
       running.Add(lambda);
       if (lambda < fair_low || lambda > fair_high) ++outside;
+      if (population) {
+        for (std::size_t metric = 0; metric < kPopulationMetricCount;
+             ++metric) {
+          sums[metric].Add(planes[metric][r]);
+        }
+      }
     }
     stats.mean = running.Mean();
     stats.std_dev = running.StdDev();
@@ -248,6 +267,14 @@ SimulationResult ReduceToResult(
     stats.max = running.Max();
     stats.unfair_probability =
         static_cast<double>(outside) / static_cast<double>(reps);
+    if (population) {
+      double* means[] = {&stats.gini, &stats.hhi, &stats.nakamoto,
+                         &stats.top_decile_share};
+      for (std::size_t metric = 0; metric < kPopulationMetricCount;
+           ++metric) {
+        *means[metric] = sums[metric].Total() / static_cast<double>(reps);
+      }
+    }
     // final_lambdas keeps replication order, so capture the last column
     // BEFORE the in-place quantile sort reorders it.
     if (c + 1 == cp_count && config.keep_final_lambdas) {
@@ -259,19 +286,6 @@ SimulationResult ReduceToResult(
     stats.median = quantile_out[2];
     stats.p75 = quantile_out[3];
     stats.p95 = quantile_out[4];
-    if (!population_matrix.empty()) {
-      const std::size_t plane = cp_count * reps;
-      double* means[] = {&stats.gini, &stats.hhi, &stats.nakamoto,
-                         &stats.top_decile_share};
-      for (std::size_t metric = 0; metric < kPopulationMetricCount;
-           ++metric) {
-        KahanSum sum;
-        const double* base =
-            population_matrix.data() + metric * plane + c * reps;
-        for (std::uint64_t r = 0; r < reps; ++r) sum.Add(base[r]);
-        *means[metric] = sum.Total() / static_cast<double>(reps);
-      }
-    }
     result.checkpoints.push_back(stats);
   }
   return result;

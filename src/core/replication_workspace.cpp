@@ -1,5 +1,7 @@
 #include "core/replication_workspace.hpp"
 
+#include <stdexcept>
+
 namespace fairchain::core {
 
 void ReplicationWorkspace::Bind(const std::vector<double>& initial_stakes,
@@ -14,12 +16,22 @@ void ReplicationWorkspace::Bind(const std::vector<double>& initial_stakes,
       }
     }
     // Same cell configuration: keep every buffer (state vectors, sampler
-    // tree, scratch) exactly as allocated.  The caller Resets per
+    // tree, population meter) exactly as allocated.  The caller Resets per
     // replication, so no further normalisation is needed here.
     if (same) return;
   }
+  population_meter_.reset();
   state_.emplace(initial_stakes, withhold_period);
   bound_withhold_ = withhold_period;
+}
+
+PopulationMeter& ReplicationWorkspace::population_meter() {
+  if (!state_.has_value()) {
+    throw std::logic_error(
+        "ReplicationWorkspace: population_meter before Bind");
+  }
+  if (!population_meter_.has_value()) population_meter_.emplace(*state_);
+  return *population_meter_;
 }
 
 ReplicationWorkspace& ThreadLocalReplicationWorkspace() {

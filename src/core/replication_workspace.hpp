@@ -1,14 +1,16 @@
 // ReplicationWorkspace: the per-worker arena of the Monte Carlo hot path.
 //
 // One workspace owns everything a replication mutates — the game state
-// (including its Fenwick stake sampler) and the wealth / population-metric
-// scratch buffers — and is reused across replications, chunks, and cells.
-// Binding to a cell's (initial stakes, withholding period) allocates; every
-// subsequent replication of the same cell only Reset()s in place, which
-// undoes just the miners the previous replication credited (O(d log m) for
-// d of them, not O(m); see StakeState), so steady-state stepping performs
-// ZERO heap allocations (pinned by bench/hotpath_bench.cpp's allocation
-// counter).
+// (including its Fenwick stake sampler) and the population meter (the
+// cell's ascending initial order plus merge buffers, see
+// core/population.hpp) — and is reused across replications, chunks, and
+// cells.  Binding to a cell's (initial stakes, withholding period)
+// allocates, and so does the first population_meter() call after it (only
+// runs with population metrics on build the meter); every subsequent
+// replication of the same cell only Reset()s in place, which undoes just
+// the miners the previous replication credited (O(d log m) for d of them,
+// not O(m); see StakeState), so steady-state stepping performs ZERO heap
+// allocations (pinned by bench/hotpath_bench.cpp's allocation counter).
 //
 // Threading: a workspace is NOT thread-safe; the execution backends give
 // every worker its own via ThreadLocalReplicationWorkspace().  Results
@@ -23,11 +25,12 @@
 #include <optional>
 #include <vector>
 
+#include "core/population.hpp"
 #include "protocol/stake_state.hpp"
 
 namespace fairchain::core {
 
-/// Per-worker arena: game state + measurement buffers, reused across
+/// Per-worker arena: game state + population meter, reused across
 /// replications.
 class ReplicationWorkspace {
  public:
@@ -51,17 +54,15 @@ class ReplicationWorkspace {
   /// True once Bind has been called.
   bool bound() const { return state_.has_value(); }
 
-  /// Wealth vector buffer for population-metric checkpoints.
-  std::vector<double>* wealth_buffer() { return &wealth_; }
-
-  /// Sort scratch for core::MeasurePopulation.
-  std::vector<double>* population_scratch() { return &scratch_; }
+  /// The population meter of the bound cell, built (sorted and sized to
+  /// m) on the first call after a Bind that changed the cell.  Throws
+  /// std::logic_error before the first Bind.
+  PopulationMeter& population_meter();
 
  private:
   std::optional<protocol::StakeState> state_;
   std::uint64_t bound_withhold_ = 0;
-  std::vector<double> wealth_;
-  std::vector<double> scratch_;
+  std::optional<PopulationMeter> population_meter_;
 };
 
 /// This thread's workspace, default-constructed on first use.  The serial

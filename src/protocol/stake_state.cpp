@@ -103,11 +103,4 @@ void StakeState::Reset() {
   reset_version_ = stake_version_;
 }
 
-void StakeState::WealthVector(std::vector<double>* out) const {
-  out->resize(initial_.size());
-  for (std::size_t i = 0; i < initial_.size(); ++i) {
-    (*out)[i] = initial_[i] + income_[i];
-  }
-}
-
 }  // namespace fairchain::protocol

@@ -28,13 +28,16 @@
 // per state, about 1 MB at m = 10^5).  Every other miner, and every tree
 // node whose range holds no dirty miner, still has its initial bits (a
 // rebuild recomputes each node from its own range), so the reset state is
-// bit-identical to a fresh one and its tree is no longer stale.
+// bit-identical to a fresh one and its tree is no longer stale.  The
+// dirty list is also readable (credited_miners): it names the only miners
+// whose wealth differs from their initial stake.
 
 #ifndef FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
 #define FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/fenwick.hpp"
@@ -208,11 +211,15 @@ class StakeState {
   /// `mutable` because scratch contents are not observable game state.
   std::vector<std::size_t>& index_scratch() const { return index_scratch_; }
 
-  /// Appends each miner's wealth — initial resource plus all credited
-  /// income, whether or not it compounds or is still withheld — to `out`
-  /// (resized to miner_count).  The basis of the population concentration
-  /// metrics (Gini / HHI / Nakamoto coefficient).
-  void WealthVector(std::vector<double>* out) const;
+  /// The miners credited since the last Reset, in order of first positive
+  /// credit, each once: exactly the miners whose income is nonzero.  Every
+  /// other miner's wealth (initial resource plus credited income) is still
+  /// its initial stake, bit for bit, which lets the population metrics
+  /// merge these d miners into a cached order instead of sorting all m
+  /// (see core/population.hpp).  Valid until the next credit or Reset.
+  std::span<const std::size_t> credited_miners() const {
+    return {dirty_.data(), dirty_count_};
+  }
 
  private:
   /// Releases all pending stakes into mining power (boundary crossing);

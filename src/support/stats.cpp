@@ -7,15 +7,6 @@
 
 namespace fairchain {
 
-void RunningStats::Add(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void RunningStats::Merge(const RunningStats& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {
@@ -45,13 +36,6 @@ double RunningStats::StdError() const {
   return StdDev() / std::sqrt(static_cast<double>(count_));
 }
 
-void KahanSum::Add(double x) {
-  const double y = x - compensation_;
-  const double t = sum_ + y;
-  compensation_ = (t - sum_) - y;
-  sum_ = t;
-}
-
 namespace {
 
 double InterpolatedQuantile(const std::vector<double>& sorted, double q) {
@@ -72,7 +56,7 @@ double InterpolatedQuantile(const std::vector<double>& sorted, double q) {
 
 double Quantile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("Quantile: empty input");
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {  // rejects NaN too
     throw std::invalid_argument("Quantile: q outside [0, 1]");
   }
   std::sort(values.begin(), values.end());
@@ -91,7 +75,7 @@ void QuantilesInPlace(std::vector<double>& values,
                       std::vector<double>* out) {
   if (values.empty()) throw std::invalid_argument("Quantiles: empty input");
   for (const double q : qs) {
-    if (q < 0.0 || q > 1.0) {
+    if (!(q >= 0.0 && q <= 1.0)) {  // rejects NaN too
       throw std::invalid_argument("Quantiles: q outside [0, 1]");
     }
   }

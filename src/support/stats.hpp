@@ -8,6 +8,7 @@
 #ifndef FAIRCHAIN_SUPPORT_STATS_HPP_
 #define FAIRCHAIN_SUPPORT_STATS_HPP_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -21,8 +22,16 @@ class RunningStats {
  public:
   RunningStats() = default;
 
-  /// Adds one observation.
-  void Add(double x);
+  /// Adds one observation.  Inline, so a caller's loop can overlap this
+  /// chain with independent ones (ReduceToResult's single pass).
+  void Add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   /// Merges another accumulator into this one (parallel reduction).
   void Merge(const RunningStats& other);
@@ -53,8 +62,13 @@ class RunningStats {
 /// Kahan-compensated summation: exact to double precision for long series.
 class KahanSum {
  public:
-  /// Adds a term.
-  void Add(double x);
+  /// Adds a term (inline, like RunningStats::Add).
+  void Add(double x) {
+    const double y = x - compensation_;
+    const double t = sum_ + y;
+    compensation_ = (t - sum_) - y;
+    sum_ = t;
+  }
   /// Current compensated total.
   double Total() const { return sum_ + compensation_; }
 

@@ -12,6 +12,8 @@
 #include "math/special.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/pow.hpp"
+#include "support/rng.hpp"
+#include "support/stats.hpp"
 
 namespace fairchain::core {
 namespace {
@@ -163,6 +165,60 @@ TEST(ReduceToResultTest, PopulationMatrixSizeMismatchThrows) {
   EXPECT_THROW(ReduceToResult("PoW", {0.2, 0.8}, config, FairnessSpec{},
                               lambdas, wrong_size),
                std::invalid_argument);
+}
+
+// The single reduction pass must give every statistic the bits of its own
+// loop: Welford and the fair-band count over the λ column, one Kahan sum
+// per population plane, in replication order.
+TEST(ReduceToResultTest, OnePassMatchesPerChainReference) {
+  SimulationConfig config = SmallConfig();
+  config.replications = 997;
+  const std::size_t reps = config.replications;
+  const std::size_t cp_count = config.checkpoints.size();
+  RngStream rng(31);
+  std::vector<double> lambdas(cp_count * reps);
+  for (double& v : lambdas) v = rng.NextDouble();
+  // Magnitudes spread over ~30 binades so the Kahan compensation matters.
+  std::vector<double> population(PopulationMatrixSize(config));
+  for (double& v : population) {
+    v = std::ldexp(rng.NextDouble(), static_cast<int>(rng.NextU64() % 30));
+  }
+  const FairnessSpec spec;
+  const SimulationResult result = ReduceToResult(
+      "PoW", {0.2, 0.8}, config, spec, lambdas, population);
+  ASSERT_EQ(result.checkpoints.size(), cp_count);
+  const double low = spec.FairLow(0.2);
+  const double high = spec.FairHigh(0.2);
+  for (std::size_t c = 0; c < cp_count; ++c) {
+    const CheckpointStats& stats = result.checkpoints[c];
+    RunningStats running;
+    std::size_t outside = 0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const double lambda = lambdas[c * reps + r];
+      running.Add(lambda);
+      if (lambda < low || lambda > high) ++outside;
+    }
+    EXPECT_EQ(stats.mean, running.Mean());
+    EXPECT_EQ(stats.std_dev, running.StdDev());
+    EXPECT_EQ(stats.min, running.Min());
+    EXPECT_EQ(stats.max, running.Max());
+    EXPECT_EQ(stats.unfair_probability,
+              static_cast<double>(outside) / static_cast<double>(reps));
+    const std::vector<double> column(
+        lambdas.begin() + static_cast<std::ptrdiff_t>(c * reps),
+        lambdas.begin() + static_cast<std::ptrdiff_t>((c + 1) * reps));
+    EXPECT_EQ(stats.median, Quantile(column, 0.5));
+    const double means[] = {stats.gini, stats.hhi, stats.nakamoto,
+                            stats.top_decile_share};
+    for (std::size_t metric = 0; metric < kPopulationMetricCount; ++metric) {
+      KahanSum sum;
+      for (std::size_t r = 0; r < reps; ++r) {
+        sum.Add(population[(metric * cp_count + c) * reps + r]);
+      }
+      EXPECT_EQ(means[metric], sum.Total() / static_cast<double>(reps))
+          << "metric " << metric << " checkpoint " << c;
+    }
+  }
 }
 
 TEST(MonteCarloEngineTest, PopulationMetricsRecordedWhenEnabled) {
@@ -477,6 +533,7 @@ TEST(ReplicationWorkspaceTest, ReusedAcrossRangesWithIdenticalResults) {
 
 TEST(ReplicationWorkspaceTest, BindValidatesStakes) {
   ReplicationWorkspace workspace;
+  EXPECT_THROW(workspace.population_meter(), std::logic_error);
   EXPECT_THROW(workspace.Bind({}, 0), std::invalid_argument);
   EXPECT_THROW(workspace.Bind({-1.0, 2.0}, 0), std::invalid_argument);
   workspace.Bind({0.2, 0.8}, 0);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -106,6 +107,19 @@ TEST(QuantileTest, RejectsBadInput) {
   EXPECT_THROW(Quantile({}, 0.5), std::invalid_argument);
   EXPECT_THROW(Quantile({1.0}, -0.1), std::invalid_argument);
   EXPECT_THROW(Quantile({1.0}, 1.1), std::invalid_argument);
+}
+
+TEST(QuantileTest, RejectsNaNLevel) {
+  // NaN fails both range comparisons, so a `q < 0 || q > 1` guard let it
+  // through to an undefined double-to-index conversion.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Quantile({1.0, 2.0, 3.0}, nan), std::invalid_argument);
+  EXPECT_THROW(Quantiles({1.0, 2.0, 3.0}, {nan}), std::invalid_argument);
+  EXPECT_THROW(Quantiles({1.0, 2.0, 3.0}, {0.5, nan}),
+               std::invalid_argument);
+  std::vector<double> values = {1.0, 2.0, 3.0};
+  std::vector<double> out;
+  EXPECT_THROW(QuantilesInPlace(values, {nan}, &out), std::invalid_argument);
 }
 
 TEST(QuantilesTest, MatchesIndividualCalls) {
