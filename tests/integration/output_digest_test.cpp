@@ -11,10 +11,11 @@
 // releases and still-pending rewards (withhold-grid), population metrics
 // (pareto-population), both C-PoS epoch paths (fig5d: P = 32 draws slot
 // counts, P = 1 draws slots), the multi-miner game (table1), the chain
-// family's gamma/delay/orphan/reorg columns (propagation-delay-sweep) and
-// a mixed-family grid (hetero-cost-mix).  VerdictDigestTest pins the
-// verdict CSV and JSONL that VerifyCampaign writes for fig5d and
-// hetero-cost-mix the same way.
+// family's gamma/delay/orphan/reorg columns (propagation-delay-sweep), a
+// mixed-family grid (hetero-cost-mix) and NEO, which runs PoW's stepping
+// loop under its own name (committee).  VerdictDigestTest pins the verdict
+// CSV and JSONL that VerifyCampaign writes for fig5d and hetero-cost-mix
+// the same way.
 
 #include <cstdint>
 #include <ostream>
@@ -112,7 +113,11 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedCampaign{
             "hetero-cost-mix", 8, 300,
             "e0ca62d8d973fae64620daa9146e37315a0da9bbcf8f2d6a721e4e9c9cacab1d",
-            "d5998c57bd82f51c4ec8f5a5a973357bccaedb35233f32699a0343e493ca4770"}),
+            "d5998c57bd82f51c4ec8f5a5a973357bccaedb35233f32699a0343e493ca4770"},
+        PinnedCampaign{
+            "committee", 8, 300,
+            "16a2aeff17019153af5cbc0cf86cd88a0464ec503a5949ab7a584f4b5a97dc30",
+            "4aa90dfa38ec8e978a7dd3b5153c92d32ce14cabc7d93087aaacb76896e4d045"}),
     [](const ::testing::TestParamInfo<PinnedCampaign>& param) {
       return TestName(param.param.scenario);
     });

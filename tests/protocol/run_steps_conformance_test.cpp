@@ -11,6 +11,8 @@
 // golden.
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,17 +59,25 @@ Trajectory ReferenceTrajectory(const IncentiveModel& model,
   return trajectory;
 }
 
+// Segment lengths summing to kSteps.  The lock-step static-stake loop
+// steps in groups of four and finishes a segment one step at a time, so
+// both lists mix lengths that are and are not multiples of 4, and start
+// segments at offsets of every residue.
+constexpr std::uint64_t kIrregularSegments[] = {1, 0, 2, 5, 17, 41, 94};
+constexpr std::uint64_t kUnalignedSegments[] = {3, 0, 6, 13, 4, 134};
+
 // Drives RunSteps in deliberately irregular segments (including empty
 // ones) and checks λ at every segment boundary plus the full final state
 // and the raw RNG state against the reference.
+template <std::size_t N>
 void ExpectConformance(const IncentiveModel& model,
                        const std::vector<double>& stakes,
-                       std::uint64_t withhold) {
+                       std::uint64_t withhold,
+                       const std::uint64_t (&segments)[N]) {
   const Trajectory reference = ReferenceTrajectory(model, stakes, withhold);
 
   StakeState state(stakes, withhold);
   RngStream rng(kSeed);
-  const std::uint64_t segments[] = {1, 0, 2, 5, 17, 41, 94};
   std::uint64_t done = 0;
   for (const std::uint64_t segment : segments) {
     model.RunSteps(state, done, segment, rng);
@@ -87,6 +97,25 @@ void ExpectConformance(const IncentiveModel& model,
   // Identical raw generator state == identical draw count AND order.
   EXPECT_EQ(rng.state(), reference.rng_state)
       << model.name() << ": RNG draw sequence diverged";
+}
+
+void ExpectConformance(const IncentiveModel& model,
+                       const std::vector<double>& stakes,
+                       std::uint64_t withhold) {
+  ExpectConformance(model, stakes, withhold, kIrregularSegments);
+}
+
+// Deterministic Pareto(1.16) population, richest first (the mid-point
+// quantiles the registry's pareto stake distribution uses), so the
+// descents walk trees of realistic depth and skew.
+std::vector<double> ParetoStakes(std::size_t miners) {
+  std::vector<double> stakes(miners);
+  for (std::size_t i = 0; i < miners; ++i) {
+    const double q = (static_cast<double>(i) + 0.5) /
+                     static_cast<double>(miners);
+    stakes[i] = std::pow(q, -1.0 / 1.16);
+  }
+  return stakes;
 }
 
 class RunStepsConformanceTest
@@ -113,6 +142,29 @@ TEST_P(RunStepsConformanceTest, MatchesIteratedStepUnderWithholding) {
   // Period 7 does not divide 160, so segments straddle release boundaries.
   const auto model = MakeModel(GetParam(), 0.01, 0.1, 4);
   ExpectConformance(*model, {0.2, 0.8}, 7);
+}
+
+TEST_P(RunStepsConformanceTest, MatchesIteratedStepDeepTrees) {
+  const auto model = MakeModel(GetParam(), 0.01, 0.1, 4);
+  for (const std::size_t miners : {1000u, 100000u}) {
+    SCOPED_TRACE(miners);
+    const std::vector<double> stakes = ParetoStakes(miners);
+    ExpectConformance(*model, stakes, 0, kIrregularSegments);
+    ExpectConformance(*model, stakes, 0, kUnalignedSegments);
+  }
+}
+
+TEST_P(RunStepsConformanceTest, MatchesIteratedStepTrailingZeroStake) {
+  // A zero-stake miner last in the tree: the descents' rounding overrun
+  // lands next to it, and withholding (period 6) releases mid-group.
+  const auto model = MakeModel(GetParam(), 0.01, 0.1, 4);
+  std::vector<double> stakes = ParetoStakes(37);
+  stakes.push_back(0.0);
+  for (const std::uint64_t withhold : {0u, 6u}) {
+    SCOPED_TRACE(withhold);
+    ExpectConformance(*model, stakes, withhold, kIrregularSegments);
+    ExpectConformance(*model, stakes, withhold, kUnalignedSegments);
+  }
 }
 
 TEST_P(RunStepsConformanceTest, RejectsMismatchedStepBegin) {
