@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "protocol/stake_state.hpp"
+#include "support/fenwick.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::protocol {
@@ -81,12 +82,33 @@ void ValidateInflation(double v, const char* what);
 /// `state.step() == step_begin`.
 void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin);
 
+/// A model whose winner never depends on earlier credits declares the
+/// second half of its law as `Credit(state, winner)`, and its Step must be
+/// exactly Credit(state, state.SampleProportionalToStaticStake(rng)): one
+/// static-stake draw, then a credit that never moves a stake (PoW, and NEO
+/// through it).
+template <typename Model>
+concept StaticStakeModel =
+    requires(const Model& model, StakeState& state, std::size_t winner) {
+      model.Credit(state, winner);
+    };
+
 /// The stepping loop of every model: `Model` derives from
 /// SteppedModel<Model> and defines `Step` (final, and in its header so the
 /// loop inlines it).  One virtual RunSteps call then amortises over a whole
 /// checkpoint segment while the per-step call to Model::Step is direct —
 /// no per-step dispatch, no allocation — and the loop cannot drift from
 /// Step because it is nothing but Step.
+///
+/// A StaticStakeModel steps FenwickSampler::kLanes blocks at a time: that
+/// many draws with their descents in lock-step, then each winner's Credit
+/// followed by AdvanceStep, in block order; the rest of the segment goes
+/// through Step.  Draws, winners, credit order and RNG consumption are
+/// those of the one-at-a-time loop, because no credit or boundary in
+/// between can change a stake (the credits are income only, so a
+/// withholding boundary has nothing pending to release).  The compounding
+/// models need each credit before the next draw and keep one step at a
+/// time.
 template <typename Model>
 class SteppedModel : public IncentiveModel {
  public:
@@ -94,7 +116,18 @@ class SteppedModel : public IncentiveModel {
                 std::uint64_t step_count, RngStream& rng) const final {
     CheckRunStepsBegin(state, step_begin);
     const Model& model = static_cast<const Model&>(*this);
-    for (std::uint64_t s = 0; s < step_count; ++s) {
+    std::uint64_t s = 0;
+    if constexpr (StaticStakeModel<Model>) {
+      for (; step_count - s >= FenwickSampler::kLanes;
+           s += FenwickSampler::kLanes) {
+        for (const std::size_t winner :
+             state.SampleProportionalToStaticStakeLanes(rng)) {
+          model.Model::Credit(state, winner);
+          state.AdvanceStep();
+        }
+      }
+    }
+    for (; s < step_count; ++s) {
       model.Model::Step(state, rng);
       state.AdvanceStep();
     }

@@ -21,12 +21,20 @@ class PowModel : public SteppedModel<PowModel> {
 
   std::string name() const override { return "PoW"; }
 
+  /// The law's second half: the block reward goes to `winner` as income
+  /// only, so no credit ever moves a stake.  Declaring it makes PoW a
+  /// static-stake model: SteppedModel::RunSteps draws four winners per
+  /// lock-step descent and credits them in order.
+  void Credit(StakeState& state, std::size_t winner) const {
+    state.CreditIncome(winner, w_);
+  }
+
   /// Proportional proposer selection over the state's stake sampler: one
   /// uniform draw, O(log m).  Stakes never change, so the sampler tree is
   /// frozen and the branchless static-stake descent applies (identical
-  /// winners, ~2x faster on flat trees); the reward is income only.
+  /// winners to the branchy one); then Credit.
   void Step(StakeState& state, RngStream& rng) const final {
-    state.CreditIncome(state.SampleProportionalToStaticStake(rng), w_);
+    Credit(state, state.SampleProportionalToStaticStake(rng));
   }
 
   double RewardPerStep() const override { return w_; }

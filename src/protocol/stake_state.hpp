@@ -15,7 +15,10 @@
 // Scale: a Fenwick tree over the effective stakes backs proportional
 // proposer selection (SampleProportionalToStake), an O(log m) descent —
 // the property that lets one replication step stay cheap at 100k-miner
-// populations.  Only models that sample from the tree keep it live:
+// populations.  Stakes that never move (PoW, NEO) are drawn four blocks
+// at a time (SampleProportionalToStaticStakeLanes), their descents in
+// lock-step so the tree's cache misses overlap.  Only models that sample
+// from the tree keep it live:
 // ML-PoS, FSL-PoS and the C-PoS slot path credit through CreditStake,
 // which updates it in O(log m).  The models that never sample from it
 // (the C-PoS count path, SL-PoS, Algorand, EOS) credit through
@@ -165,10 +168,12 @@ class StakeState {
 
   /// Draws the next proposer proportionally to effective stake: one uniform
   /// from `rng`, one O(log m) Fenwick descent.  Zero-stake miners are never
-  /// selected.  Equivalent in distribution to the classic O(m) cumulative
-  /// scan; the shared hot path of PoW / NEO / ML-PoS / FSL-PoS and of
-  /// C-PoS slot assignment when miners outnumber slots (m > P; for
-  /// m <= P C-PoS draws slot counts as a binomial chain instead).
+  /// selected, not even at a rounding boundary.  Equivalent in
+  /// distribution to the classic O(m) cumulative scan; the shared hot path
+  /// of ML-PoS / FSL-PoS and of C-PoS slot assignment when miners
+  /// outnumber slots (m > P; for m <= P C-PoS draws slot counts as a
+  /// binomial chain instead).  PoW / NEO take the same winners through
+  /// the static-stake variants below.
   std::size_t SampleProportionalToStake(RngStream& rng) const {
     if (tree_stale_) RebuildTree();
     return sampler_.Sample(rng.NextDouble());
@@ -176,14 +181,28 @@ class StakeState {
 
   /// Identical selection to SampleProportionalToStake — same draw, same
   /// winner for every input — through the sampler's branchless descent,
-  /// which is ~2x faster when the stake distribution never changes during
-  /// the game (PoW / NEO: per-level descent decisions are fresh coin flips
-  /// the branch predictor cannot learn).  Compounding protocols should
-  /// keep the branchy variant: their concentrated evolving trees make the
+  /// which wins when the stake distribution never changes during the game
+  /// (PoW / NEO: per-level descent decisions are fresh coin flips the
+  /// branch predictor cannot learn).  Compounding protocols should keep
+  /// the branchy variant: their concentrated evolving trees make the
   /// predicted-skip descent cheaper (see FenwickSampler::SampleFlat).
   std::size_t SampleProportionalToStaticStake(RngStream& rng) const {
     if (tree_stale_) RebuildTree();
     return sampler_.SampleFlat(rng.NextDouble());
+  }
+
+  /// FenwickSampler::kLanes SampleProportionalToStaticStake draws in one
+  /// call: the uniforms are taken from `rng` in order, and winner k is
+  /// exactly what the k-th of as many single calls would return.  The
+  /// descents run in lock-step (the sampler's lane SampleFlat), so this is
+  /// only for stakes that no credit between the draws can move — the
+  /// static-stake stepping loop of SteppedModel.
+  FenwickSampler::LaneIndices SampleProportionalToStaticStakeLanes(
+      RngStream& rng) const {
+    if (tree_stale_) RebuildTree();
+    FenwickSampler::LaneUniforms u01;
+    for (double& u : u01) u = rng.NextDouble();
+    return sampler_.SampleFlat(u01);
   }
 
   /// Monotone counter bumped whenever any effective stake changes

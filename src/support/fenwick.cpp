@@ -33,6 +33,40 @@ void FenwickSampler::Build(const std::vector<double>& weights) {
     const std::size_t parent = k + (k & (~k + 1));
     if (parent <= size_) tree_[parent] += tree_[k];
   }
+  zero_.clear();
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (weights[i] == 0.0) {
+      if (zero_.empty()) zero_.assign(size_, 0);
+      zero_[i] = 1;
+    }
+  }
+  draw_limit_ = zero_.empty() ? size_ : 0;
+}
+
+std::size_t FenwickSampler::PositiveNear(std::size_t index) const {
+  if (size_ == 0) return 0;
+  // Without a zero weight only an overrun gets here: the last element.
+  if (zero_.empty()) return size_ - 1;
+  for (std::size_t k = index; k < size_; ++k) {
+    if (zero_[k] == 0) return k;
+  }
+  for (std::size_t k = index < size_ ? index : size_; k > 0; --k) {
+    if (zero_[k - 1] == 0) return k - 1;
+  }
+  return 0;
+}
+
+void FenwickSampler::RestoreZero(std::size_t i,
+                                 const FenwickSampler& pristine) {
+  if (pristine.zero_.empty()) {
+    zero_[i] = 0;
+    return;
+  }
+  // An empty zero_ means no element weighs zero now, so all-clear flags
+  // are exact until element i gets its pristine flag back.
+  if (zero_.empty()) zero_.assign(size_, 0);
+  zero_[i] = pristine.zero_[i];
+  draw_limit_ = 0;
 }
 
 }  // namespace fairchain

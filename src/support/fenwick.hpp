@@ -13,11 +13,20 @@
 // touching the elements the game never credited.
 //
 // Weights live in the tree as partial sums only; Weight() recovers a single
-// element in O(log m) for tests and debugging.
+// element in O(log m) for tests and debugging.  Which elements weigh
+// exactly zero is kept beside the tree, and only when one does: node sums
+// over different ranges round differently, so the tree alone cannot tell
+// a zero weight from a few ulps of rounding (see Sample).
+//
+// Static-stake games (PoW, NEO) draw four winners per call with the
+// four-lane SampleFlat: four independent descents in lock-step, so the
+// node loads of one level are in flight together instead of one latency-
+// bound chain of dependent loads per block.
 
 #ifndef FAIRCHAIN_SUPPORT_FENWICK_HPP_
 #define FAIRCHAIN_SUPPORT_FENWICK_HPP_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -29,19 +38,29 @@ namespace fairchain {
 /// Fenwick tree over `size()` non-negative double weights.
 class FenwickSampler {
  public:
+  /// Draws per lock-step SampleFlat call.  Four descents keep enough loads
+  /// in flight to hide most of a deep tree's latency; eight measured no
+  /// faster at m = 10^5 and slower at m = 100 to 10^4.
+  static constexpr std::size_t kLanes = 4;
+  using LaneUniforms = std::array<double, kLanes>;
+  using LaneIndices = std::array<std::size_t, kLanes>;
+
   FenwickSampler() = default;
 
   /// Rebuilds the tree over `weights` in O(m); negative entries are a
   /// precondition violation (the callers validate stakes on construction).
   void Build(const std::vector<double>& weights);
 
-  /// Adds `delta` to element `i` in O(log m).  Defined inline: this is the
-  /// per-step reinforcement of every compounding protocol, and the batched
-  /// RunSteps loops rely on it folding into their inner loop.  The
+  /// Adds `delta` (>= 0) to element `i` in O(log m).  Defined inline: this
+  /// is the per-step reinforcement of every compounding protocol, and the
+  /// batched RunSteps loops rely on it folding into their inner loop.  The
   /// two-element game updates straight-line (adding a masked +0.0 is exact
   /// on these non-negative sums, so the update set matches the loop's).
   void Add(std::size_t i, double delta) {
     total_ += delta;
+    if (draw_limit_ != size_) [[unlikely]] {
+      zero_[i] &= static_cast<std::uint8_t>(delta == 0.0);
+    }
     if (size_ == 2) {
       tree_[1] += MaskDouble(delta, i == 0);
       tree_[2] += delta;
@@ -61,6 +80,9 @@ class FenwickSampler {
     total_ = pristine.total_;
     for (std::size_t k = i + 1; k <= size_; k += k & (~k + 1)) {
       tree_[k] = pristine.tree_[k];
+    }
+    if (draw_limit_ != size_ || pristine.draw_limit_ != size_) {
+      RestoreZero(i, pristine);
     }
   }
 
@@ -86,13 +108,17 @@ class FenwickSampler {
 
   /// Proportional selection: maps `u01` in [0, 1) to the smallest index i
   /// with PrefixSum(i + 1) > u01 * Total().  Zero-weight elements are never
-  /// selected (their prefix sums tie with their predecessor's).  When
-  /// floating-point rounding pushes the target past every prefix sum, the
-  /// last positive-weight element wins — mirroring the linear scan's
-  /// return-last fallback.  The result is ALWAYS in [0, max(size, 1)):
-  /// u01 at or beyond 1.0, an all-zero tree, and even an empty tree clamp
-  /// to an in-range index (0 in the degenerate cases) instead of reading
-  /// out of bounds.
+  /// selected.  In exact arithmetic a zero weight's prefix sums tie with
+  /// its predecessor's, but the descent compares the target against node
+  /// sums over different ranges, which round differently: a target within
+  /// a few ulps of the boundary can land on a zero-weight element, or run
+  /// past every prefix sum.  Then the next positive-weight element wins,
+  /// or the last one when none follows — mirroring the linear scan's
+  /// return-last fallback.  (Within those ulps either neighbour of a zero
+  /// run is as right as double sums can tell.)  The result is ALWAYS in
+  /// [0, max(size, 1)): u01 at or beyond 1.0, an all-zero tree, and even
+  /// an empty tree clamp to an in-range index (0 in the degenerate cases)
+  /// instead of reading out of bounds.
   /// Inline for the same reason as Add: one Sample per simulated block.
   ///
   /// This is the branch-based descent: a level whose node is skipped costs
@@ -113,9 +139,9 @@ class FenwickSampler {
       }
     }
     // `index` counts the elements whose cumulative sum is <= the target, so
-    // it is the 0-based winner — unless rounding overran every prefix, in
-    // which case walk back to the last element with positive weight.
-    return index < size_ ? index : LastPositive();
+    // it is the 0-based winner — unless rounding overran every prefix or
+    // landed on a zero weight (see Winner).
+    return Winner(index);
   }
 
   /// Same selection as Sample — bit-for-bit, for every input — via a
@@ -124,11 +150,11 @@ class FenwickSampler {
   /// domain, so a mispredictable take/skip decision never flushes the
   /// pipeline.  Fastest when the distribution is FLAT or heavy-tailed but
   /// static (PoW / NEO, whose stakes never change: each level's decision
-  /// is a fresh coin flip the predictor cannot learn) — measured (gcc
-  /// Release, pareto:1.16): 37 → 17 ns at m = 100, 104 → 70 ns at m =
-  /// 100k.  On a concentrated evolving tree the always-executed
-  /// compare-mask-subtract chain loses to Sample's predicted skips, which
-  /// is why the compounding protocols keep the branchy descent.
+  /// is a fresh coin flip the predictor cannot learn).  Static-stake games
+  /// take it four draws at a time through the lane overload below.  On a
+  /// concentrated evolving tree the always-executed compare-mask-subtract
+  /// chain loses to Sample's predicted skips, which is why the compounding
+  /// protocols keep the branchy descent.
   ///
   /// The descent body has no bounds branch at all: Build pads the tree out
   /// to 2 x mask_ nodes with +inf, so an out-of-range node compares
@@ -146,23 +172,63 @@ class FenwickSampler {
       index += take ? bit : 0;
       remaining -= MaskDouble(t, take);
     }
-    return index < size_ ? index : LastPositive();
+    return Winner(index);
+  }
+
+  /// Four SampleFlat selections in one call: lane k returns exactly
+  /// SampleFlat(u01[k]), bit for bit, for every input.  The lanes descend
+  /// in lock-step, one tree level at a time, so their four independent
+  /// node loads overlap instead of each draw paying its own chain of
+  /// dependent cache misses — the win on deep static trees (a 10^5-miner
+  /// tree is 17 levels over 1 MB).  Only for draws that no credit between
+  /// them can move: PoW / NEO, whose stakes never change.
+  LaneIndices SampleFlat(const LaneUniforms& u01) const {
+    LaneIndices index{};
+    std::array<double, kLanes> remaining;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      remaining[lane] = u01[lane] * total_;
+    }
+    if (size_ == 2) {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        index[lane] = SampleTwo(remaining[lane]);
+      }
+      return index;
+    }
+    for (std::size_t bit = mask_; bit != 0; bit >>= 1) {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const double t = tree_[index[lane] + bit];
+        const bool take = t <= remaining[lane];
+        index[lane] += take ? bit : 0;
+        remaining[lane] -= MaskDouble(t, take);
+      }
+    }
+    for (std::size_t& lane_index : index) lane_index = Winner(lane_index);
+    return index;
   }
 
  private:
-  /// Rounding-overran fallback: the last element with positive weight.
-  /// Clamped so it can never produce an out-of-range index: an empty or
-  /// default-constructed tree returns 0 (size_ - 1 would wrap to
-  /// SIZE_MAX), and an all-zero tree — where no element is selectable by
-  /// weight — degrades to element 0 rather than reading past the end.
-  /// Every descent funnels its u01 >= 1 / rounding-overran cases here, so
-  /// this clamp is what bounds Sample/SampleFlat for ALL inputs.
-  std::size_t LastPositive() const {
-    if (size_ == 0) return 0;
-    std::size_t index = size_ - 1;
-    while (index > 0 && Weight(index) <= 0.0) --index;
-    return index;
+  /// Maps a descent's raw index — the number of prefix sums at or below
+  /// the target — to the selected element.  A population without a zero
+  /// weight pays the one predicted compare the overrun check always cost;
+  /// the rest (rounding overran every prefix, any draw over a tree with a
+  /// zero weight, an empty tree) goes out of line.
+  std::size_t Winner(std::size_t index) const {
+    if (index < draw_limit_) [[likely]] return index;
+    return PositiveNear(index);
   }
+
+  /// The first positive-weight element at or after `index`, else the last
+  /// one before it.  Clamped so it can never produce an out-of-range
+  /// index: an empty or default-constructed tree returns 0 (size_ - 1
+  /// would wrap to SIZE_MAX), and an all-zero tree — where no element is
+  /// selectable by weight — degrades to element 0 rather than reading
+  /// past the end.  Every descent funnels its u01 >= 1, rounding-overran
+  /// and zero-weight cases here, so this clamp is what bounds every
+  /// descent for ALL inputs.
+  std::size_t PositiveNear(std::size_t index) const;
+
+  /// RestorePath's half for the zero-weight flags.
+  void RestoreZero(std::size_t i, const FenwickSampler& pristine);
 
   /// `condition ? value : +0.0` computed in the bit domain (no int→fp
   /// conversion, no branch); exact because masking all bits off IS +0.0.
@@ -175,10 +241,14 @@ class FenwickSampler {
     return masked;
   }
 
-  /// Two-element fast path shared by both descents: exactly the decisions
+  /// Two-element fast path shared by every descent: exactly the decisions
   /// the loop would make (compare tree_[2] at bit 2, tree_[1] at bit 1).
+  /// Only the overrun needs PositiveNear: tree_[1] and tree_[2] start
+  /// from the same w0 and receive the same credits to element 0, so while
+  /// w1 is zero they are equal and index 1 is never reached, and a zero
+  /// w0 (tree_[1] = 0) is always at or below the target.
   std::size_t SampleTwo(double remaining) const {
-    if (tree_[2] <= remaining) return LastPositive();  // rounding overran
+    if (tree_[2] <= remaining) return PositiveNear(2);  // rounding overran
     return tree_[1] <= remaining ? 1 : 0;
   }
 
@@ -186,6 +256,14 @@ class FenwickSampler {
   // Padded to 2 x mask_ nodes with +inf beyond size_ so the branchless
   // descents need no bounds check (see SampleFlat).
   std::vector<double> tree_;
+  // zero_[i] != 0 iff element i weighs exactly 0; Build, Add and
+  // RestorePath keep it exact.  Empty when no element does (the
+  // registry's populations).  draw_limit_ is size_ while zero_ is empty
+  // and 0 otherwise: a descent's index below it is the winner as it
+  // stands, so draws over a population without a zero weight never touch
+  // zero_, and every other draw checks it.
+  std::vector<std::uint8_t> zero_;
+  std::size_t draw_limit_ = 0;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;  // highest power of two <= size_
   double total_ = 0.0;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -176,8 +177,8 @@ TEST(CellPreimageTest, CoversResultDeterminantsAndNothingElse) {
 }
 
 TEST(CellPreimageTest, PinnedPreimagesNeverDrift) {
-  // Golden preimage digests of one incentive and one chain cell, taken on
-  // an earlier build: every other preimage test compares within one build.
+  // Golden preimage digests of incentive and chain cells, taken on an
+  // earlier build: every other preimage test compares within one build.
   // A moved preimage silently orphans every existing store entry, so a
   // failure here is a schema break (bump kStoreSchemaRevision).
   const sim::ScenarioRegistry& registry = sim::ScenarioRegistry::BuiltIn();
@@ -191,6 +192,14 @@ TEST(CellPreimageTest, PinnedPreimagesNeverDrift) {
       MakeCellKey(sim::CellStorePreimage(selfish, selfish.ExpandCells()[0]))
           .Hex(),
       "f5e3981d9eb0e7ca9902389684a6c50955bbb96f951f49d9c75c476fcf8381a3");
+  // 10^5 Pareto stakes: every bit pattern goes through the hex writer.
+  const sim::ScenarioSpec sweep = registry.Get("large-population-sweep");
+  const std::vector<sim::CampaignCell> sweep_cells = sweep.ExpandCells();
+  const sim::CampaignCell& largest = sweep_cells[3];
+  ASSERT_EQ(largest.Stakes().size(), 100000u);
+  EXPECT_EQ(
+      MakeCellKey(sim::CellStorePreimage(sweep, largest)).Hex(),
+      "d5f6df37fe0b7e816ddaca63436be7ce08063c2ce35e126766b74fdb2b354aab");
 }
 
 class CampaignStoreTest : public ::testing::Test {

@@ -3,6 +3,8 @@
 
 #include "support/fenwick.hpp"
 
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,6 +136,123 @@ TEST(FenwickSamplerTest, FlatDescentMatchesBranchyDescentEverywhere) {
     ASSERT_EQ(sampler.Sample(0x1.fffffffffffffp-1),
               sampler.SampleFlat(0x1.fffffffffffffp-1));
   }
+}
+
+// The four-lane SampleFlat is the static-stake stepping loop's draw: lane
+// k must return exactly SampleFlat(u01[k]) for every input, at every lane
+// position.  Swept at u = 0, at the largest double below 1, and at +-2
+// ulps of every prefix boundary (u = PrefixSum(i) / Total() and its
+// neighbours), over trees with zero-weight holes, a trailing zero, the
+// two-element fast path and a deep tree.
+TEST(FenwickSamplerTest, LaneDescentMatchesFourFlatDescents) {
+  RngStream rng(20210620);
+  for (const std::size_t size : {1ul, 2ul, 3ul, 5ul, 8ul, 9ul, 1000ul}) {
+    std::vector<double> weights(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      weights[i] = (i % 5 == 2) ? 0.0 : 0.01 + rng.NextDouble();
+    }
+    if (size > 3) weights[size - 1] = 0.0;
+    FenwickSampler sampler;
+    sampler.Build(weights);
+
+    std::vector<double> uniforms = {0.0, 0x1.fffffffffffffp-1};
+    for (std::size_t i = 0; i <= size; ++i) {
+      double u = sampler.PrefixSum(i) / sampler.Total();
+      for (int step = 0; step < 2; ++step) u = std::nextafter(u, 0.0);
+      for (int step = 0; step < 5; ++step) {
+        if (u >= 0.0 && u < 1.0) uniforms.push_back(u);
+        u = std::nextafter(u, 2.0);
+      }
+    }
+    // Every window of four consecutive uniforms (wrapping around) puts
+    // each uniform in each lane once.
+    const std::size_t n = uniforms.size();
+    for (std::size_t start = 0; start < n; ++start) {
+      FenwickSampler::LaneUniforms lanes;
+      for (std::size_t lane = 0; lane < FenwickSampler::kLanes; ++lane) {
+        lanes[lane] = uniforms[(start + lane) % n];
+      }
+      const FenwickSampler::LaneIndices winners = sampler.SampleFlat(lanes);
+      for (std::size_t lane = 0; lane < FenwickSampler::kLanes; ++lane) {
+        ASSERT_EQ(winners[lane], sampler.SampleFlat(lanes[lane]))
+            << "size " << size << " lane " << lane << " u " << lanes[lane];
+      }
+    }
+  }
+}
+
+// --- Zero weights at rounding boundaries --------------------------------
+// Node sums over different ranges round differently, so a target within a
+// few ulps of a boundary can land on a zero-weight element (or run past
+// every prefix, where the tree-derived Weight() of a trailing zero reads a
+// few ulps instead of 0).  The winner must be the next positive-weight
+// element, or the last one when none follows — in both descents and every
+// lane.
+
+// Every descent on `sampler` at `u`: the branchy one, the branchless one,
+// and each lane of the lock-step one.
+std::vector<std::size_t> AllDescents(const FenwickSampler& sampler,
+                                     double u) {
+  std::vector<std::size_t> winners = {sampler.Sample(u),
+                                      sampler.SampleFlat(u)};
+  for (std::size_t lane = 0; lane < FenwickSampler::kLanes; ++lane) {
+    FenwickSampler::LaneUniforms lanes = {0.0, 0.0, 0.0, 0.0};
+    lanes[lane] = u;
+    winners.push_back(sampler.SampleFlat(lanes)[lane]);
+  }
+  return winners;
+}
+
+TEST(FenwickSamplerTest, TrailingZeroWeightNeverWinsAtRoundingOverrun) {
+  FenwickSampler sampler;
+  sampler.Build({0x1.4ee62054ada58p-3, 0x1.10f1c6562008ep-1,
+                 0x1.984ad1e4ab8fcp-1, 0x1.e286a60fbdebep-1,
+                 0x1.1e253924f11ap-4, 0x1.176ca1c18bfe4p-2,
+                 0x1.0ebe8c8b08dbep-1, 0.0});
+  // The largest NextDouble overruns every prefix sum, and the trailing
+  // zero's tree-derived weight is a few ulps, not 0.
+  for (const std::size_t winner :
+       AllDescents(sampler, 0x1.fffffffffffffp-1)) {
+    EXPECT_EQ(winner, 6u);
+  }
+}
+
+TEST(FenwickSamplerTest, InteriorZeroWeightNeverWinsAtBoundary) {
+  FenwickSampler sampler;
+  sampler.Build({0x1.1f811ad7b3e3dp-1, 0x1.fada1609fa817p-1,
+                 0x1.83ce67f19893ep-1, 0x1.84be00278ca8ap-1,
+                 0x1.a14181f8a464bp-1, 0x1.4263def030732p-2,
+                 0x1.0ea2d067bb7ep-4, 0.0, 0x1.af26c92b0b329p-1,
+                 0x1.4915f0430992cp-3, 0x1.a33e6b8c2bd5p-3});
+  // The target sits within rounding of the boundary shared by elements 6,
+  // 7 and 8; the descents land on the zero-weight 7 without the fix.
+  for (const std::size_t winner :
+       AllDescents(sampler, 0x1.8f023f6ff5fbcp-1)) {
+    EXPECT_EQ(winner, 8u);
+  }
+}
+
+// Crediting a zero-weight element makes it selectable, and restoring its
+// path from the pristine tree makes it a zero weight again.
+TEST(FenwickSamplerTest, ZeroWeightFlagsFollowAddAndRestorePath) {
+  FenwickSampler pristine;
+  pristine.Build({1.0, 0.0, 1.0});
+  FenwickSampler sampler = pristine;
+  EXPECT_EQ(sampler.Sample(0.5), 2u);
+  sampler.Add(1, 0.0);
+  EXPECT_EQ(sampler.Sample(0.5), 2u);
+  sampler.Add(1, 2.0);
+  EXPECT_EQ(sampler.Sample(0.5), 1u);
+  EXPECT_EQ(sampler.SampleFlat(0.5), 1u);
+  sampler.RestorePath(1, pristine);
+  EXPECT_EQ(sampler.Sample(0.5), 2u);
+  EXPECT_EQ(sampler.SampleFlat(0.5), 2u);
+
+  // A rebuild that leaves no zero weight, then restores back to pristine.
+  sampler.Build({1.0, 2.0, 1.0});
+  sampler.RestorePath(1, pristine);
+  EXPECT_EQ(sampler.Sample(0.5), 2u);
+  EXPECT_EQ(sampler.SampleFlat(0.5), 2u);
 }
 
 // --- Boundary clamps (the out-of-range bugfix) --------------------------
