@@ -73,8 +73,8 @@ void BM_SlPosLemma61Integral(benchmark::State& state) {
 BENCHMARK(BM_SlPosLemma61Integral);
 
 // Per-checkpoint reduction scratch, as ReduceToResult uses it: one
-// hoisted buffer sorted in place (QuantilesInPlace) and a single reused
-// output vector, so a 120-checkpoint reduction
+// hoisted buffer permuted in place (QuantilesInPlace), a single reused
+// output vector and reused bucket counts, so a 120-checkpoint reduction
 // (BM_ReduceToResult120Checkpoints) runs allocation-quiet next to the
 // zero-allocation stepping core.
 void BM_QuantilesReusedScratch(benchmark::State& state) {
@@ -84,11 +84,12 @@ void BM_QuantilesReusedScratch(benchmark::State& state) {
   const std::vector<double> qs = {0.05, 0.25, 0.5, 0.75, 0.95};
   std::vector<double> column(source.size());
   std::vector<double> out;
+  std::vector<std::size_t> scratch;
   for (auto _ : state) {
     // The reduction's actual shape: refill the hoisted buffer from the
-    // matrix column, then sort it in place.
+    // matrix column, then select the quantiles in place.
     std::copy(source.begin(), source.end(), column.begin());
-    QuantilesInPlace(column, qs, &out);
+    QuantilesInPlace(column, qs, &out, &scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

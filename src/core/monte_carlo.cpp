@@ -221,12 +221,14 @@ SimulationResult ReduceToResult(
   const double fair_low = spec.FairLow(result.initial_share);
   const double fair_high = spec.FairHigh(result.initial_share);
   // Reduction scratch, hoisted out of the checkpoint loop: one column
-  // buffer (sorted in place per checkpoint) and one quantile output vector
-  // serve every checkpoint — the per-checkpoint copy Quantiles used to
-  // make was the reduction's dominant allocation churn (see
-  // bench/micro_perf.cpp, BM_ReduceToResult).
+  // buffer (permuted in place per checkpoint), one quantile output vector
+  // and the quantile selection's bucket counts serve every checkpoint —
+  // the per-checkpoint copy Quantiles used to make was the reduction's
+  // dominant allocation churn (see bench/micro_perf.cpp,
+  // BM_ReduceToResult).
   std::vector<double> column(reps);
   std::vector<double> quantile_out;
+  std::vector<std::size_t> quantile_scratch;
   static const std::vector<double> kQuantiles = {0.05, 0.25, 0.5, 0.75,
                                                  0.95};
   const bool population = !population_matrix.empty();
@@ -276,11 +278,11 @@ SimulationResult ReduceToResult(
       }
     }
     // final_lambdas keeps replication order, so capture the last column
-    // BEFORE the in-place quantile sort reorders it.
+    // BEFORE the in-place quantile selection reorders it.
     if (c + 1 == cp_count && config.keep_final_lambdas) {
       result.final_lambdas = column;
     }
-    QuantilesInPlace(column, kQuantiles, &quantile_out);
+    QuantilesInPlace(column, kQuantiles, &quantile_out, &quantile_scratch);
     stats.p05 = quantile_out[0];
     stats.p25 = quantile_out[1];
     stats.median = quantile_out[2];

@@ -11,6 +11,7 @@
 #ifndef FAIRCHAIN_PROTOCOL_INCENTIVE_MODEL_HPP_
 #define FAIRCHAIN_PROTOCOL_INCENTIVE_MODEL_HPP_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -82,16 +83,27 @@ void ValidateInflation(double v, const char* what);
 /// `state.step() == step_begin`.
 void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin);
 
-/// A model whose winner never depends on earlier credits declares the
-/// second half of its law as `Credit(state, winner)`, and its Step must be
-/// exactly Credit(state, state.SampleProportionalToStaticStake(rng)): one
-/// static-stake draw, then a credit that never moves a stake (PoW, and NEO
-/// through it).
+/// A model whose Step is one proportional draw and a credit to its winner
+/// declares the second half of its law as `Credit(state, winner)`, and
+/// what that credit adds to the winner's draw weight as
+/// `DrawWeightGain()`.  Its Step must be exactly Credit of one
+/// SampleProportionalToStake draw: ML-PoS (and FSL-PoS through it), whose
+/// credit compounds the reward w into the winner's stake, a gain of w.
 template <typename Model>
-concept StaticStakeModel =
+concept LaneModel =
     requires(const Model& model, StakeState& state, std::size_t winner) {
       model.Credit(state, winner);
+      { model.DrawWeightGain() } -> std::convertible_to<double>;
     };
+
+/// A LaneModel whose credit never moves a stake declares its gain
+/// `static constexpr` and 0, and its Step draws through
+/// SampleProportionalToStaticStake (PoW, and NEO through it): its lanes
+/// take the sampler's correction-free descent.
+template <typename Model>
+concept StaticStakeModel = LaneModel<Model> && requires {
+  requires Model::DrawWeightGain() == 0.0;
+};
 
 /// The stepping loop of every model: `Model` derives from
 /// SteppedModel<Model> and defines `Step` (final, and in its header so the
@@ -100,15 +112,18 @@ concept StaticStakeModel =
 /// no per-step dispatch, no allocation — and the loop cannot drift from
 /// Step because it is nothing but Step.
 ///
-/// A StaticStakeModel steps FenwickSampler::kLanes blocks at a time: that
-/// many draws with their descents in lock-step, then each winner's Credit
+/// A LaneModel steps FenwickSampler::kLanes blocks at a time: that many
+/// draws with their descents in lock-step, then each winner's Credit
 /// followed by AdvanceStep, in block order; the rest of the segment goes
 /// through Step.  Draws, winners, credit order and RNG consumption are
-/// those of the one-at-a-time loop, because no credit or boundary in
-/// between can change a stake (the credits are income only, so a
-/// withholding boundary has nothing pending to release).  The compounding
-/// models need each credit before the next draw and keep one step at a
-/// time.
+/// those of the one-at-a-time loop.  A static-stake model's credits are
+/// income only, so nothing between its draws can move a stake (and a
+/// withholding boundary has nothing pending to release).  A compounding
+/// model's lanes add each earlier winner's gain to the nodes they read,
+/// which is exact only while every credit goes into the tree at once, and
+/// pays only from three miners on without a zero stake
+/// (StakeState::CompoundingLanesApply, fixed for the segment); otherwise
+/// it steps one at a time.
 template <typename Model>
 class SteppedModel : public IncentiveModel {
  public:
@@ -117,19 +132,32 @@ class SteppedModel : public IncentiveModel {
     CheckRunStepsBegin(state, step_begin);
     const Model& model = static_cast<const Model&>(*this);
     std::uint64_t s = 0;
-    if constexpr (StaticStakeModel<Model>) {
-      for (; step_count - s >= FenwickSampler::kLanes;
-           s += FenwickSampler::kLanes) {
-        for (const std::size_t winner :
-             state.SampleProportionalToStaticStakeLanes(rng)) {
-          model.Model::Credit(state, winner);
-          state.AdvanceStep();
+    if constexpr (LaneModel<Model>) {
+      if (StaticStakeModel<Model> || state.CompoundingLanesApply()) {
+        for (; step_count - s >= FenwickSampler::kLanes;
+             s += FenwickSampler::kLanes) {
+          for (const std::size_t winner : DrawLanes(model, state, rng)) {
+            model.Model::Credit(state, winner);
+            state.AdvanceStep();
+          }
         }
       }
     }
     for (; s < step_count; ++s) {
       model.Model::Step(state, rng);
       state.AdvanceStep();
+    }
+  }
+
+ private:
+  static FenwickSampler::LaneIndices DrawLanes(const Model& model,
+                                               const StakeState& state,
+                                               RngStream& rng) {
+    if constexpr (StaticStakeModel<Model>) {
+      return state.SampleProportionalToStaticStakeLanes(rng);
+    } else {
+      return state.SampleProportionalToStakeLanes(
+          rng, model.Model::DrawWeightGain());
     }
   }
 };

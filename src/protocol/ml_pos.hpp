@@ -38,11 +38,21 @@ class MlPosModel : public SteppedModel<MlPosModel> {
 
   std::string name() const override { return "ML-PoS"; }
 
+  /// The law's second half: the block reward compounds into the winner's
+  /// stake, an O(log m) reinforcement of its tree path.
+  void Credit(StakeState& state, std::size_t winner) const {
+    state.CreditStake(winner, w_);
+  }
+
+  /// What Credit adds to the winner's draw weight: the reward.  Declaring
+  /// it lets SteppedModel::RunSteps draw four blocks per lock-step descent,
+  /// each lane seeing the earlier lanes' rewards.
+  double DrawWeightGain() const { return w_; }
+
   /// Proposer selection proportional to current effective stake: one
-  /// O(log m) sampler descent, then an O(log m) reinforcement of the
-  /// winner — the Pólya-urn step.
+  /// O(log m) sampler descent, then Credit — the Pólya-urn step.
   void Step(StakeState& state, RngStream& rng) const final {
-    state.CreditStake(state.SampleProportionalToStake(rng), w_);
+    Credit(state, state.SampleProportionalToStake(rng));
   }
 
   double RewardPerStep() const override { return w_; }

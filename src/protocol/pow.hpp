@@ -29,6 +29,10 @@ class PowModel : public SteppedModel<PowModel> {
     state.CreditIncome(winner, w_);
   }
 
+  /// What Credit adds to the winner's draw weight: nothing, at compile
+  /// time, so the lanes take the correction-free descent.
+  static constexpr double DrawWeightGain() { return 0.0; }
+
   /// Proportional proposer selection over the state's stake sampler: one
   /// uniform draw, O(log m).  Stakes never change, so the sampler tree is
   /// frozen and the branchless static-stake descent applies (identical

@@ -15,10 +15,11 @@
 // Scale: a Fenwick tree over the effective stakes backs proportional
 // proposer selection (SampleProportionalToStake), an O(log m) descent —
 // the property that lets one replication step stay cheap at 100k-miner
-// populations.  Stakes that never move (PoW, NEO) are drawn four blocks
-// at a time (SampleProportionalToStaticStakeLanes), their descents in
-// lock-step so the tree's cache misses overlap.  Only models that sample
-// from the tree keep it live:
+// populations.  PoW, NEO, ML-PoS and FSL-PoS draw four blocks at a time
+// (SampleProportionalToStaticStakeLanes, SampleProportionalToStakeLanes),
+// their descents in lock-step so the tree's cache misses overlap; the
+// compounding lanes read the tree as the earlier lanes' credits leave it.
+// Only models that sample from the tree keep it live:
 // ML-PoS, FSL-PoS and the C-PoS slot path credit through CreditStake,
 // which updates it in O(log m).  The models that never sample from it
 // (the C-PoS count path, SL-PoS, Algorand, EOS) credit through
@@ -183,9 +184,10 @@ class StakeState {
   /// winner for every input — through the sampler's branchless descent,
   /// which wins when the stake distribution never changes during the game
   /// (PoW / NEO: per-level descent decisions are fresh coin flips the
-  /// branch predictor cannot learn).  Compounding protocols should keep
-  /// the branchy variant: their concentrated evolving trees make the
-  /// predicted-skip descent cheaper (see FenwickSampler::SampleFlat).
+  /// branch predictor cannot learn).  A compounding game's single draws
+  /// stay on the branchy variant, whose predicted skips are cheaper on its
+  /// concentrated evolving tree; its lock-step draws are
+  /// SampleProportionalToStakeLanes (see FenwickSampler::SampleFlat).
   std::size_t SampleProportionalToStaticStake(RngStream& rng) const {
     if (tree_stale_) RebuildTree();
     return sampler_.SampleFlat(rng.NextDouble());
@@ -200,9 +202,32 @@ class StakeState {
   FenwickSampler::LaneIndices SampleProportionalToStaticStakeLanes(
       RngStream& rng) const {
     if (tree_stale_) RebuildTree();
-    FenwickSampler::LaneUniforms u01;
-    for (double& u : u01) u = rng.NextDouble();
-    return sampler_.SampleFlat(u01);
+    return sampler_.SampleFlat(NextLaneUniforms(rng));
+  }
+
+  /// FenwickSampler::kLanes SampleProportionalToStake draws in one call,
+  /// for a game that credits `gain` to each winner between them: the
+  /// uniforms are taken from `rng` in order, and winner k is exactly what
+  /// the k-th single draw would return after CreditStake(winner, gain) of
+  /// each earlier one.  The credits are the caller's to make, in order;
+  /// only exact while each goes into the tree at once, which is what
+  /// CompoundingLanesApply checks.
+  FenwickSampler::LaneIndices SampleProportionalToStakeLanes(
+      RngStream& rng, double gain) const {
+    if (tree_stale_) RebuildTree();
+    return sampler_.SampleFlat(NextLaneUniforms(rng), gain);
+  }
+
+  /// True when a compounding game may draw through
+  /// SampleProportionalToStakeLanes: no withholding (a credit moves the
+  /// tree at once) and a live tree, both needed for exactness, and at
+  /// least three miners with no zero stake, where the lanes pay: the
+  /// two-element draw is cheaper one at a time, and with a zero stake
+  /// every lane's winner takes the sampler's out-of-line zero-weight
+  /// check.  Positive credits to drawn winners change none of this.
+  bool CompoundingLanesApply() const {
+    return withhold_period_ == 0 && !tree_stale_ && stake_.size() >= 3 &&
+           !sampler_.has_zero_weight();
   }
 
   /// Monotone counter bumped whenever any effective stake changes
@@ -247,6 +272,13 @@ class StakeState {
 
   /// Brings a stale sampler tree back in line with stake_, in O(m).
   void RebuildTree() const;
+
+  /// The uniforms of one lock-step draw, in RNG order.
+  static FenwickSampler::LaneUniforms NextLaneUniforms(RngStream& rng) {
+    FenwickSampler::LaneUniforms u01;
+    for (double& u : u01) u = rng.NextDouble();
+    return u01;
+  }
 
   /// The flat-vector half of a compounding credit: income now, and mining
   /// power now (returns true; the caller updates or stales the tree) or at

@@ -56,6 +56,29 @@ std::size_t FenwickSampler::PositiveNear(std::size_t index) const {
   return 0;
 }
 
+void FenwickSampler::RedrawAfter(std::size_t lane, const LaneUniforms& u01,
+                                 double delta, LaneIndices* index) const {
+  LaneIndices& winner = *index;
+  double total = total_;
+  for (std::size_t l = 0; l <= lane; ++l) total += delta;
+  for (std::size_t k = lane + 1; k < kLanes; ++k, total += delta) {
+    double remaining = u01[k] * total;
+    std::size_t at = 0;
+    for (std::size_t bit = mask_; bit != 0; bit >>= 1) {
+      // Node at + bit holds elements [at, at + bit): lane l's Add reached
+      // it iff winner[l] lies there.
+      double t = tree_[at + bit];
+      for (std::size_t l = 0; l < k; ++l) {
+        t += MaskDouble(delta, FullMask(winner[l] - at < bit));
+      }
+      const std::uint64_t take = FullMask(t <= remaining);
+      at += bit & take;
+      remaining -= MaskDouble(t, take);
+    }
+    winner[k] = Winner(at);
+  }
+}
+
 void FenwickSampler::RestoreZero(std::size_t i,
                                  const FenwickSampler& pristine) {
   if (pristine.zero_.empty()) {

@@ -18,10 +18,14 @@
 // over different ranges round differently, so the tree alone cannot tell
 // a zero weight from a few ulps of rounding (see Sample).
 //
-// Static-stake games (PoW, NEO) draw four winners per call with the
-// four-lane SampleFlat: four independent descents in lock-step, so the
-// node loads of one level are in flight together instead of one latency-
-// bound chain of dependent loads per block.
+// The stepping loop draws four winners per call with the four-lane
+// SampleFlat: four descents in lock-step, so the node loads of one level
+// are in flight together instead of one latency-bound chain of dependent
+// loads per block.  A compounding game (ML-PoS, FSL-PoS) passes
+// the reward each winner is credited: every lane then reads the tree as
+// the earlier lanes' Adds would have left it, with the same float
+// operations in the same order.  Static-stake games (PoW, NEO) credit
+// nothing to the tree and take the correction-free instantiation.
 
 #ifndef FAIRCHAIN_SUPPORT_FENWICK_HPP_
 #define FAIRCHAIN_SUPPORT_FENWICK_HPP_
@@ -62,7 +66,7 @@ class FenwickSampler {
       zero_[i] &= static_cast<std::uint8_t>(delta == 0.0);
     }
     if (size_ == 2) {
-      tree_[1] += MaskDouble(delta, i == 0);
+      tree_[1] += MaskDouble(delta, FullMask(i == 0));
       tree_[2] += delta;
       return;
     }
@@ -145,16 +149,16 @@ class FenwickSampler {
   }
 
   /// Same selection as Sample — bit-for-bit, for every input — via a
-  /// BRANCHLESS descent: `take ? bit : 0` compiles to a conditional move
-  /// and the subtrahend is masked to exactly t or exactly +0.0 in the bit
-  /// domain, so a mispredictable take/skip decision never flushes the
-  /// pipeline.  Fastest when the distribution is FLAT or heavy-tailed but
-  /// static (PoW / NEO, whose stakes never change: each level's decision
-  /// is a fresh coin flip the predictor cannot learn).  Static-stake games
-  /// take it four draws at a time through the lane overload below.  On a
-  /// concentrated evolving tree the always-executed compare-mask-subtract
-  /// chain loses to Sample's predicted skips, which is why the compounding
-  /// protocols keep the branchy descent.
+  /// BRANCHLESS descent: the take/skip decision becomes a mask that keeps
+  /// or clears both the index step and the subtrahend (exactly t or
+  /// exactly +0.0, in the bit domain), so a mispredictable decision never
+  /// flushes the pipeline.  Fastest when the distribution is FLAT or
+  /// heavy-tailed but static (PoW / NEO, whose stakes never change: each
+  /// level's decision is a fresh coin flip the predictor cannot learn).
+  /// For one draw at a time on a concentrated evolving tree the
+  /// always-executed compare-mask-subtract chain loses to Sample's
+  /// predicted skips, so a compounding game's single steps stay on Sample;
+  /// four draws at a time, every model takes the lane overloads below.
   ///
   /// The descent body has no bounds branch at all: Build pads the tree out
   /// to 2 x mask_ nodes with +inf, so an out-of-range node compares
@@ -168,8 +172,8 @@ class FenwickSampler {
     std::size_t index = 0;
     for (std::size_t bit = mask_; bit != 0; bit >>= 1) {
       const double t = tree_[index + bit];
-      const bool take = t <= remaining;
-      index += take ? bit : 0;
+      const std::uint64_t take = FullMask(t <= remaining);
+      index += bit & take;
       remaining -= MaskDouble(t, take);
     }
     return Winner(index);
@@ -180,33 +184,92 @@ class FenwickSampler {
   /// in lock-step, one tree level at a time, so their four independent
   /// node loads overlap instead of each draw paying its own chain of
   /// dependent cache misses — the win on deep static trees (a 10^5-miner
-  /// tree is 17 levels over 1 MB).  Only for draws that no credit between
-  /// them can move: PoW / NEO, whose stakes never change.
+  /// tree is 17 levels over 1 MB).  For draws that no credit between them
+  /// can move: PoW / NEO, whose stakes never change.
   LaneIndices SampleFlat(const LaneUniforms& u01) const {
+    return SampleLanes<false>(u01, 0.0);
+  }
+
+  /// The same lock-step descent for draws that each credit `delta` (>= 0)
+  /// to their winner: lane k returns exactly Sample(u01[k]) as it would
+  /// read after Add(winner[l], delta) for every lane l < k, in lane order,
+  /// for every input.  One credit changes only the nodes over its winner,
+  /// so at each level a lane adds `delta` for each earlier lane that
+  /// credits the node it probes, in lane order — the float additions Add
+  /// would have made to that node — and the total grows by `delta` per
+  /// earlier lane the same way.  Adding a masked +0.0 for the other lanes
+  /// is exact on these non-negative sums, as in Add's two-element path.
+  /// The tree itself is not changed: the caller makes the Adds.
+  LaneIndices SampleFlat(const LaneUniforms& u01, double delta) const {
+    return SampleLanes<true>(u01, delta);
+  }
+
+  /// True when some element weighs exactly zero.
+  bool has_zero_weight() const { return draw_limit_ != size_; }
+
+ private:
+  /// The one lock-step descent; kCredited adds the earlier lanes' credits
+  /// (see the two SampleFlat overloads above).
+  template <bool kCredited>
+  LaneIndices SampleLanes(const LaneUniforms& u01, double delta) const {
     LaneIndices index{};
     std::array<double, kLanes> remaining;
+    double total = total_;
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      remaining[lane] = u01[lane] * total_;
+      remaining[lane] = u01[lane] * total;
+      if constexpr (kCredited) total += delta;
     }
-    if (size_ == 2) {
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        index[lane] = SampleTwo(remaining[lane]);
+    if constexpr (!kCredited) {
+      if (size_ == 2) {
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          index[lane] = SampleTwo(remaining[lane]);
+        }
+        return index;
       }
-      return index;
     }
     for (std::size_t bit = mask_; bit != 0; bit >>= 1) {
       for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        const double t = tree_[index[lane] + bit];
-        const bool take = t <= remaining[lane];
-        index[lane] += take ? bit : 0;
+        double t = tree_[index[lane] + bit];
+        if constexpr (kCredited) {
+          // The node holds elements [index, index + bit).  Earlier lane l
+          // credits it iff its winner lies there: it shared this lane's
+          // prefix and skipped the node, i.e. its already-updated index
+          // still equals this lane's (one that took the node now sits at
+          // an odd multiple of bit, which no prefix at this level is).
+          for (std::size_t l = 0; l < lane; ++l) {
+            t += MaskDouble(delta, FullMask(index[l] == index[lane]));
+          }
+        }
+        const std::uint64_t take = FullMask(t <= remaining[lane]);
+        index[lane] += bit & take;
         remaining[lane] -= MaskDouble(t, take);
       }
     }
-    for (std::size_t& lane_index : index) lane_index = Winner(lane_index);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      if (index[lane] < draw_limit_) [[likely]] continue;
+      const std::size_t raw = index[lane];
+      index[lane] = PositiveNear(raw);
+      if constexpr (kCredited) {
+        // The later lanes credited `raw`'s nodes, not the winner's.
+        if (index[lane] != raw) {
+          RedrawAfter(lane, u01, delta, &index);
+          break;
+        }
+      }
+    }
     return index;
   }
 
- private:
+  /// Lanes after `lane` drawn again one at a time, each against the known
+  /// winners of the lanes before it: the exact fallback once a lane's
+  /// winner differs from its raw descent index (a rounding overrun, or a
+  /// landing on a zero weight).  Zero-weight flags are read as they stand:
+  /// a credit changes one only by landing on a zero weight, which happens
+  /// only in an all-zero tree, and there every draw returns element 0
+  /// with or without it.
+  void RedrawAfter(std::size_t lane, const LaneUniforms& u01, double delta,
+                   LaneIndices* index) const;
+
   /// Maps a descent's raw index — the number of prefix sums at or below
   /// the target — to the selected element.  A population without a zero
   /// weight pays the one predicted compare the overrun check always cost;
@@ -230,12 +293,21 @@ class FenwickSampler {
   /// RestorePath's half for the zero-weight flags.
   void RestoreZero(std::size_t i, const FenwickSampler& pristine);
 
-  /// `condition ? value : +0.0` computed in the bit domain (no int→fp
-  /// conversion, no branch); exact because masking all bits off IS +0.0.
-  static double MaskDouble(double value, bool condition) {
+  /// All ones if `condition`, else zero: a descent decision as a mask.
+  /// Deciding once and masking both the index step and the subtrahend
+  /// keeps every lane of the lock-step descent a conditional move (with a
+  /// bool per use, gcc 12 turns the last lane's into a branch).
+  static std::uint64_t FullMask(bool condition) {
+    return 0ULL - static_cast<std::uint64_t>(condition);
+  }
+
+  /// `value` under a full mask, +0.0 under a zero one, computed in the bit
+  /// domain (no int→fp conversion, no branch); exact because masking all
+  /// bits off IS +0.0.
+  static double MaskDouble(double value, std::uint64_t mask) {
     std::uint64_t bits;
     std::memcpy(&bits, &value, sizeof(bits));
-    bits &= 0ULL - static_cast<std::uint64_t>(condition);
+    bits &= mask;
     double masked;
     std::memcpy(&masked, &bits, sizeof(masked));
     return masked;

@@ -81,19 +81,25 @@ class KahanSum {
 /// The input is copied and partially sorted; throws on empty input.
 double Quantile(std::vector<double> values, double q);
 
-/// Computes several quantiles in one sort pass (more efficient than repeated
-/// Quantile calls).  `qs` entries must lie in [0,1]; throws on empty input.
+/// Computes several quantiles in one pass (more efficient than repeated
+/// Quantile calls).  `qs` entries must lie in [0,1]; throws on empty input
+/// or a NaN sample.
 std::vector<double> Quantiles(std::vector<double> values,
                               const std::vector<double>& qs);
 
-/// Allocation-free core of Quantiles: sorts `values` IN PLACE (the buffer
-/// is left sorted) and writes the quantiles into `out`, resized to
-/// qs.size().  Callers that reduce many same-sized samples reuse one
-/// buffer pair across calls — the Monte Carlo per-checkpoint reduction
-/// path.  Same validation as Quantiles.
+/// Allocation-free core of Quantiles: permutes `values` IN PLACE (into an
+/// unspecified order) and writes the quantiles into `out`, resized to
+/// qs.size() — the same bits Quantiles gives.  Instead of sorting, it
+/// selects only the order statistics the interpolation reads: values go
+/// to buckets by an index monotone in the value, and only the buckets
+/// holding those ranks are sorted.
+/// `scratch` holds the bucket counts; callers that reduce many same-sized
+/// samples reuse one (values, out, scratch) triple across calls — the
+/// Monte Carlo per-checkpoint reduction path.  Same validation as
+/// Quantiles, and a NaN sample throws std::invalid_argument too.
 void QuantilesInPlace(std::vector<double>& values,
-                      const std::vector<double>& qs,
-                      std::vector<double>* out);
+                      const std::vector<double>& qs, std::vector<double>* out,
+                      std::vector<std::size_t>* scratch);
 
 /// Fraction of `values` strictly outside [lo, hi].
 double FractionOutside(const std::vector<double>& values, double lo, double hi);

@@ -20,13 +20,24 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/c_pos.hpp"
+#include "protocol/extensions.hpp"
 #include "protocol/incentive_model.hpp"
+#include "protocol/ml_pos.hpp"
 #include "protocol/model_factory.hpp"
+#include "protocol/pow.hpp"
+#include "protocol/sl_pos.hpp"
 #include "protocol/stake_state.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::protocol {
 namespace {
+
+// Which lane arm of RunSteps each model takes is fixed at compile time.
+static_assert(StaticStakeModel<PowModel>);
+static_assert(LaneModel<MlPosModel> && !StaticStakeModel<MlPosModel>);
+static_assert(!LaneModel<SlPosModel> && !LaneModel<CPosModel> &&
+              !LaneModel<AlgorandModel> && !LaneModel<EosModel>);
 
 constexpr std::uint64_t kSeed = 20210620;
 constexpr std::uint64_t kSteps = 160;
@@ -59,10 +70,10 @@ Trajectory ReferenceTrajectory(const IncentiveModel& model,
   return trajectory;
 }
 
-// Segment lengths summing to kSteps.  The lock-step static-stake loop
-// steps in groups of four and finishes a segment one step at a time, so
-// both lists mix lengths that are and are not multiples of 4, and start
-// segments at offsets of every residue.
+// Segment lengths summing to kSteps.  The lock-step loop steps in groups
+// of four and finishes a segment one step at a time, so both lists mix
+// lengths that are and are not multiples of 4, and start segments at
+// offsets of every residue.
 constexpr std::uint64_t kIrregularSegments[] = {1, 0, 2, 5, 17, 41, 94};
 constexpr std::uint64_t kUnalignedSegments[] = {3, 0, 6, 13, 4, 134};
 
@@ -164,6 +175,39 @@ TEST_P(RunStepsConformanceTest, MatchesIteratedStepTrailingZeroStake) {
     SCOPED_TRACE(withhold);
     ExpectConformance(*model, stakes, withhold, kIrregularSegments);
     ExpectConformance(*model, stakes, withhold, kUnalignedSegments);
+  }
+}
+
+TEST_P(RunStepsConformanceTest, MatchesIteratedStepSmallestLaneTrees) {
+  // The smallest populations the compounding lanes take: three miners
+  // (a two-level tree with a padding node) and four (a power-of-two tree
+  // whose root node holds every miner, so every lane's first probe sees
+  // every earlier lane's credit).
+  const auto model = MakeModel(GetParam(), 0.05, 0.1, 4);
+  for (const std::vector<double>& stakes :
+       {std::vector<double>{0.2, 0.5, 0.3},
+        std::vector<double>{0.1, 0.4, 0.3, 0.2}}) {
+    SCOPED_TRACE(stakes.size());
+    ExpectConformance(*model, stakes, 0, kIrregularSegments);
+    ExpectConformance(*model, stakes, 0, kUnalignedSegments);
+  }
+}
+
+TEST_P(RunStepsConformanceTest, MatchesIteratedStepRewardAsLargeAsTotal) {
+  // w = 1 against initial stakes summing to 1: every credit is as heavy as
+  // the whole initial population, so the earlier lanes' credits decide the
+  // later lanes' draws as often as they ever do.
+  const auto model = MakeModel(GetParam(), 1.0, 0.1, 4);
+  std::vector<double> pareto = ParetoStakes(37);
+  double total = 0.0;
+  for (const double stake : pareto) total += stake;
+  for (double& stake : pareto) stake /= total;
+  for (const std::vector<double>& stakes :
+       {std::vector<double>{0.2, 0.5, 0.3},
+        std::vector<double>{0.1, 0.4, 0.3, 0.2}, pareto}) {
+    SCOPED_TRACE(stakes.size());
+    ExpectConformance(*model, stakes, 0, kIrregularSegments);
+    ExpectConformance(*model, stakes, 0, kUnalignedSegments);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include "support/fenwick.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -178,6 +179,159 @@ TEST(FenwickSamplerTest, LaneDescentMatchesFourFlatDescents) {
             << "size " << size << " lane " << lane << " u " << lanes[lane];
       }
     }
+  }
+}
+
+// --- Credited lanes ------------------------------------------------------
+// The four-lane SampleFlat with a delta is the compounding stepping loop's
+// draw: lane k must return exactly Sample(u01[k]) as read after
+// Add(winner, delta) of every earlier lane, in lane order.
+
+constexpr double kTopUniform = 0x1.fffffffffffffp-1;  // 1 - 2^-53
+
+// The law the credited lanes reproduce, on `scratch` (equal to `pristine`
+// on entry and on return: RestorePath is bit-exact): Sample then Add, lane
+// by lane.
+FenwickSampler::LaneIndices SampleThenAdd(
+    FenwickSampler& scratch, const FenwickSampler& pristine,
+    const FenwickSampler::LaneUniforms& u01, double delta) {
+  FenwickSampler::LaneIndices winners;
+  for (std::size_t lane = 0; lane < FenwickSampler::kLanes; ++lane) {
+    winners[lane] = scratch.Sample(u01[lane]);
+    scratch.Add(winners[lane], delta);
+  }
+  for (const std::size_t winner : winners) {
+    scratch.RestorePath(winner, pristine);
+  }
+  return winners;
+}
+
+// u within `offset` ulps of the prefix boundary PrefixSum(i) / Total() of
+// `tree` (negative offsets below it), or -1 when that leaves [0, 1).
+double BoundaryUniform(const FenwickSampler& tree, std::size_t i,
+                       int offset) {
+  double u = tree.PrefixSum(i) / tree.Total();
+  for (int step = 0; step < offset; ++step) u = std::nextafter(u, 2.0);
+  for (int step = 0; step > offset; --step) u = std::nextafter(u, -1.0);
+  return u >= 0.0 && u < 1.0 ? u : -1.0;
+}
+
+// Sizes 1 to 10^5 (the two-element tree, powers of two and one past them),
+// weights with and without zero-weight holes, and a delta of 0, of a few
+// ulps of the total, and larger than every leaf.  (a) Every lane sits
+// within 2 ulps of every prefix boundary of the tree it reads after the
+// earlier lanes' Adds, each lane at each offset; (b) one lane at a time
+// takes 1 - 2^-53, which can overrun at rounding and send the later lanes
+// through the exact redraw; (c) below 10^5, windows over u = 0, 1 - 2^-53
+// and the uncredited tree's boundaries put each of those in each lane.
+TEST(FenwickSamplerTest, CreditedLaneDescentMatchesSampleThenAdd) {
+  constexpr std::size_t kLanes = FenwickSampler::kLanes;
+  RngStream rng(20250523);
+  for (const std::size_t size :
+       {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 9ul, 17ul, 1000ul, 100000ul}) {
+    for (const bool holes : {false, true}) {
+      if (holes && size == 100000) continue;
+      std::vector<double> weights(size);
+      double heaviest = 0.0;
+      for (std::size_t i = 0; i < size; ++i) {
+        weights[i] = holes && i % 5 == 2 ? 0.0 : 0.01 + rng.NextDouble();
+        heaviest = std::max(heaviest, weights[i]);
+      }
+      if (holes && size > 3) weights[size - 1] = 0.0;
+      FenwickSampler pristine;
+      pristine.Build(weights);
+      FenwickSampler scratch = pristine;
+      for (const double delta :
+           {0.0, 0x1p-50 * pristine.Total(), 3.0 * heaviest}) {
+        SCOPED_TRACE(::testing::Message() << "size " << size << " holes "
+                                          << holes << " delta " << delta);
+        // (a) and (b): lane k sits (pass + k) mod 5 - 2 ulps from boundary
+        // i of the tree it reads, so across five passes every lane takes
+        // every offset; a sixth pass puts lane i mod 4 at the top.
+        for (std::size_t i = 0; i <= size; ++i) {
+          for (std::size_t pass = 0; pass < 6; ++pass) {
+            FenwickSampler::LaneUniforms lanes;
+            FenwickSampler::LaneIndices expected;
+            for (std::size_t lane = 0; lane < kLanes; ++lane) {
+              const int ulps = static_cast<int>((pass + lane) % 5) - 2;
+              const double u = BoundaryUniform(scratch, i, ulps);
+              const bool top = u < 0.0 || (pass == 5 && lane == i % kLanes);
+              lanes[lane] = top ? kTopUniform : u;
+              expected[lane] = scratch.Sample(lanes[lane]);
+              scratch.Add(expected[lane], delta);
+            }
+            for (const std::size_t winner : expected) {
+              scratch.RestorePath(winner, pristine);
+            }
+            ASSERT_EQ(pristine.SampleFlat(lanes, delta), expected)
+                << "boundary " << i << " pass " << pass;
+          }
+        }
+        if (size == 100000) continue;
+        // (c): every window of four consecutive uniforms (wrapping) puts
+        // each one in each lane.
+        std::vector<double> uniforms = {0.0, kTopUniform};
+        for (std::size_t i = 0; i <= size; ++i) {
+          for (int offset = -2; offset <= 2; ++offset) {
+            const double u = BoundaryUniform(pristine, i, offset);
+            if (u >= 0.0) uniforms.push_back(u);
+          }
+        }
+        const std::size_t n = uniforms.size();
+        for (std::size_t start = 0; start < n; ++start) {
+          FenwickSampler::LaneUniforms lanes;
+          for (std::size_t lane = 0; lane < kLanes; ++lane) {
+            lanes[lane] = uniforms[(start + lane) % n];
+          }
+          ASSERT_EQ(pristine.SampleFlat(lanes, delta),
+                    SampleThenAdd(scratch, pristine, lanes, delta))
+              << "window " << start;
+        }
+      }
+    }
+  }
+}
+
+// A lane whose descent overruns at rounding has the last positive-weight
+// element as its winner, but the later lanes corrected the nodes over its
+// raw index instead; usually the two agree, because everything between
+// them weighs (next to) nothing.  In these trees, weights of an ulp or
+// less make the corrected sums round differently, and only drawing the
+// later lanes again against the known winners gives the sequential
+// winners.  Vectors found by a random search against the lanes without
+// that fallback, which return {7, 7, 4, 4} and {6, 5, 6, 6}.
+TEST(FenwickSamplerTest, CreditedLanesRedrawAfterRoundingOverrun) {
+  struct Case {
+    std::vector<double> weights;
+    double delta;
+    FenwickSampler::LaneUniforms u01;
+    FenwickSampler::LaneIndices winners;
+  };
+  const Case cases[] = {
+      {{0x1.51fe61a6177e6p-6, 0x1.b04e9eb65c11ep-3, 0x1.3a3f1de13b509p-2,
+        0x1.70ef54646d497p-57, 0x1.c57e80db45164p-1, 0x1.12aef5e54ae32p-1,
+        0x1.70ef54646d497p-57, 0x1p-53},
+       0x1.f5f85035fab12p-52,
+       {kTopUniform, 0x1.ffffffffffffcp-1, 0x1.5b65c4e856587p-1,
+        0x1.43fe7a8cc2772p-2},
+       {7, 5, 4, 4}},
+      {{0x1.89ccccf9492c6p-2, 0x1.4f5f0bb74087fp-2, 0.0, 3.0,
+        0x1.30f84ff23019cp-1, 0x1.7958c9e32ba08p-1, 0x1.56e1fc2f8f359p-997,
+        0.0},
+       0x1.42dce0c5b4129p-51,
+       {kTopUniform, 0x1.b53327269d56cp-1, 0x1.ffffffffffffdp-1,
+        0x1.ffffffffffffcp-1},
+       {6, 5, 5, 5}},
+  };
+  for (const Case& test_case : cases) {
+    FenwickSampler pristine;
+    pristine.Build(test_case.weights);
+    FenwickSampler scratch = pristine;
+    EXPECT_EQ(SampleThenAdd(scratch, pristine, test_case.u01,
+                            test_case.delta),
+              test_case.winners);
+    EXPECT_EQ(pristine.SampleFlat(test_case.u01, test_case.delta),
+              test_case.winners);
   }
 }
 
