@@ -122,7 +122,8 @@ void BM_Batched_MlPos(benchmark::State& state) {
   BatchedLoop(state, protocol::MlPosModel(0.01),
               static_cast<std::size_t>(state.range(0)));
 }
-// Arg(3): the smallest population the compounding lock-step lanes take.
+// Arg(3): protocol::kCompoundingLanesMinMiners, the smallest population the
+// compounding lock-step lanes take.
 BENCHMARK(BM_Batched_MlPos)->RangeMultiplier(10)->Range(2, 100000)->Arg(3);
 
 void BM_Batched_FslPos(benchmark::State& state) {

@@ -7,58 +7,49 @@
 // Build & run:  ./build/examples/protocol_comparison
 
 #include <iostream>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/experiments.hpp"
-#include "core/monte_carlo.hpp"
-#include "protocol/c_pos.hpp"
-#include "protocol/extensions.hpp"
-#include "protocol/ml_pos.hpp"
-#include "protocol/pow.hpp"
-#include "protocol/sl_pos.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_registry.hpp"
 #include "support/table.hpp"
+
+namespace {
+
+// Where each mechanism comes from.
+std::string Note(const fairchain::sim::CampaignCell& cell) {
+  if (cell.protocol == "pow") return "Bitcoin-style";
+  if (cell.protocol == "mlpos") return "Qtum/Blackcoin";
+  if (cell.protocol == "slpos") return "NXT";
+  if (cell.protocol == "cpos") return "Ethereum 2.0";
+  if (cell.protocol == "fslpos") {
+    return cell.withhold > 0 ? "Sec 6.3 remedy" : "Sec 6.2 remedy";
+  }
+  return "Sec 6.4";
+}
+
+}  // namespace
 
 int main() {
   using namespace fairchain;
-  namespace exp = core::experiments;
 
-  const double a = exp::kDefaultA;
-  const core::FairnessSpec spec = exp::DefaultSpec();
+  // Figure 2's parameters (a = 0.2, w = 0.01, v = 0.1, P = 32) for every
+  // mechanism, then FSL-PoS again with 1000-block reward withholding.
+  sim::ScenarioSpec spec = sim::ScenarioRegistry::BuiltIn().Get("fig2");
+  spec.protocols = {"pow",    "mlpos", "slpos",    "cpos",
+                    "fslpos", "neo",   "algorand", "eos"};
+  spec.steps = 3000;
+  spec.replications = 2000;
+  spec.seed = 1;
+  sim::ScenarioSpec withheld = spec;
+  withheld.protocols = {"fslpos"};
+  withheld.withhold_periods = {1000};
 
-  core::SimulationConfig config;
-  config.steps = 3000;
-  config.replications = 2000;
-  config.seed = 1;
-
-  struct Entry {
-    std::string note;
-    std::unique_ptr<protocol::IncentiveModel> model;
-    std::uint64_t withhold = 0;
-  };
-  std::vector<Entry> entries;
-  entries.push_back({"Bitcoin-style",
-                     std::make_unique<protocol::PowModel>(exp::kDefaultW)});
-  entries.push_back({"Qtum/Blackcoin",
-                     std::make_unique<protocol::MlPosModel>(exp::kDefaultW)});
-  entries.push_back({"NXT",
-                     std::make_unique<protocol::SlPosModel>(exp::kDefaultW)});
-  entries.push_back(
-      {"Ethereum 2.0", std::make_unique<protocol::CPosModel>(
-                           exp::kDefaultW, exp::kDefaultV,
-                           exp::kDefaultShards)});
-  entries.push_back({"Sec 6.2 remedy",
-                     std::make_unique<protocol::FslPosModel>(exp::kDefaultW)});
-  entries.push_back({"Sec 6.3 remedy",
-                     std::make_unique<protocol::FslPosModel>(exp::kDefaultW),
-                     1000});
-  entries.push_back({"Sec 6.4",
-                     std::make_unique<protocol::NeoModel>(exp::kDefaultW)});
-  entries.push_back({"Sec 6.4",
-                     std::make_unique<protocol::AlgorandModel>(
-                         exp::kDefaultV)});
-  entries.push_back({"Sec 6.4", std::make_unique<protocol::EosModel>(
-                                    exp::kDefaultW, exp::kDefaultV)});
+  const sim::CampaignRunner runner;
+  std::vector<sim::CellOutcome> outcomes = runner.Run(spec, {});
+  for (sim::CellOutcome& outcome : runner.Run(withheld, {})) {
+    outcomes.push_back(std::move(outcome));
+  }
 
   Table table({"protocol", "note", "E[lambda]", "p5", "p95",
                "unfair prob", "expectational", "robust"});
@@ -66,17 +57,14 @@ int main() {
       "Fairness comparison, a = 0.2, w = 0.01, v = 0.1, n = 3000, "
       "2000 replications, (eps, delta) = (0.1, 0.1)");
 
-  for (const auto& entry : entries) {
-    core::SimulationConfig entry_config = config;
-    entry_config.withhold_period = entry.withhold;
-    core::MonteCarloEngine engine(entry_config, spec);
-    const auto result = engine.RunTwoMiner(*entry.model, a);
-    const auto& final_stats = result.Final();
-    const auto expectational = result.Expectational();
+  for (const sim::CellOutcome& outcome : outcomes) {
+    const auto& final_stats = outcome.result.Final();
+    const auto expectational = outcome.result.Expectational();
     table.AddRow();
-    table.Cell(entry.withhold > 0 ? entry.model->name() + "+withhold"
-                                  : entry.model->name());
-    table.Cell(entry.note);
+    table.Cell(outcome.cell.withhold > 0
+                   ? outcome.result.protocol + "+withhold"
+                   : outcome.result.protocol);
+    table.Cell(Note(outcome.cell));
     table.Cell(final_stats.mean, 4);
     table.Cell(final_stats.p05, 4);
     table.Cell(final_stats.p95, 4);
@@ -84,7 +72,8 @@ int main() {
     // EOS / SL-PoS are designed to fail these checks (Sections 3.4, 6.4).
     table.Cell(std::string(expectational.consistent ? "yes" : "NO"));
     table.Cell(std::string(
-        final_stats.unfair_probability <= spec.delta ? "yes" : "NO"));
+        final_stats.unfair_probability <= spec.fairness.delta ? "yes"
+                                                              : "NO"));
   }
   table.Print(std::cout);
 

@@ -10,17 +10,14 @@
 
 #include <iostream>
 
-#include "core/experiments.hpp"
-#include "core/monte_carlo.hpp"
-#include "protocol/sl_pos.hpp"
 #include "protocol/win_probability.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_registry.hpp"
 #include "support/table.hpp"
 
 int main() {
   using namespace fairchain;
-  namespace exp = core::experiments;
 
-  const core::FairnessSpec spec = exp::DefaultSpec();
   const double a = 0.2;
 
   // First, the instantaneous view: the whale's probability of winning the
@@ -29,11 +26,14 @@ int main() {
                  "proportional would be"});
   lottery.SetTitle("SL-PoS next-block win probability for the whale");
   for (const std::size_t miners : {2u, 3u, 4u, 5u, 10u, 20u}) {
-    const auto stakes = exp::WhaleStakes(miners, a);
+    sim::CampaignCell cell;
+    cell.miners = miners;
+    cell.a = a;
     lottery.AddRow();
     lottery.Cell(static_cast<std::uint64_t>(miners));
     lottery.Cell(a, 2);
-    lottery.Cell(protocol::SlPosMultiMinerWinProbability(stakes, 0), 4);
+    lottery.Cell(protocol::SlPosMultiMinerWinProbability(cell.Stakes(), 0),
+                 4);
     lottery.Cell(a, 4);
   }
   lottery.Print(std::cout);
@@ -41,27 +41,16 @@ int main() {
                "fewer the whale is under-served,\nwith more it is "
                "over-served — the Lemma 6.1 non-proportionality.\n\n";
 
-  // Then the long-run view: full mining games.
-  protocol::SlPosModel model(exp::kDefaultW);
-  core::SimulationConfig config;
-  config.steps = 8000;
-  config.replications = 400;
-  config.seed = 99;
-
-  Table games({"miners", "avg lambda", "unfair prob", "convergence"});
-  games.SetTitle(
-      "SL-PoS mining games, whale a = 0.2, n = 8000, 400 replications");
-  for (const std::size_t miners : {2u, 3u, 4u, 5u, 10u}) {
-    const auto outcome =
-        exp::RunMultiMinerGame(model, miners, a, config, spec);
-    games.AddRow();
-    games.Cell(static_cast<std::uint64_t>(miners));
-    games.Cell(outcome.avg_lambda, 3);
-    games.Cell(outcome.unfair_probability, 3);
-    games.Cell(exp::FormatConvergence(outcome.convergence_step));
-  }
-  games.Print(std::cout);
-  std::cout << "\n2-4 miners: the whale is destroyed (avg lambda -> 0).  "
+  // Then the long-run view: full mining games, as the SL-PoS rows of the
+  // table1 campaign at a smaller size.
+  sim::ScenarioSpec spec = sim::ScenarioRegistry::BuiltIn().Get("table1");
+  spec.protocols = {"slpos"};
+  spec.steps = 8000;
+  spec.replications = 400;
+  spec.seed = 99;
+  sim::SummarySink summary;
+  sim::CampaignRunner().Run(spec, {&summary});
+  std::cout << "2-4 miners: the whale is destroyed (avg lambda -> 0).  "
                "10 miners: the whale is the\nbiggest fish and monopolises "
                "(avg lambda -> 1).  Either way: no fairness.\n";
   return 0;

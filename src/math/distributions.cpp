@@ -1,29 +1,11 @@
 #include "math/distributions.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "math/special.hpp"
 
 namespace fairchain::math {
-
-double SampleExponential(RngStream& rng, double rate) {
-  if (!(rate > 0.0)) {
-    throw std::invalid_argument("SampleExponential: rate must be > 0");
-  }
-  return -std::log(rng.NextOpenDouble()) / rate;
-}
-
-std::uint64_t SampleGeometric(RngStream& rng, double p) {
-  if (!(p > 0.0) || p > 1.0) {
-    throw std::invalid_argument("SampleGeometric: p must be in (0, 1]");
-  }
-  if (p >= 1.0) return 1;
-  const double u = rng.NextOpenDouble();
-  const double value = std::floor(std::log(u) / std::log1p(-p)) + 1.0;
-  return value < 1.0 ? 1 : static_cast<std::uint64_t>(value);
-}
 
 namespace {
 
@@ -125,12 +107,6 @@ std::size_t SampleCategorical(RngStream& rng,
   if (!(total > 0.0)) {
     throw std::invalid_argument("SampleCategorical: weights sum to zero");
   }
-  return SampleCategoricalWithTotal(rng, weights, total);
-}
-
-std::size_t SampleCategoricalWithTotal(RngStream& rng,
-                                       const std::vector<double>& weights,
-                                       double total) {
   const double target = rng.NextDouble() * total;
   double cumulative = 0.0;
   for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
@@ -176,50 +152,6 @@ double SampleNormal(RngStream& rng) {
   const double u1 = rng.NextOpenDouble();
   const double u2 = rng.NextDouble();
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
-AliasTable::AliasTable(const std::vector<double>& weights) {
-  if (weights.empty()) {
-    throw std::invalid_argument("AliasTable: empty weights");
-  }
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("AliasTable: negative weight");
-    total += w;
-  }
-  if (!(total > 0.0)) {
-    throw std::invalid_argument("AliasTable: weights sum to zero");
-  }
-  const std::size_t n = weights.size();
-  probability_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-  }
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    large.pop_back();
-    probability_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  for (const std::uint32_t i : large) probability_[i] = 1.0;
-  for (const std::uint32_t i : small) probability_[i] = 1.0;
-}
-
-std::size_t AliasTable::Sample(RngStream& rng) const {
-  const std::size_t column = static_cast<std::size_t>(
-      rng.NextBounded(static_cast<std::uint64_t>(probability_.size())));
-  return rng.NextDouble() < probability_[column] ? column : alias_[column];
 }
 
 }  // namespace fairchain::math

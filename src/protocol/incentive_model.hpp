@@ -121,7 +121,7 @@ concept StaticStakeModel = LaneModel<Model> && requires {
 /// withholding boundary has nothing pending to release).  A compounding
 /// model's lanes add each earlier winner's gain to the nodes they read,
 /// which is exact only while every credit goes into the tree at once, and
-/// pays only from three miners on without a zero stake
+/// pays only from kCompoundingLanesMinMiners miners on without a zero stake
 /// (StakeState::CompoundingLanesApply, fixed for the segment); otherwise
 /// it steps one at a time.
 template <typename Model>

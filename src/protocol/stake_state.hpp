@@ -49,6 +49,31 @@
 
 namespace fairchain::protocol {
 
+/// Smallest population whose compounding games (ML-PoS, FSL-PoS) draw
+/// through the lock-step lanes (StakeState::CompoundingLanesApply): the
+/// crossover on the campaign cells the gate serves.  At m = 2 the lanes
+/// read 1.56x slower than the two-element draw (fig3 ML-PoS cells).
+/// Campaign CPU, lanes over one-at-a-time, serial, pinned to one CPU, 6
+/// alternating pairs, 4-vCPU AVX-512 Xeon VM, gcc 12.2 Release:
+///
+///   cell (ML-PoS unless named)                 ratio  lanes faster
+///   table1 m = 3,  600 reps x 20000 steps      0.80   6/6
+///   table1 m = 4,  600 reps                    0.91   6/6
+///   table1 m = 5,  600 reps                    0.97   5/6
+///   table1 m = 10, 600 reps                    0.95   5/6
+///   whale-sweep m = 10, 400 reps               0.97   4/6
+///   fig2 FSL-PoS m = 10 split, 3000 reps       0.94   4/6
+///   table1 m = 32 split, 400 reps              0.92   4/6
+///   pareto:1.16 m = 100, 4000 x 2000 steps     0.99   3/6
+///
+/// BM_Batched_MlPos / BM_Batched_FslPos (16384-step games on pareto:1.16
+/// stakes, whose trees concentrate far more than any registry cell's; 10
+/// adjacent pairs each) read the other way: 1.14 / 1.16 at m = 3, 1.15 /
+/// 1.14 at 4, 1.17 / 1.17 at 5, 1.15 / 1.09 at 10, 1.15 / 1.11 at 32,
+/// 1.06 / 1.03 at 100 and 0.98 / 1.06 at 1000.  The gate follows the
+/// campaign cells.
+inline constexpr std::size_t kCompoundingLanesMinMiners = 3;
+
 /// Mutable per-game state shared by every incentive model.
 class StakeState {
  public:
@@ -221,12 +246,13 @@ class StakeState {
   /// True when a compounding game may draw through
   /// SampleProportionalToStakeLanes: no withholding (a credit moves the
   /// tree at once) and a live tree, both needed for exactness, and at
-  /// least three miners with no zero stake, where the lanes pay: the
-  /// two-element draw is cheaper one at a time, and with a zero stake
-  /// every lane's winner takes the sampler's out-of-line zero-weight
-  /// check.  Positive credits to drawn winners change none of this.
+  /// least kCompoundingLanesMinMiners miners with no zero stake, where the
+  /// lanes pay: with a zero stake every lane's winner takes the sampler's
+  /// out-of-line zero-weight check.  Positive credits to drawn winners
+  /// change none of this.
   bool CompoundingLanesApply() const {
-    return withhold_period_ == 0 && !tree_stale_ && stake_.size() >= 3 &&
+    return withhold_period_ == 0 && !tree_stale_ &&
+           stake_.size() >= kCompoundingLanesMinMiners &&
            !sampler_.has_zero_weight();
   }
 

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include "core/experiments.hpp"
 #include "support/escape.hpp"
 #include "support/table.hpp"
 
@@ -41,6 +40,10 @@ std::string JsonValue(bool passed) { return passed ? "true" : "false"; }
 // SummarySink
 // ---------------------------------------------------------------------------
 
+std::string FormatConvergence(const std::optional<std::uint64_t>& step) {
+  return step ? std::to_string(*step) : std::string("Never");
+}
+
 void SummarySink::Begin(const ScenarioSpec& spec) {
   title_ = spec.name + " — " + spec.description;
   final_rows_.clear();
@@ -76,7 +79,7 @@ void SummarySink::End() {
     table.Cell(row.stats.p95, 4);
     table.Cell(row.stats.unfair_probability, 3);
     table.Cell(row.stats.gini, 3);
-    table.Cell(core::experiments::FormatConvergence(row.convergence_step));
+    table.Cell(FormatConvergence(row.convergence_step));
   }
   table.Emit();
 }

@@ -211,6 +211,10 @@ class JsonlSink : public RowSink<Row> {
   std::string line_;  // reused: one stream write per row
 };
 
+/// Formats a convergence step as the paper's Table 1 does: the step, or
+/// "Never" when (ε,δ)-fairness is never reached.
+std::string FormatConvergence(const std::optional<std::uint64_t>& step);
+
 /// Collects each cell's final checkpoint and prints an aligned summary
 /// Table (one row per cell) to stdout at End — the human-facing view the
 /// CLI shows.

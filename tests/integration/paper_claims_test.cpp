@@ -1,59 +1,86 @@
-// Integration tests: the paper's headline claims, reproduced end to end
-// through the public API (models -> Monte Carlo engine -> fairness layer).
+// Integration tests: the paper's headline claims, reproduced end to end on
+// the campaign path `fairchain campaign` runs (ScenarioSpec ->
+// CampaignRunner -> CellOutcome).
 //
-// Each test is one claim from the paper, named accordingly.  Replication
-// counts are sized for CI (~seconds each); the bench harness runs the same
-// code at paper scale.
+// Each test is one claim from the paper, named accordingly.  Its spec is
+// the registry scenario of the claim's figure or table, narrowed to the
+// cells the claim reads and sized for CI; every cell draws from its own
+// CellSeed stream.  `fairchain campaign <name>` runs the same cells at
+// paper scale.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/bounds.hpp"
-#include "core/experiments.hpp"
-#include "core/monte_carlo.hpp"
-#include "protocol/c_pos.hpp"
-#include "protocol/ml_pos.hpp"
-#include "protocol/pow.hpp"
-#include "protocol/sl_pos.hpp"
+#include "protocol/model_factory.hpp"
+#include "protocol/stake_state.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_registry.hpp"
 #include "support/stats.hpp"
 
-namespace fairchain::core {
+namespace fairchain::sim {
 namespace {
 
-SimulationConfig MediumConfig(std::uint64_t steps = 2000,
-                              std::uint64_t reps = 1500) {
-  SimulationConfig config;
-  config.steps = steps;
-  config.replications = reps;
-  config.seed = 20210620;
-  config.checkpoints = LinearCheckpoints(steps, 25);
-  return config;
+constexpr std::uint64_t kSeed = 20210620;
+
+const core::FairnessSpec kSpec{0.1, 0.1};
+
+// Registry scenario `name` at `steps` x `reps` with 25 linear checkpoints.
+// No claim reads the population metrics, so they are off.
+ScenarioSpec Scenario(const std::string& name, std::uint64_t steps,
+                      std::uint64_t reps) {
+  ScenarioSpec spec = ScenarioRegistry::BuiltIn().Get(name);
+  spec.steps = steps;
+  spec.replications = reps;
+  spec.seed = kSeed;
+  spec.checkpoint_count = 25;
+  spec.spacing = CheckpointSpacing::kLinear;
+  spec.population_metrics = false;
+  return spec;
 }
 
-const FairnessSpec kSpec{0.1, 0.1};
+// Every cell's result, in grid order.
+std::vector<core::SimulationResult> RunCells(const ScenarioSpec& spec) {
+  std::vector<core::SimulationResult> results;
+  for (CellOutcome& outcome : CampaignRunner().Run(spec, {})) {
+    results.push_back(std::move(outcome.result));
+  }
+  return results;
+}
+
+// The result of a one-cell spec.
+core::SimulationResult RunCell(const ScenarioSpec& spec) {
+  EXPECT_EQ(spec.CellCount(), 1u) << spec.ToText();
+  return RunCells(spec).front();
+}
+
+// Figure 2's scenario (a = 0.2, w = 0.01, v = 0.1, P = 32) for one
+// protocol.
+ScenarioSpec Fig2(const std::string& protocol, std::uint64_t steps,
+                  std::uint64_t reps) {
+  ScenarioSpec spec = Scenario("fig2", steps, reps);
+  spec.protocols = {protocol};
+  return spec;
+}
 
 // --- Theorem 3.2 / 3.3 / 3.5: expectational fairness holds ---
 
 TEST(PaperClaims, Theorem32PowExpectationalFairness) {
-  protocol::PowModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("pow", 2000, 1500));
   EXPECT_TRUE(result.Expectational().consistent)
       << "mean=" << result.Final().mean;
 }
 
 TEST(PaperClaims, Theorem33MlPosExpectationalFairness) {
-  protocol::MlPosModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("mlpos", 2000, 1500));
   EXPECT_TRUE(result.Expectational().consistent)
       << "mean=" << result.Final().mean;
 }
 
 TEST(PaperClaims, Theorem35CPosExpectationalFairness) {
-  protocol::CPosModel model(experiments::kDefaultW, experiments::kDefaultV,
-                            experiments::kDefaultShards);
-  MonteCarloEngine engine(MediumConfig(), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("cpos", 2000, 1500));
   EXPECT_TRUE(result.Expectational().consistent)
       << "mean=" << result.Final().mean;
 }
@@ -61,9 +88,7 @@ TEST(PaperClaims, Theorem35CPosExpectationalFairness) {
 // --- Theorem 3.4: SL-PoS is NOT expectationally fair ---
 
 TEST(PaperClaims, Theorem34SlPosExpectationalUnfairness) {
-  protocol::SlPosModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("slpos", 2000, 1500));
   const auto report = result.Expectational();
   EXPECT_FALSE(report.consistent);
   EXPECT_LT(report.sample_mean, 0.1);  // far below a = 0.2 by n = 2000
@@ -72,9 +97,7 @@ TEST(PaperClaims, Theorem34SlPosExpectationalUnfairness) {
 // --- Theorem 4.2 / Figure 2(a): PoW reaches robust fairness ---
 
 TEST(PaperClaims, Figure2aPowConvergesIntoFairArea) {
-  protocol::PowModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(3000, 1500), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("pow", 3000, 1500));
   // Early: noticeably unfair; late: unfair probability below delta.
   EXPECT_GT(result.checkpoints.front().unfair_probability, 0.3);
   EXPECT_LT(result.Final().unfair_probability, kSpec.delta);
@@ -88,9 +111,7 @@ TEST(PaperClaims, Figure2aPowConvergesIntoFairArea) {
 // --- Figure 2(b): ML-PoS stays robustly unfair at w = 0.01 ---
 
 TEST(PaperClaims, Figure2bMlPosBandNeverNarrows) {
-  protocol::MlPosModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(3000, 1500), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("mlpos", 3000, 1500));
   EXPECT_GT(result.Final().unfair_probability, kSpec.delta);
   EXPECT_FALSE(result.ConvergenceStep().has_value());
   // The 5-95 band extends beyond the fair area on both sides.
@@ -101,19 +122,15 @@ TEST(PaperClaims, Figure2bMlPosBandNeverNarrows) {
 TEST(PaperClaims, MlPosEmpiricalUnfairMatchesBetaLimit) {
   // The empirical final unfair probability approaches the analytic limit
   // 1 - [I_{0.22} - I_{0.18}](Beta(20, 80)).
-  protocol::MlPosModel model(0.01);
-  MonteCarloEngine engine(MediumConfig(4000, 2500), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
-  const double limit = MlPosLimitUnfairProbability(0.2, 0.01, 0.1);
+  const auto result = RunCell(Fig2("mlpos", 4000, 2500));
+  const double limit = core::MlPosLimitUnfairProbability(0.2, 0.01, 0.1);
   EXPECT_NEAR(result.Final().unfair_probability, limit, 0.06);
 }
 
 // --- Figure 2(c): SL-PoS decays toward zero ---
 
 TEST(PaperClaims, Figure2cSlPosDecaysToZero) {
-  protocol::SlPosModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(5000, 800), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunCell(Fig2("slpos", 5000, 800));
   // First block: mean win rate 12.5%; by 5000 blocks far below.
   EXPECT_LT(result.Final().mean, 0.05);
   EXPECT_GT(result.Final().unfair_probability, 0.95);
@@ -124,27 +141,24 @@ TEST(PaperClaims, Figure2cSlPosDecaysToZero) {
 // --- Figure 2(d): C-PoS band is much narrower than ML-PoS ---
 
 TEST(PaperClaims, Figure2dCPosNarrowerThanMlPos) {
-  MonteCarloEngine engine(MediumConfig(2000, 1500), kSpec);
-  protocol::MlPosModel ml(experiments::kDefaultW);
-  protocol::CPosModel cpos(experiments::kDefaultW, experiments::kDefaultV,
-                           experiments::kDefaultShards);
-  const auto ml_result = engine.RunTwoMiner(ml, 0.2);
-  const auto cpos_result = engine.RunTwoMiner(cpos, 0.2);
-  const double ml_band = ml_result.Final().p95 - ml_result.Final().p05;
-  const double cpos_band = cpos_result.Final().p95 - cpos_result.Final().p05;
-  EXPECT_LT(cpos_band, ml_band / 3.0);
-  EXPECT_LT(cpos_result.Final().unfair_probability, kSpec.delta);
+  ScenarioSpec spec = Scenario("fig2", 2000, 1500);
+  spec.protocols = {"mlpos", "cpos"};
+  const auto results = RunCells(spec);
+  const auto& ml = results[0].Final();
+  const auto& cpos = results[1].Final();
+  EXPECT_LT(cpos.p95 - cpos.p05, (ml.p95 - ml.p05) / 3.0);
+  EXPECT_LT(cpos.unfair_probability, kSpec.delta);
 }
 
 // --- Figure 3: unfair probability orderings across a ---
 
 TEST(PaperClaims, Figure3aPowLargerMinersConvergeFaster) {
-  MonteCarloEngine engine(MediumConfig(2500, 1200), kSpec);
-  protocol::PowModel model(experiments::kDefaultW);
-  const auto small = engine.RunTwoMiner(model, 0.1);
-  const auto large = engine.RunTwoMiner(model, 0.3);
-  const auto cvg_small = small.ConvergenceStep();
-  const auto cvg_large = large.ConvergenceStep();
+  ScenarioSpec spec = Scenario("fig3", 2500, 1200);
+  spec.protocols = {"pow"};
+  spec.allocations = {0.1, 0.3};
+  const auto results = RunCells(spec);
+  const auto cvg_small = results[0].ConvergenceStep();
+  const auto cvg_large = results[1].ConvergenceStep();
   ASSERT_TRUE(cvg_large.has_value());
   // Paper: a = 0.3 needs < 800 blocks; a = 0.1 needs > 2000.
   EXPECT_LT(*cvg_large, 1200u);
@@ -154,48 +168,46 @@ TEST(PaperClaims, Figure3aPowLargerMinersConvergeFaster) {
 }
 
 TEST(PaperClaims, Figure3bMlPosRicherFeelsFairer) {
-  MonteCarloEngine engine(MediumConfig(2000, 1200), kSpec);
-  protocol::MlPosModel model(experiments::kDefaultW);
-  const auto poor = engine.RunTwoMiner(model, 0.1);
-  const auto rich = engine.RunTwoMiner(model, 0.4);
-  EXPECT_GT(poor.Final().unfair_probability,
-            rich.Final().unfair_probability);
+  ScenarioSpec spec = Scenario("fig3", 2000, 1200);
+  spec.protocols = {"mlpos"};
+  spec.allocations = {0.1, 0.4};
+  const auto results = RunCells(spec);
+  EXPECT_GT(results[0].Final().unfair_probability,
+            results[1].Final().unfair_probability);
 }
 
 TEST(PaperClaims, Figure3cSlPosUnfairProbabilityRisesToOne) {
-  MonteCarloEngine engine(MediumConfig(2000, 800), kSpec);
-  protocol::SlPosModel model(experiments::kDefaultW);
-  const auto result = engine.RunTwoMiner(model, 0.1);
+  ScenarioSpec spec = Scenario("fig3", 2000, 800);
+  spec.protocols = {"slpos"};
+  spec.allocations = {0.1};
+  const auto result = RunCell(spec);
   // Paper: a = 0.1 starts ~98% unfair and converges to 100% by n ~ 200.
   EXPECT_GT(result.checkpoints.front().unfair_probability, 0.9);
   EXPECT_GT(result.Final().unfair_probability, 0.99);
 }
 
 TEST(PaperClaims, Figure3dCPosBeatsMlPosAtEveryAllocation) {
-  MonteCarloEngine engine(MediumConfig(1500, 1000), kSpec);
-  protocol::MlPosModel ml(experiments::kDefaultW);
-  protocol::CPosModel cpos(experiments::kDefaultW, experiments::kDefaultV,
-                           experiments::kDefaultShards);
-  for (const double a : {0.1, 0.2, 0.3}) {
-    const auto ml_result = engine.RunTwoMiner(ml, a);
-    const auto cpos_result = engine.RunTwoMiner(cpos, a);
-    EXPECT_LT(cpos_result.Final().unfair_probability,
-              ml_result.Final().unfair_probability)
-        << "a=" << a;
+  ScenarioSpec spec = Scenario("fig3", 1500, 1000);
+  spec.protocols = {"mlpos", "cpos"};
+  spec.allocations = {0.1, 0.2, 0.3};
+  const auto results = RunCells(spec);
+  for (std::size_t i = 0; i < spec.allocations.size(); ++i) {
+    EXPECT_LT(results[3 + i].Final().unfair_probability,
+              results[i].Final().unfair_probability)
+        << "a=" << spec.allocations[i];
   }
 }
 
 // --- Figure 5(a): ML-PoS reward size drives robust fairness ---
 
 TEST(PaperClaims, Figure5aSmallRewardRestoresRobustFairness) {
-  MonteCarloEngine engine(MediumConfig(2000, 1200), kSpec);
-  protocol::MlPosModel large(0.1);
-  protocol::MlPosModel tiny(1e-4);
-  const auto large_result = engine.RunTwoMiner(large, 0.2);
-  const auto tiny_result = engine.RunTwoMiner(tiny, 0.2);
+  ScenarioSpec spec = Scenario("fig5", 2000, 1200);
+  spec.protocols = {"mlpos"};
+  spec.rewards = {0.1, 1e-4};
+  const auto results = RunCells(spec);
   // Paper: w = 0.1 is >= 85% unfair; w = 1e-4 achieves (ε, δ)-fairness.
-  EXPECT_GT(large_result.Final().unfair_probability, 0.8);
-  EXPECT_LT(tiny_result.Final().unfair_probability, kSpec.delta);
+  EXPECT_GT(results[0].Final().unfair_probability, 0.8);
+  EXPECT_LT(results[1].Final().unfair_probability, kSpec.delta);
 }
 
 // --- Figure 5(d): inflation reward drives C-PoS fairness ---
@@ -204,93 +216,102 @@ TEST(PaperClaims, Figure5dInflationMonotonicallyImprovesFairness) {
   // The monotone effect of inflation is sharpest at P = 1 (C-PoS without
   // sharding), where v = 0 degenerates to ML-PoS; the magnitudes then track
   // the paper's Figure 5(d) series (~70% / ~50% / ~10%).
-  MonteCarloEngine engine(MediumConfig(1500, 1200), kSpec);
+  ScenarioSpec spec = Scenario("fig5d", 1500, 1200);
+  spec.inflations = {0.0, 0.01, 0.1};
+  spec.shard_counts = {1};
   double prev_unfair = 1.1;
   std::vector<double> unfair_at_v;
-  for (const double v : {0.0, 0.01, 0.1}) {
-    protocol::CPosModel model(experiments::kDefaultW, v, 1);
-    const auto result = engine.RunTwoMiner(model, 0.2);
-    EXPECT_LT(result.Final().unfair_probability, prev_unfair) << "v=" << v;
+  for (const auto& result : RunCells(spec)) {
+    EXPECT_LT(result.Final().unfair_probability, prev_unfair)
+        << "v=" << spec.inflations[unfair_at_v.size()];
     prev_unfair = result.Final().unfair_probability;
     unfair_at_v.push_back(result.Final().unfair_probability);
   }
+  ASSERT_EQ(unfair_at_v.size(), 3u);
   EXPECT_GT(unfair_at_v[0], 0.4);            // v = 0: clearly unfair
   EXPECT_LE(prev_unfair, kSpec.delta + 0.05);  // v = 0.1 ~ fair
   // At the full P = 32 sharding the inflation makes C-PoS essentially
   // perfectly robust already at v = 0.01 (even stronger than the paper's
   // plotted magnitudes — see EXPERIMENTS.md).
-  protocol::CPosModel sharded(experiments::kDefaultW, 0.01,
-                              experiments::kDefaultShards);
-  const auto sharded_result = engine.RunTwoMiner(sharded, 0.2);
-  EXPECT_LT(sharded_result.Final().unfair_probability, kSpec.delta);
+  spec.inflations = {0.01};
+  spec.shard_counts = {32};
+  EXPECT_LT(RunCell(spec).Final().unfair_probability, kSpec.delta);
 }
 
 // --- Figure 6: FSL-PoS treatment and reward withholding ---
 
 TEST(PaperClaims, Figure6aFslPosRestoresExpectationalFairness) {
-  protocol::FslPosModel model(experiments::kDefaultW);
-  MonteCarloEngine engine(MediumConfig(2000, 1500), kSpec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  ScenarioSpec spec = Scenario("fig6", 2000, 1500);
+  spec.withhold_periods = {0};
+  const auto result = RunCell(spec);
   EXPECT_TRUE(result.Expectational().consistent);
   // But robust fairness is NOT achieved (band like ML-PoS).
   EXPECT_GT(result.Final().unfair_probability, kSpec.delta);
 }
 
 TEST(PaperClaims, Figure6bWithholdingImprovesRobustFairness) {
-  protocol::FslPosModel model(experiments::kDefaultW);
-  SimulationConfig config = MediumConfig(3000, 1200);
-  MonteCarloEngine plain(config, kSpec);
-  config.withhold_period = 1000;
-  MonteCarloEngine withheld(config, kSpec);
-  const auto plain_result = plain.RunTwoMiner(model, 0.2);
-  const auto withheld_result = withheld.RunTwoMiner(model, 0.2);
-  EXPECT_LT(withheld_result.Final().unfair_probability,
-            plain_result.Final().unfair_probability);
+  ScenarioSpec spec = Scenario("fig6", 3000, 1200);
+  spec.withhold_periods = {0, 1000};
+  const auto results = RunCells(spec);
+  const auto& plain = results[0];
+  const auto& withheld = results[1];
+  EXPECT_LT(withheld.Final().unfair_probability,
+            plain.Final().unfair_probability);
   // Expectational fairness preserved under withholding.
-  EXPECT_TRUE(withheld_result.Expectational().consistent);
+  EXPECT_TRUE(withheld.Expectational().consistent);
 }
 
-// --- Table 1: multi-miner games ---
+// --- Table 1: multi-miner games (A holds 20%, the rest split equally) ---
+
+ScenarioSpec Table1(const std::string& protocol,
+                    std::vector<std::size_t> miners, std::uint64_t steps,
+                    std::uint64_t reps) {
+  ScenarioSpec spec = Scenario("table1", steps, reps);
+  spec.protocols = {protocol};
+  spec.miner_counts = std::move(miners);
+  return spec;
+}
 
 TEST(PaperClaims, Table1PowMultiMinerStable) {
-  SimulationConfig config = MediumConfig(2500, 800);
-  protocol::PowModel model(experiments::kDefaultW);
-  for (const std::size_t miners : {2u, 5u, 10u}) {
-    const auto outcome = experiments::RunMultiMinerGame(
-        model, miners, 0.2, config, kSpec);
-    EXPECT_NEAR(outcome.avg_lambda, 0.2, 0.02) << miners;
-    EXPECT_TRUE(outcome.convergence_step.has_value()) << miners;
+  const ScenarioSpec spec = Table1("pow", {2, 5, 10}, 2500, 800);
+  const auto results = RunCells(spec);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::size_t miners = spec.miner_counts[i];
+    EXPECT_NEAR(results[i].Final().mean, 0.2, 0.02) << miners;
+    EXPECT_TRUE(results[i].ConvergenceStep().has_value()) << miners;
   }
 }
 
 TEST(PaperClaims, Table1SlPosDependsOnCompetitorSplit) {
-  protocol::SlPosModel model(experiments::kDefaultW);
   // 2 miners: A (20%) vs one 80% whale -> A is wiped out.
-  const auto two = experiments::RunMultiMinerGame(
-      model, 2, 0.2, MediumConfig(3000, 400), kSpec);
-  EXPECT_LT(two.avg_lambda, 0.05);
+  const auto two = RunCell(Table1("slpos", {2}, 3000, 400));
+  EXPECT_LT(two.Final().mean, 0.05);
   // 10 miners: A (20%) vs nine 8.9% minnows -> A is the biggest and
   // monopolises.  The cumulative reward fraction lambda climbs toward 1
   // only gradually (it averages the whole history), so assert the climb
   // plus the terminal stake share directly.
-  const auto ten_short = experiments::RunMultiMinerGame(
-      model, 10, 0.2, MediumConfig(3000, 250), kSpec);
-  const auto ten = experiments::RunMultiMinerGame(
-      model, 10, 0.2, MediumConfig(10000, 250), kSpec);
-  EXPECT_GT(ten.avg_lambda, 0.4);                 // far above its 20% share
-  EXPECT_GT(ten.avg_lambda, ten_short.avg_lambda);  // still rising
-  EXPECT_FALSE(ten.convergence_step.has_value());
+  const auto ten_short = RunCell(Table1("slpos", {10}, 3000, 250));
+  const ScenarioSpec ten_spec = Table1("slpos", {10}, 10000, 250);
+  const auto ten = RunCell(ten_spec);
+  EXPECT_GT(ten.Final().mean, 0.4);                   // far above its 20%
+  EXPECT_GT(ten.Final().mean, ten_short.Final().mean);  // still rising
+  EXPECT_FALSE(ten.ConvergenceStep().has_value());
   // Terminal state: the whale's share has climbed far above 0.2 and it is
   // the top stakeholder in nearly all games ("only the biggest miner will
   // monopolize"); reaching share ~1 takes n >> 10^5 (see EXPERIMENTS.md).
+  // The campaign keeps no terminal stakes, so these games replay the
+  // cell's model and stakes directly.
+  const CampaignCell cell = ten_spec.ExpandCells().front();
+  const auto model =
+      protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
   RunningStats share_stats;
   int whale_on_top = 0;
   const int reps = 100;
   const RngStream master(991);
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    protocol::StakeState state(experiments::WhaleStakes(10, 0.2));
+    protocol::StakeState state(cell.Stakes());
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 10000);
+    model->RunGame(state, rng, 10000);
     share_stats.Add(state.StakeShare(0));
     bool top = true;
     for (std::size_t j = 1; j < state.miner_count(); ++j) {
@@ -303,35 +324,28 @@ TEST(PaperClaims, Table1SlPosDependsOnCompetitorSplit) {
 }
 
 TEST(PaperClaims, Table1FiveEqualMinersSymmetric) {
-  SimulationConfig config = MediumConfig(5000, 500);
-  protocol::SlPosModel model(experiments::kDefaultW);
   // 5 miners of 20% each: symmetric, so avg lambda = 0.2, but the game
   // still monopolises: the unfair probability keeps climbing toward 1.
-  const auto outcome = experiments::RunMultiMinerGame(model, 5, 0.2, config,
-                                                      kSpec);
-  EXPECT_NEAR(outcome.avg_lambda, 0.2, 0.05);
-  EXPECT_GT(outcome.unfair_probability, 0.75);
-  EXPECT_FALSE(outcome.convergence_step.has_value());
+  const auto result = RunCell(Table1("slpos", {5}, 5000, 500));
+  EXPECT_NEAR(result.Final().mean, 0.2, 0.05);
+  EXPECT_GT(result.Final().unfair_probability, 0.75);
+  EXPECT_FALSE(result.ConvergenceStep().has_value());
 }
 
 // --- Section 5.2 sanity: protocol ranking at paper defaults ---
 
 TEST(PaperClaims, ProtocolRankingPowCPosMlPosSlPos) {
-  MonteCarloEngine engine(MediumConfig(2500, 1000), kSpec);
-  protocol::PowModel pow(experiments::kDefaultW);
-  protocol::MlPosModel ml(experiments::kDefaultW);
-  protocol::SlPosModel sl(experiments::kDefaultW);
-  protocol::CPosModel cpos(experiments::kDefaultW, experiments::kDefaultV,
-                           experiments::kDefaultShards);
-  const double u_pow = engine.RunTwoMiner(pow, 0.2).Final().unfair_probability;
-  const double u_cpos =
-      engine.RunTwoMiner(cpos, 0.2).Final().unfair_probability;
-  const double u_ml = engine.RunTwoMiner(ml, 0.2).Final().unfair_probability;
-  const double u_sl = engine.RunTwoMiner(sl, 0.2).Final().unfair_probability;
+  ScenarioSpec spec = Scenario("fig2", 2500, 1000);
+  spec.protocols = {"pow", "cpos", "mlpos", "slpos"};
+  const auto results = RunCells(spec);
+  const double u_pow = results[0].Final().unfair_probability;
+  const double u_cpos = results[1].Final().unfair_probability;
+  const double u_ml = results[2].Final().unfair_probability;
+  const double u_sl = results[3].Final().unfair_probability;
   EXPECT_LE(u_pow, u_cpos + 0.02);
   EXPECT_LT(u_cpos, u_ml);
   EXPECT_LT(u_ml, u_sl);
 }
 
 }  // namespace
-}  // namespace fairchain::core
+}  // namespace fairchain::sim

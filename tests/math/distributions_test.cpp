@@ -19,85 +19,6 @@
 namespace fairchain::math {
 namespace {
 
-TEST(ExponentialTest, MeanAndVariance) {
-  RngStream rng(1);
-  RunningStats stats;
-  const double rate = 2.5;
-  for (int i = 0; i < 200000; ++i) stats.Add(SampleExponential(rng, rate));
-  EXPECT_NEAR(stats.Mean(), 1.0 / rate, 0.01);
-  EXPECT_NEAR(stats.Variance(), 1.0 / (rate * rate), 0.02);
-}
-
-TEST(ExponentialTest, AlwaysPositive) {
-  RngStream rng(2);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GT(SampleExponential(rng, 1.0), 0.0);
-  }
-}
-
-TEST(ExponentialTest, RejectsNonPositiveRate) {
-  RngStream rng(3);
-  EXPECT_THROW(SampleExponential(rng, 0.0), std::invalid_argument);
-  EXPECT_THROW(SampleExponential(rng, -1.0), std::invalid_argument);
-}
-
-TEST(ExponentialTest, MinOfTwoRacesProportionally) {
-  // P[Exp(rate_a) < Exp(rate_b)] = rate_a / (rate_a + rate_b) — the PoW
-  // block race of Section 2.1.
-  RngStream rng(4);
-  const double rate_a = 3.0, rate_b = 7.0;
-  int a_wins = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    if (SampleExponential(rng, rate_a) < SampleExponential(rng, rate_b)) {
-      ++a_wins;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(a_wins) / n, 0.3, 0.005);
-}
-
-TEST(GeometricTest, MeanMatches) {
-  RngStream rng(5);
-  RunningStats stats;
-  const double p = 0.05;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(static_cast<double>(SampleGeometric(rng, p)));
-  }
-  EXPECT_NEAR(stats.Mean(), 1.0 / p, 0.3);
-}
-
-TEST(GeometricTest, SupportStartsAtOne) {
-  RngStream rng(6);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(SampleGeometric(rng, 0.9), 1u);
-  }
-}
-
-TEST(GeometricTest, PEqualOneIsAlwaysOne) {
-  RngStream rng(7);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(SampleGeometric(rng, 1.0), 1u);
-}
-
-TEST(GeometricTest, RejectsBadP) {
-  RngStream rng(8);
-  EXPECT_THROW(SampleGeometric(rng, 0.0), std::invalid_argument);
-  EXPECT_THROW(SampleGeometric(rng, 1.5), std::invalid_argument);
-}
-
-TEST(GeometricTest, MemorylessTailRatio) {
-  // P[T > 2] / P[T > 1] should equal (1-p).
-  RngStream rng(9);
-  const double p = 0.3;
-  int gt1 = 0, gt2 = 0;
-  const int n = 300000;
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t t = SampleGeometric(rng, p);
-    if (t > 1) ++gt1;
-    if (t > 2) ++gt2;
-  }
-  EXPECT_NEAR(static_cast<double>(gt2) / gt1, 1.0 - p, 0.01);
-}
-
 TEST(BinomialTest, DegenerateCases) {
   RngStream rng(10);
   EXPECT_EQ(SampleBinomial(rng, 0, 0.5), 0u);
@@ -362,37 +283,9 @@ TEST(NormalTest, MomentsAndSymmetry) {
   EXPECT_NEAR(static_cast<double>(positive) / n, 0.5, 0.01);
 }
 
-TEST(AliasTableTest, MatchesWeights) {
-  RngStream rng(21);
-  const std::vector<double> weights = {5.0, 1.0, 3.0, 1.0};
-  AliasTable table(weights);
-  EXPECT_EQ(table.size(), 4u);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[table.Sample(rng)];
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / n, weights[i] / 10.0, 0.01);
-  }
-}
-
-TEST(AliasTableTest, SingleCategory) {
-  RngStream rng(22);
-  AliasTable table(std::vector<double>{3.0});
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.Sample(rng), 0u);
-}
-
-TEST(AliasTableTest, RejectsInvalid) {
-  EXPECT_THROW(AliasTable(std::vector<double>{}), std::invalid_argument);
-  EXPECT_THROW(AliasTable(std::vector<double>{-1.0}), std::invalid_argument);
-  EXPECT_THROW(AliasTable(std::vector<double>{0.0, 0.0}),
-               std::invalid_argument);
-}
-
 TEST(DeterminismTest, SamplersReproducible) {
   RngStream a(123), b(123);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(SampleExponential(a, 1.0), SampleExponential(b, 1.0));
-    EXPECT_EQ(SampleGeometric(a, 0.1), SampleGeometric(b, 0.1));
     EXPECT_EQ(SampleBinomial(a, 32, 0.2), SampleBinomial(b, 32, 0.2));
     EXPECT_EQ(SampleGamma(a, 2.0), SampleGamma(b, 2.0));
   }

@@ -38,6 +38,9 @@ static_assert(StaticStakeModel<PowModel>);
 static_assert(LaneModel<MlPosModel> && !StaticStakeModel<MlPosModel>);
 static_assert(!LaneModel<SlPosModel> && !LaneModel<CPosModel> &&
               !LaneModel<AlgorandModel> && !LaneModel<EosModel>);
+// MatchesIteratedStepSmallestLaneTrees steps three- and four-miner games:
+// the smallest populations the compounding lanes take.
+static_assert(kCompoundingLanesMinMiners == 3);
 
 constexpr std::uint64_t kSeed = 20210620;
 constexpr std::uint64_t kSteps = 160;

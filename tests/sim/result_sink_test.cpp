@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -167,6 +168,11 @@ TEST(ResultSinkTest, JsonlRowHasAllColumnsAndNullConvergence) {
   // Seeds are full-range 64-bit: emitted as strings so JSON parsers that
   // store numbers as doubles cannot round them.
   EXPECT_NE(line.find("\"cell_seed\":\"42\""), std::string::npos);
+}
+
+TEST(ResultSinkTest, FormatConvergencePrintsNeverOrTheStep) {
+  EXPECT_EQ(FormatConvergence(std::nullopt), "Never");
+  EXPECT_EQ(FormatConvergence(1055), "1055");
 }
 
 TEST(ResultSinkTest, FormatDoubleIsShortestRoundTrip) {

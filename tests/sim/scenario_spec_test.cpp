@@ -116,6 +116,25 @@ TEST(ScenarioSpecTest, CellStakesSplitWhalesAndMinnows) {
   EXPECT_DOUBLE_EQ(stakes[2], 0.6 / 8.0);
 }
 
+TEST(ScenarioSpecTest, CellStakesOneWhaleIsTable1Split) {
+  // Table 1's allocation, bit for bit: A holds a, and the other m - 1
+  // miners hold (1 - a) / (m - 1) each.
+  for (const std::size_t miners : {2u, 3u, 5u, 10u}) {
+    for (const double a : {0.2, 0.3, 1.0 / 3.0}) {
+      CampaignCell cell;
+      cell.miners = miners;
+      cell.a = a;
+      const auto stakes = cell.Stakes();
+      ASSERT_EQ(stakes.size(), miners);
+      EXPECT_EQ(stakes[0], a) << miners;
+      const double minnow = (1.0 - a) / static_cast<double>(miners - 1);
+      for (std::size_t i = 1; i < miners; ++i) {
+        EXPECT_EQ(stakes[i], minnow) << miners << " miner " << i;
+      }
+    }
+  }
+}
+
 TEST(ScenarioSpecTest, ValidateRejectsNamesThatWouldCorruptSinks) {
   ScenarioSpec spec;
   for (const char* name : {"bad,name", "bad\"name", "bad name", "{}"}) {
@@ -375,6 +394,8 @@ TEST(ScenarioSpecTest, OutOfRangeStakesNameTheConstraint) {
   spec.allocations = {0.0};
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
   spec.allocations = {-0.2};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.allocations = {1.0};
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 }
 

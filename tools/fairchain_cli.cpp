@@ -39,7 +39,6 @@
 #include "core/bounds.hpp"
 #include "core/equitability.hpp"
 #include "core/execution_backend.hpp"
-#include "core/experiments.hpp"
 #include "core/monte_carlo.hpp"
 #include "obs/export.hpp"
 #include "obs/progress.hpp"
@@ -61,6 +60,13 @@
 namespace {
 
 using namespace fairchain;
+
+// Paper defaults (Sections 5.1 and 5.2) for the single-game subcommands.
+constexpr double kDefaultA = 0.2;             ///< miner A's initial share
+constexpr double kDefaultW = 0.01;            ///< block / proposer reward
+constexpr double kDefaultV = 0.1;             ///< C-PoS inflation reward
+constexpr std::uint32_t kDefaultShards = 32;  ///< Ethereum 2.0 P
+constexpr std::uint64_t kDefaultSteps = 5000;  ///< Figure 2 horizon
 
 int Usage() {
   std::fprintf(
@@ -105,8 +111,7 @@ int Usage() {
 // --shards is read at u64 width and checked against the proposer-slot cap
 // before narrowing, so 2^32 + 32 fails instead of running as P = 32.
 std::uint32_t ReadShards(const FlagSet& flags) {
-  const std::uint64_t shards =
-      flags.GetU64("shards", core::experiments::kDefaultShards);
+  const std::uint64_t shards = flags.GetU64("shards", kDefaultShards);
   protocol::ValidateShardCount(shards, "--");
   return static_cast<std::uint32_t>(shards);
 }
@@ -119,19 +124,19 @@ core::FairnessSpec ReadFairnessSpec(const FlagSet& flags) {
 }
 
 std::unique_ptr<protocol::IncentiveModel> MakeModel(const FlagSet& flags) {
-  return protocol::MakeModel(
-      flags.GetString("protocol", "mlpos"),
-      flags.GetDouble("w", core::experiments::kDefaultW),
-      flags.GetDouble("v", core::experiments::kDefaultV), ReadShards(flags));
+  return protocol::MakeModel(flags.GetString("protocol", "mlpos"),
+                             flags.GetDouble("w", kDefaultW),
+                             flags.GetDouble("v", kDefaultV),
+                             ReadShards(flags));
 }
 
 int RunSimulate(const FlagSet& flags) {
   flags.RejectUnknown({"protocol", "a", "w", "v", "shards", "n", "reps",
                        "withhold", "eps", "delta", "seed"});
-  const double a = flags.GetDouble("a", core::experiments::kDefaultA);
+  const double a = flags.GetDouble("a", kDefaultA);
   const auto model = MakeModel(flags);
   core::SimulationConfig config;
-  config.steps = flags.GetU64("n", core::experiments::kDefaultSteps);
+  config.steps = flags.GetU64("n", kDefaultSteps);
   config.replications = flags.GetU64("reps", 10000);
   config.seed = flags.GetU64("seed", 20210620);
   config.withhold_period = flags.GetU64("withhold", 0);
@@ -165,7 +170,7 @@ int RunSimulate(const FlagSet& flags) {
       final_stats.unfair_probability <= spec.delta ? "holds" : "VIOLATED"));
   table.AddRow();
   table.Cell(std::string("convergence step"));
-  table.Cell(core::experiments::FormatConvergence(result.ConvergenceStep()));
+  table.Cell(sim::FormatConvergence(result.ConvergenceStep()));
   table.AddRow();
   table.Cell(std::string("equitability (normalised variance)"));
   table.Cell(equitability.normalised_variance, 6);
@@ -563,11 +568,11 @@ int RunBound(const FlagSet& flags) {
   flags.RejectUnknown(
       {"protocol", "a", "w", "v", "shards", "n", "eps", "delta"});
   const std::string name = flags.GetString("protocol", "pow");
-  const double a = flags.GetDouble("a", core::experiments::kDefaultA);
-  const double w = flags.GetDouble("w", core::experiments::kDefaultW);
-  const double v = flags.GetDouble("v", core::experiments::kDefaultV);
+  const double a = flags.GetDouble("a", kDefaultA);
+  const double w = flags.GetDouble("w", kDefaultW);
+  const double v = flags.GetDouble("v", kDefaultV);
   const std::uint32_t shards = ReadShards(flags);
-  const std::uint64_t n = flags.GetU64("n", core::experiments::kDefaultSteps);
+  const std::uint64_t n = flags.GetU64("n", kDefaultSteps);
   const core::FairnessSpec spec = ReadFairnessSpec(flags);
   Table table({"quantity", "value"});
   if (name == "pow") {
@@ -619,8 +624,8 @@ int RunBound(const FlagSet& flags) {
 
 int RunDesign(const FlagSet& flags) {
   flags.RejectUnknown({"a", "w", "shards", "eps", "delta"});
-  const double a = flags.GetDouble("a", core::experiments::kDefaultA);
-  const double w = flags.GetDouble("w", core::experiments::kDefaultW);
+  const double a = flags.GetDouble("a", kDefaultA);
+  const double w = flags.GetDouble("w", kDefaultW);
   const std::uint32_t shards = ReadShards(flags);
   const core::FairnessSpec spec = ReadFairnessSpec(flags);
   Table table({"protocol", "design rule", "value"});
@@ -673,9 +678,7 @@ int RunWinProb(const FlagSet& flags) {
   // own WinProbability answers (MakeModel rejects unknown names).
   std::unique_ptr<protocol::IncentiveModel> model;
   if (name != "proportional") {
-    model = protocol::MakeModel(name, core::experiments::kDefaultW,
-                                core::experiments::kDefaultV,
-                                core::experiments::kDefaultShards);
+    model = protocol::MakeModel(name, kDefaultW, kDefaultV, kDefaultShards);
   }
   const std::vector<double> stakes = ReadStakes(flags);
   if (stakes.size() < 2) {
