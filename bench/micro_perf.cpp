@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates the
 // experiment harness is built on — hashes, 256-bit arithmetic, samplers,
-// the population metrics, the reduction, and the Monte Carlo engine end to
+// the population metrics, the reduction, and a one-cell campaign end to
 // end.  Per-protocol stepping is timed by hotpath_bench's BM_Batched_*
 // families.
 
@@ -12,6 +12,7 @@
 #include "math/distributions.hpp"
 #include "protocol/ml_pos.hpp"
 #include "protocol/win_probability.hpp"
+#include "sim/campaign.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/u256.hpp"
@@ -151,15 +152,17 @@ void BM_MeasurePopulation(benchmark::State& state) {
 BENCHMARK(BM_MeasurePopulation)->Arg(2)->Arg(10)->Arg(1000);
 
 void BM_MonteCarloCampaign(benchmark::State& state) {
-  protocol::MlPosModel model(0.01);
-  core::SimulationConfig config;
-  config.steps = 1000;
-  config.replications = 100;
-  config.threads = 1;
-  config.checkpoints = {1000};
-  core::MonteCarloEngine engine(config, core::FairnessSpec{});
+  sim::ScenarioSpec spec;
+  spec.name = "bench";
+  spec.protocols = {"mlpos"};
+  spec.steps = 1000;
+  spec.replications = 100;
+  spec.checkpoint_count = 1;
+  sim::CampaignOptions options;
+  options.threads = 1;
+  const sim::CampaignRunner runner(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RunTwoMiner(model, 0.2));
+    benchmark::DoNotOptimize(runner.Run(spec, {}));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100 *
                           1000);

@@ -253,12 +253,9 @@ void RunChainReplicationRange(const ChainGameSpec& spec,
   spec.Validate();
   // A descending schedule would underflow a segment length into a ~2^64
   // event spin, and a checkpoint past `steps` would simulate beyond the
-  // horizon; Validate rejects both, as core::RunReplicationRange does.
+  // horizon; Validate rejects both and an empty schedule, as
+  // core::RunReplicationRange does.
   config.Validate();
-  if (config.checkpoints.empty()) {
-    throw std::invalid_argument(
-        "RunChainReplicationRange: config.checkpoints must be populated");
-  }
   if (end > config.replications || begin > end) {
     throw std::invalid_argument(
         "RunChainReplicationRange: replication range out of bounds");

@@ -159,8 +159,8 @@ std::size_t ChainMatrixSize(const core::SimulationConfig& config);
 std::size_t ChainReplicationRowCount(const core::SimulationConfig& config);
 
 /// Runs replications [begin, end) of `spec`'s game under `config` (steps =
-/// block events; checkpoints must be populated and pass
-/// SimulationConfig::Validate, else std::invalid_argument) and writes
+/// block events; `config` must pass SimulationConfig::Validate, else
+/// std::invalid_argument) and writes
 /// them as one chunk-local payload of ChainReplicationRowCount(config) rows
 /// with stride end - begin: λ of replication r at checkpoint c at
 /// out[c * (end - begin) + (r - begin)], then the chain observables at

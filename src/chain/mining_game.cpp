@@ -1,8 +1,9 @@
 #include "chain/mining_game.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
-#include "core/monte_carlo.hpp"
+#include "core/execution_backend.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::chain {
@@ -46,28 +47,30 @@ std::vector<double> ReplicatedRewardFractions(
     throw std::invalid_argument(
         "ReplicatedRewardFractions: miner index out of range");
   }
-  // One row: replication r's λ.  Its genesis salt derives from r alone, so
-  // the chunking never shows in the output.
-  return core::RunContiguousChunks(
-      *core::MakeDefaultBackend(threads),
-      static_cast<std::size_t>(replications), 1,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<double> payload;
-        payload.reserve(end - begin);
-        for (std::size_t rep = begin; rep < end; ++rep) {
-          const std::uint64_t salt = RngStream(seed).Split(rep).NextU64();
-          auto engine = factory();
-          const GameResult result =
-              RunMiningGame(*engine, initial_balances, blocks, salt);
-          if (!result.validation.ok) {
-            throw std::runtime_error(
-                "ReplicatedRewardFractions: chain validation failed: " +
-                result.validation.error);
-          }
-          payload.push_back(result.reward_fraction[miner]);
+  // One chunk per game, its payload that game's λ.  The genesis salt
+  // derives from the replication index alone, so the backend never shows
+  // in the output.
+  std::vector<double> lambdas(static_cast<std::size_t>(replications));
+  std::vector<std::size_t> order(lambdas.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  core::MakeDefaultBackend(threads)->Run(
+      order,
+      [&](std::size_t rep) {
+        const std::uint64_t salt = RngStream(seed).Split(rep).NextU64();
+        auto engine = factory();
+        const GameResult result =
+            RunMiningGame(*engine, initial_balances, blocks, salt);
+        if (!result.validation.ok) {
+          throw std::runtime_error(
+              "ReplicatedRewardFractions: chain validation failed: " +
+              result.validation.error);
         }
-        return payload;
+        return std::vector<double>{result.reward_fraction[miner]};
+      },
+      [&](std::size_t rep, std::vector<double>&& payload, std::uint64_t) {
+        lambdas[rep] = payload[0];
       });
+  return lambdas;
 }
 
 }  // namespace fairchain::chain

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "math/special.hpp"
+#include "protocol/incentive_model.hpp"
 
 namespace fairchain::core {
 
@@ -62,9 +63,7 @@ double MlPosUnfairUpperBound(std::uint64_t n, double w, double a,
                              double epsilon) {
   ValidateShare(a, "MlPosUnfairUpperBound");
   ValidateEpsilon(epsilon, "MlPosUnfairUpperBound");
-  if (!(w > 0.0)) {
-    throw std::invalid_argument("MlPosUnfairUpperBound: w must be > 0");
-  }
+  protocol::ValidateReward(w, "MlPosUnfairUpperBound: w");
   const double nd = static_cast<double>(n);
   // From the proof of Theorem 4.3 with gamma = n w a eps:
   //   Pr <= 2 exp(-2 gamma^2 / (w^2 (1 + n w) n)) = 2 exp(-2 n a^2 e^2/(1+nw))
@@ -84,6 +83,7 @@ double AzumaConditionRhs(double a, const FairnessSpec& spec) {
 bool MlPosSatisfiesBound(std::uint64_t n, double w, double a,
                          const FairnessSpec& spec) {
   if (n == 0) throw std::invalid_argument("MlPosSatisfiesBound: n must be >0");
+  protocol::ValidateReward(w, "MlPosSatisfiesBound: w");
   return 1.0 / static_cast<double>(n) + w <= AzumaConditionRhs(a, spec);
 }
 
@@ -93,9 +93,7 @@ double MlPosMaxRewardForFairness(double a, const FairnessSpec& spec) {
 
 BetaParams MlPosLimitDistribution(double a, double w) {
   ValidateShare(a, "MlPosLimitDistribution");
-  if (!(w > 0.0)) {
-    throw std::invalid_argument("MlPosLimitDistribution: w must be > 0");
-  }
+  protocol::ValidateReward(w, "MlPosLimitDistribution: w");
   return BetaParams{a / w, (1.0 - a) / w};
 }
 
@@ -120,10 +118,8 @@ bool MlPosLimitSatisfies(double a, double w, const FairnessSpec& spec) {
 
 double CPosConditionLhs(std::uint64_t n, double w, double v, std::uint32_t P) {
   if (n == 0) throw std::invalid_argument("CPosConditionLhs: n must be > 0");
-  if (!(w > 0.0)) {
-    throw std::invalid_argument("CPosConditionLhs: w must be > 0");
-  }
-  if (v < 0.0) throw std::invalid_argument("CPosConditionLhs: v must be >= 0");
+  protocol::ValidateReward(w, "CPosConditionLhs: w");
+  protocol::ValidateInflation(v, "CPosConditionLhs: v");
   if (P == 0) throw std::invalid_argument("CPosConditionLhs: P must be >= 1");
   const double nd = static_cast<double>(n);
   const double total = w + v;
@@ -149,6 +145,7 @@ bool CPosSatisfiesBound(std::uint64_t n, double w, double v, std::uint32_t P,
 double CPosMinInflationForFairness(double w, std::uint32_t P, double a,
                                    const FairnessSpec& spec) {
   ValidateShare(a, "CPosMinInflationForFairness");
+  protocol::ValidateReward(w, "CPosMinInflationForFairness: w");
   spec.Validate();
   const double rhs = AzumaConditionRhs(a, spec);
   if (rhs <= 0.0) return std::numeric_limits<double>::infinity();

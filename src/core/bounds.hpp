@@ -3,7 +3,10 @@
 //
 // Conventions: `a` is miner A's initial resource share in (0, 1); `w` and
 // `v` are per-step rewards normalised against the initial total stake; `n`
-// is the number of blocks (PoW / ML-PoS) or epochs (C-PoS).
+// is the number of blocks (PoW / ML-PoS) or epochs (C-PoS).  Every `w` must
+// be finite and > 0 and every `v` finite and >= 0 — the models' own
+// predicates, protocol::ValidateReward / ValidateInflation — or the bound
+// throws std::invalid_argument naming the parameter.
 
 #ifndef FAIRCHAIN_CORE_BOUNDS_HPP_
 #define FAIRCHAIN_CORE_BOUNDS_HPP_

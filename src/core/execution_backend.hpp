@@ -1,10 +1,10 @@
 // ExecutionBackend: where simulation chunks run.
 //
-// The Monte Carlo engine and the campaign runner both reduce their work to
-// a flat list of independent chunks (replication ranges).  A backend decides
-// only WHERE those chunks execute — inline on the calling thread, across a
-// thread pool, or across forked worker processes.  It never decides WHAT a
-// replication computes.
+// The campaign runner reduces its work to a flat list of independent chunks
+// (replication ranges); chain::ReplicatedRewardFractions runs one game per
+// chunk.  A backend decides only WHERE those chunks execute — inline on the
+// calling thread, across a thread pool, or across forked worker processes.
+// It never decides WHAT a replication computes.
 //
 // One job contract for every backend: `compute(j)` returns chunk j's
 // payload as a flat vector of doubles, and `consume(j, payload, busy_ns)`

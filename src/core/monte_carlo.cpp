@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -17,6 +16,10 @@ void SimulationConfig::Validate() const {
   }
   if (replications == 0) {
     throw std::invalid_argument("SimulationConfig: replications must be > 0");
+  }
+  if (checkpoints.empty()) {
+    throw std::invalid_argument(
+        "SimulationConfig: checkpoints must not be empty");
   }
   std::uint64_t previous = 0;
   for (const std::uint64_t cp : checkpoints) {
@@ -60,17 +63,6 @@ ExpectationalFairnessReport SimulationResult::Expectational() const {
   return CheckExpectationalFairness(final_lambdas, initial_share);
 }
 
-MonteCarloEngine::MonteCarloEngine(SimulationConfig config, FairnessSpec spec)
-    : config_(std::move(config)), spec_(spec) {
-  config_.Validate();
-  spec_.Validate();
-  if (config_.checkpoints.empty()) {
-    const std::size_t count =
-        config_.steps < 120 ? static_cast<std::size_t>(config_.steps) : 120;
-    config_.checkpoints = LinearCheckpoints(config_.steps, count);
-  }
-}
-
 std::size_t PopulationMatrixSize(const SimulationConfig& config) {
   return kPopulationMetricCount * config.checkpoints.size() *
          static_cast<std::size_t>(config.replications);
@@ -89,34 +81,6 @@ void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
     std::copy_n(payload.data() + row * span, span,
                 matrix + row * replications + begin);
   }
-}
-
-std::vector<double> RunContiguousChunks(
-    const ExecutionBackend& backend, std::size_t count, std::size_t rows,
-    const std::function<std::vector<double>(std::size_t, std::size_t)>&
-        compute) {
-  if (count == 0) return {};
-  const std::size_t slots = std::max<std::size_t>(
-      1, std::min<std::size_t>(backend.Concurrency(), count));
-  const std::size_t chunk = (count + slots - 1) / slots;
-  std::vector<std::size_t> order((count + chunk - 1) / chunk);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> matrix;
-  if (order.size() > 1) matrix.assign(rows * count, 0.0);
-  backend.Run(
-      order,
-      [&](std::size_t j) {
-        return compute(j * chunk, std::min(count, (j + 1) * chunk));
-      },
-      [&](std::size_t j, std::vector<double>&& payload, std::uint64_t) {
-        if (order.size() == 1) {
-          matrix = std::move(payload);
-          return;
-        }
-        ScatterChunk(payload, j * chunk, std::min(count, (j + 1) * chunk),
-                     count, matrix.data());
-      });
-  return matrix;
 }
 
 void RunReplicationRange(const protocol::IncentiveModel& model,
@@ -291,52 +255,6 @@ SimulationResult ReduceToResult(
     result.checkpoints.push_back(stats);
   }
   return result;
-}
-
-SimulationResult MonteCarloEngine::Run(
-    const protocol::IncentiveModel& model,
-    const std::vector<double>& initial_stakes) const {
-  return Run(model, initial_stakes, *MakeDefaultBackend(config_.threads));
-}
-
-SimulationResult MonteCarloEngine::Run(
-    const protocol::IncentiveModel& model,
-    const std::vector<double>& initial_stakes,
-    const ExecutionBackend& backend) const {
-  if (config_.miner >= initial_stakes.size()) {
-    throw std::invalid_argument("MonteCarloEngine: miner index out of range");
-  }
-  // Fail fast on the calling thread: construct the game state once here so
-  // invalid stake vectors (empty, negative, zero/NaN sum) throw before any
-  // chunk is dispatched.
-  {
-    const protocol::StakeState probe(initial_stakes,
-                                     config_.withhold_period);
-    (void)probe;
-  }
-  const std::size_t reps = static_cast<std::size_t>(config_.replications);
-  const std::size_t rows = ReplicationRowCount(config_);
-  // matrix[k * reps + r]: the λ rows, then the population planes.
-  const std::vector<double> matrix = RunContiguousChunks(
-      backend, reps, rows, [&](std::size_t begin, std::size_t end) {
-        std::vector<double> payload(rows * (end - begin));
-        RunReplicationRange(model, initial_stakes, config_, begin, end,
-                            payload.data());
-        return payload;
-      });
-
-  const std::span<const double> all(matrix);
-  const std::size_t lambda_size = config_.checkpoints.size() * reps;
-  return ReduceToResult(model.name(), initial_stakes, config_, spec_,
-                        all.first(lambda_size), all.subspan(lambda_size));
-}
-
-SimulationResult MonteCarloEngine::RunTwoMiner(
-    const protocol::IncentiveModel& model, double a) const {
-  if (!(a > 0.0) || !(a < 1.0)) {
-    throw std::invalid_argument("RunTwoMiner: a must be in (0, 1)");
-  }
-  return Run(model, {a, 1.0 - a});
 }
 
 std::vector<std::uint64_t> LinearCheckpoints(std::uint64_t steps,

@@ -1,29 +1,31 @@
-// Replicated Monte Carlo simulation of mining games.
+// Replicated Monte Carlo simulation of mining games: the replication kernel
+// and its reduction.
 //
-// The engine runs R independent replications of a mining game for n steps,
-// records miner A's reward fraction λ at a set of checkpoints, and reduces
-// the per-checkpoint samples to the statistics the paper plots:
+// RunReplicationRange runs a range of R independent replications of a
+// mining game for n steps and records miner A's reward fraction λ at a set
+// of checkpoints; ReduceToResult reduces the per-checkpoint samples to the
+// statistics the paper plots:
 //   * mean λ                         (expectational fairness — Figure 2 line)
 //   * 5th / 95th percentile band     (Figure 2 shaded area)
 //   * unfair probability             (Figures 3 & 5)
 //   * convergence step               (Table 1 "Cvg. Time": first checkpoint
 //                                     from which (ε, δ)-fairness holds)
+// sim::CampaignRunner is the one driver: it cuts every cell's replications
+// into chunks, runs the kernel on each, and reduces the full matrix.
 //
 // Determinism: replication r always uses RngStream(seed).Split(r), so
-// results are identical for any thread count.
+// results are identical for any partition into chunks.
 
 #ifndef FAIRCHAIN_CORE_MONTE_CARLO_HPP_
 #define FAIRCHAIN_CORE_MONTE_CARLO_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/execution_backend.hpp"
 #include "core/fairness.hpp"
 #include "core/population.hpp"
 #include "core/replication_workspace.hpp"
@@ -39,10 +41,8 @@ struct SimulationConfig {
   std::uint64_t replications = 10000;
   /// Master seed; replication r uses the r-th split stream.
   std::uint64_t seed = 20210620;  // SIGMOD'21 opening day
-  /// Worker threads (0 = use EnvThreads()).
-  unsigned threads = 0;
-  /// Steps at which λ is recorded, ascending, each in [1, steps].
-  /// Empty = ~120 evenly spaced checkpoints ending exactly at `steps`.
+  /// Steps at which λ is recorded: non-empty, ascending, each in
+  /// [1, steps].
   std::vector<std::uint64_t> checkpoints;
   /// Reward-withholding period (Section 6.3); 0 disables.
   std::uint64_t withhold_period = 0;
@@ -60,7 +60,8 @@ struct SimulationConfig {
   /// reduced checkpoint statistics.
   bool keep_final_lambdas = true;
 
-  /// Validates ranges; throws std::invalid_argument.
+  /// Validates ranges, including a non-empty checkpoint list; throws
+  /// std::invalid_argument.
   void Validate() const;
 };
 
@@ -120,40 +121,6 @@ struct SimulationResult {
   ExpectationalFairnessReport Expectational() const;
 };
 
-/// The Monte Carlo engine.  Immutable after construction; Run is
-/// re-entrant and thread-safe.
-class MonteCarloEngine {
- public:
-  /// Creates an engine; validates both arguments.
-  MonteCarloEngine(SimulationConfig config, FairnessSpec spec);
-
-  /// Runs a campaign of `config.replications` games of `model`, all starting
-  /// from `initial_stakes` (absolute values; the tracked miner's *share* is
-  /// derived), over the default backend for `config.threads`.  Throws when
-  /// `config.miner` is out of range.
-  SimulationResult Run(const protocol::IncentiveModel& model,
-                       const std::vector<double>& initial_stakes) const;
-
-  /// Same campaign over an injected execution backend.  Results are
-  /// byte-identical for ANY backend (see execution_backend.hpp for the
-  /// seeding/chunking contract).
-  SimulationResult Run(const protocol::IncentiveModel& model,
-                       const std::vector<double>& initial_stakes,
-                       const ExecutionBackend& backend) const;
-
-  /// Convenience for the paper's two-miner setting: miner A starts with
-  /// share `a`, miner B with 1 - a.
-  SimulationResult RunTwoMiner(const protocol::IncentiveModel& model,
-                               double a) const;
-
-  const SimulationConfig& config() const { return config_; }
-  const FairnessSpec& spec() const { return spec_; }
-
- private:
-  SimulationConfig config_;
-  FairnessSpec spec_;
-};
-
 /// Number of doubles a per-replication population-metric matrix needs:
 /// kPopulationMetricCount planes of (checkpoints × replications).  Layout:
 /// population_matrix[(metric * cp_count + c) * replications + r].
@@ -171,10 +138,9 @@ std::size_t ReplicationRowCount(const SimulationConfig& config);
 /// then (population_metrics on) the wealth concentration metrics at
 /// out[((1 + metric) * cp_count + c) * (end - begin) + (r - begin)].
 /// ScatterChunk copies such a payload into a full-cell matrix.
-/// `config.checkpoints` must be populated (`Validate`d); `config.miner`
-/// must index into `initial_stakes` (throws std::invalid_argument
-/// otherwise — this is a public entry point, callers may bypass
-/// MonteCarloEngine::Run).  Replication r always draws from
+/// `config` must pass Validate and `config.miner` must index into
+/// `initial_stakes` (throws std::invalid_argument otherwise).  Replication
+/// r always draws from
 /// RngStream(config.seed).Split(r), so any partition of [0, replications)
 /// across chunks, threads or processes produces identical values.
 ///
@@ -206,24 +172,11 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
 void ScatterChunk(const std::vector<double>& payload, std::size_t begin,
                   std::size_t end, std::size_t replications, double* matrix);
 
-/// Cuts [0, count) into at most backend.Concurrency() contiguous chunks,
-/// runs compute(begin, end) for each through backend.Run and returns the
-/// rows × count matrix their payloads fill: compute returns `rows` rows of
-/// stride end - begin, which ScatterChunk places at matrix[k * count + i]
-/// (row k, item i).  A lone chunk's payload already has that layout and is
-/// moved in, not copied.  Item i must depend on i alone, so the partition
-/// never shows in the output.
-std::vector<double> RunContiguousChunks(
-    const ExecutionBackend& backend, std::size_t count, std::size_t rows,
-    const std::function<std::vector<double>(std::size_t, std::size_t)>&
-        compute);
-
 /// Reduces a fully populated λ matrix (layout as RunReplicationRange) plus
 /// an optional population matrix (empty = no metrics; otherwise exactly
-/// PopulationMatrixSize doubles) to per-checkpoint statistics.  The second
-/// half of MonteCarloEngine::Run, exposed so external schedulers reuse the
-/// same reduction.  Throws std::invalid_argument when `config.miner` is
-/// out of range for `initial_stakes`.
+/// PopulationMatrixSize doubles) to per-checkpoint statistics: the step
+/// after every chunk of a cell is in.  Throws std::invalid_argument when
+/// `config.miner` is out of range for `initial_stakes`.
 SimulationResult ReduceToResult(
     const std::string& protocol_name,
     const std::vector<double>& initial_stakes, const SimulationConfig& config,

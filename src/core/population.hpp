@@ -14,7 +14,7 @@
 //   * top-decile share      — wealth fraction held by the richest ⌈m/10⌉
 //                             miners.
 //
-// The Monte Carlo engine records these per replication at every checkpoint
+// The replication kernel records these per replication at every checkpoint
 // (over miner wealth = initial resource + cumulative credited income) and
 // reduces them to per-checkpoint means alongside the λ statistics.
 //
@@ -53,7 +53,7 @@ struct PopulationSnapshot {
 };
 
 /// Number of scalar metrics a PopulationSnapshot carries — the stride of
-/// the engine's per-replication population matrices.
+/// the kernel's per-replication population matrices.
 inline constexpr std::size_t kPopulationMetricCount = 4;
 
 /// Number of miners in the "top decile" of a population of `miners`:

@@ -21,19 +21,23 @@ std::unique_ptr<IncentiveModel> MakeModel(const std::string& name, double w,
   if (name == "neo") return std::make_unique<NeoModel>(w);
   if (name == "algorand") return std::make_unique<AlgorandModel>(v);
   if (name == "eos") return std::make_unique<EosModel>(w, v);
-  std::string known;
-  for (const std::string& candidate : KnownModelNames()) {
-    if (!known.empty()) known += "|";
-    known += candidate;
-  }
   throw std::invalid_argument("unknown protocol '" + name + "' (known: " +
-                              known + ")");
+                              KnownModelNameList() + ")");
 }
 
 const std::vector<std::string>& KnownModelNames() {
   static const std::vector<std::string> names = {
       "pow", "mlpos", "slpos", "cpos", "fslpos", "neo", "algorand", "eos"};
   return names;
+}
+
+std::string KnownModelNameList() {
+  std::string known;
+  for (const std::string& name : KnownModelNames()) {
+    if (!known.empty()) known += "|";
+    known += name;
+  }
+  return known;
 }
 
 bool IsKnownModelName(const std::string& name) {

@@ -27,6 +27,9 @@ std::unique_ptr<IncentiveModel> MakeModel(const std::string& name, double w,
 /// The names MakeModel accepts, in a stable presentation order.
 const std::vector<std::string>& KnownModelNames();
 
+/// KnownModelNames joined with '|', for error messages.
+std::string KnownModelNameList();
+
 /// True when `name` is accepted by MakeModel.
 bool IsKnownModelName(const std::string& name);
 

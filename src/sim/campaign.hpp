@@ -139,7 +139,7 @@ class CampaignRunner {
 /// The exact SimulationConfig `cell` runs under: checkpoints expanded per
 /// the spec's spacing, seed = CellSeed(spec.seed, cell.index), and the
 /// cell's withholding period.  Shared by the runner and the tests that
-/// cross-check it against MonteCarloEngine.
+/// cross-check it against the replication kernel.
 core::SimulationConfig CellConfig(const ScenarioSpec& spec,
                                   const CampaignCell& cell);
 

@@ -383,7 +383,8 @@ void ScenarioSpec::Validate() const {
   } else {
     for (const std::string& protocol : protocols) {
       require(protocol::IsKnownModelName(protocol),
-              "unknown protocol '" + protocol + "'");
+              "unknown protocol '" + protocol + "' (known: " +
+                  protocol::KnownModelNameList() + ")");
     }
     // Keep the chain-only axes pinned at their defaults so incentive grids
     // never reindex (and ToText round-trips losslessly without emitting

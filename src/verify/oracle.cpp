@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/bounds.hpp"
-#include "core/polya.hpp"
 #include "core/selfish_mining.hpp"
 #include "math/special.hpp"
 
@@ -116,11 +115,11 @@ OraclePrediction PolyaBetaLimitOracle::Predict(
   for (const double s : stakes) total += s;
   const double s0 = stakes[0];
   // Aggregating the minnows into one color is exact: selection is
-  // proportional to mass and every win reinforces by the same w.
-  const core::BetaParams limit =
-      core::PolyaUrn::TwoColorLimit(s0, total - s0, cell.w);
-  const double alpha = limit.alpha;
-  const double beta = limit.beta;
+  // proportional to mass and every win reinforces by the same w, so the
+  // tracked color's share tends to Beta(s0 / w, s1 / w) [Mahmoud 2008,
+  // Thm 3.2].
+  const double alpha = s0 / cell.w;
+  const double beta = (total - s0) / cell.w;
   const double a = s0 / total;
   const double n = static_cast<double>(steps);
 

@@ -8,8 +8,8 @@
 //     tracked miner's block count is EXACTLY Binomial(n, a) (Section 4.2);
 //   * ML-PoS / FSL-PoS (and C-PoS with v = 0, P = 1) are a two-color Pólya
 //     urn once the minnows are aggregated, so the block count is EXACTLY
-//     Beta-Binomial(n, s0/w, s1/w) — PolyaUrn::TwoColorLimit gives the
-//     parameters (Section 4.3);
+//     Beta-Binomial(n, s0/w, s1/w), the parameters of the urn's Beta
+//     limit (Section 4.3);
 //   * C-PoS keeps the stake share a martingale, so E[λ] = a exactly and the
 //     Theorem 4.10 Azuma bound caps the unfair probability;
 //   * SL-PoS drifts monotonically toward monopoly (Theorem 4.9), pinning
@@ -119,7 +119,7 @@ class BinomialProportionalityOracle : public Oracle {
 
 /// ML-PoS / FSL-PoS / degenerate C-PoS (v = 0, P = 1): the two-color Pólya
 /// urn (tracked miner vs aggregated rest) makes K ~ Beta-Binomial(n, α, β)
-/// with (α, β) = PolyaUrn::TwoColorLimit — pmf, exact moments, the exact
+/// with (α, β) = (s0 / w, s1 / w) — pmf, exact moments, the exact
 /// finite-n equitability (1/n + w)/(1 + w), the exact unfair probability,
 /// and the Theorem 4.3 Azuma bound.  Requires withhold == 0 (withholding
 /// breaks the urn's reinforcement schedule).

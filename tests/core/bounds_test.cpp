@@ -4,6 +4,7 @@
 #include "core/bounds.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -115,7 +116,7 @@ TEST(MlPosBoundTest, DegeneratesToPowAsWVanishes) {
 
 // --- ML-PoS Beta limit ---
 
-TEST(MlPosLimitTest, ParametersMatchPolyaUrn) {
+TEST(MlPosLimitTest, ParametersAreShareOverReward) {
   const BetaParams params = MlPosLimitDistribution(0.2, 0.01);
   EXPECT_DOUBLE_EQ(params.alpha, 20.0);
   EXPECT_DOUBLE_EQ(params.beta, 80.0);
@@ -212,6 +213,43 @@ TEST(CPosBoundTest, Rejections) {
   EXPECT_THROW(CPosConditionLhs(10, 0.0, 0.1, 32), std::invalid_argument);
   EXPECT_THROW(CPosConditionLhs(10, 0.01, -0.1, 32), std::invalid_argument);
   EXPECT_THROW(CPosConditionLhs(10, 0.01, 0.1, 0), std::invalid_argument);
+}
+
+// Every bound that takes a reward rejects what the models reject: w must be
+// finite and > 0, v finite and >= 0.  A NaN or infinite reward used to
+// print nan (or 0 for design's minimum inflation) and exit 0.
+TEST(RewardValidationTest, EveryBoundRejectsBadRewards) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double w : {-1.0, 0.0, nan, inf}) {
+    EXPECT_THROW(MlPosUnfairUpperBound(1000, w, 0.2, 0.1),
+                 std::invalid_argument)
+        << w;
+    EXPECT_THROW(MlPosSatisfiesBound(1000, w, 0.2, kPaperSpec),
+                 std::invalid_argument)
+        << w;
+    EXPECT_THROW(MlPosLimitDistribution(0.2, w), std::invalid_argument) << w;
+    EXPECT_THROW(MlPosLimitUnfairProbability(0.2, w, 0.1),
+                 std::invalid_argument)
+        << w;
+    EXPECT_THROW(CPosConditionLhs(1000, w, 0.1, 32), std::invalid_argument)
+        << w;
+    EXPECT_THROW(CPosUnfairUpperBound(1000, w, 0.1, 32, 0.2, 0.1),
+                 std::invalid_argument)
+        << w;
+    EXPECT_THROW(CPosMinInflationForFairness(w, 32, 0.2, kPaperSpec),
+                 std::invalid_argument)
+        << w;
+  }
+  for (const double v : {-1.0, nan, inf}) {
+    EXPECT_THROW(CPosConditionLhs(1000, 0.01, v, 32), std::invalid_argument)
+        << v;
+    EXPECT_THROW(CPosSatisfiesBound(1000, 0.01, v, 32, 0.2, kPaperSpec),
+                 std::invalid_argument)
+        << v;
+  }
+  // v = 0 is a valid inflation reward (C-PoS without inflation).
+  EXPECT_NO_THROW(CPosConditionLhs(1000, 0.01, 0.0, 32));
 }
 
 // ---------------------------------------------------------------------------

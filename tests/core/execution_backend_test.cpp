@@ -1,7 +1,7 @@
 // ExecutionBackend: the one chunk contract on the serial reference, the
 // thread pool and the forked shards, the factory helpers, and — the
-// property everything else leans on — that MonteCarloEngine produces
-// byte-identical results on every backend.
+// property everything else leans on — that a campaign's cell results are
+// byte-identical on every backend.
 
 #include <cstring>
 #include <memory>
@@ -14,7 +14,7 @@
 
 #include "core/execution_backend.hpp"
 #include "core/monte_carlo.hpp"
-#include "protocol/ml_pos.hpp"
+#include "sim/campaign.hpp"
 
 namespace fairchain::core {
 namespace {
@@ -181,26 +181,35 @@ TEST(ExecutionBackendTest, ShardBackendNamesItsWorkers) {
   EXPECT_THROW(ShardBackend{kMaxWorkers + 1}, std::invalid_argument);
 }
 
-// MonteCarloEngine::Run on every backend — the shard backend included, in
-// forked workers — yields the same SimulationResult bytes: every
-// checkpoint's statistics (NaN-carrying chain fields compared bitwise) and
-// the retained final λ vector.
-TEST(ExecutionBackendTest, EngineResultBytesAreIdenticalOnEveryBackend) {
-  const protocol::MlPosModel model(0.01);
-  SimulationConfig config;
-  config.steps = 200;
-  config.replications = 24;
-  config.checkpoints = {100, 200};
-  const MonteCarloEngine engine(config, FairnessSpec{});
+// One ML-PoS cell of `reps` replications over `steps` steps with two
+// checkpoints, cut into chunks of `chunk` replications on `backend`.
+SimulationResult RunCell(const ExecutionBackend& backend, std::uint64_t steps,
+                         std::uint64_t reps, std::uint64_t chunk) {
+  sim::ScenarioSpec spec;
+  spec.protocols = {"mlpos"};
+  spec.steps = steps;
+  spec.replications = reps;
+  spec.checkpoint_count = 2;
+  sim::CampaignOptions options;
+  options.backend = &backend;
+  options.chunk_replications = chunk;
+  return sim::CampaignRunner(options).Run(spec, {}).front().result;
+}
+
+// A campaign cell on every backend — the shard backend included, in forked
+// workers — yields the same SimulationResult bytes: every checkpoint's
+// statistics (NaN-carrying chain fields compared bitwise) and the retained
+// final λ vector, which the campaign's CSV rows do not carry.
+TEST(ExecutionBackendTest, CellResultBytesAreIdenticalOnEveryBackend) {
   const SerialBackend serial;
   const ThreadPoolBackend pool(4);
   const ShardBackend shard(2);
-  const SimulationResult reference = engine.Run(model, {0.2, 0.8}, serial);
+  const SimulationResult reference = RunCell(serial, 200, 24, 5);
   ASSERT_EQ(reference.checkpoints.size(), 2u);
   ASSERT_EQ(reference.final_lambdas.size(), 24u);
   const std::vector<const ExecutionBackend*> backends = {&pool, &shard};
   for (const ExecutionBackend* backend : backends) {
-    const SimulationResult result = engine.Run(model, {0.2, 0.8}, *backend);
+    const SimulationResult result = RunCell(*backend, 200, 24, 5);
     ASSERT_EQ(result.checkpoints.size(), reference.checkpoints.size());
     EXPECT_EQ(std::memcmp(result.checkpoints.data(),
                           reference.checkpoints.data(),
@@ -217,23 +226,16 @@ TEST(ExecutionBackendTest, EngineResultBytesAreIdenticalOnEveryBackend) {
   }
 }
 
-// The determinism contract across backends at the engine level: identical
-// λ trajectories, statistics, and retained final λ vectors whether the
-// replications ran inline, on one worker, or on four.
-TEST(ExecutionBackendTest, EngineResultsAreIdenticalAcrossBackends) {
-  const protocol::MlPosModel model(0.01);
-  SimulationConfig config;
-  config.steps = 300;
-  config.replications = 60;
-  config.checkpoints = {100, 300};
-  const MonteCarloEngine engine(config, FairnessSpec{});
-
+// The determinism contract across backends and chunkings: identical
+// statistics and retained final λ vectors whether the replications ran
+// inline as one chunk, on one worker, or on four in uneven chunks.
+TEST(ExecutionBackendTest, CellResultsAreIdenticalAcrossBackends) {
   const SerialBackend serial;
   const ThreadPoolBackend one(1);
   const ThreadPoolBackend four(4);
-  const SimulationResult a = engine.Run(model, {0.2, 0.8}, serial);
-  const SimulationResult b = engine.Run(model, {0.2, 0.8}, one);
-  const SimulationResult c = engine.Run(model, {0.2, 0.8}, four);
+  const SimulationResult a = RunCell(serial, 300, 60, 60);
+  const SimulationResult b = RunCell(one, 300, 60, 7);
+  const SimulationResult c = RunCell(four, 300, 60, 7);
 
   ASSERT_EQ(a.final_lambdas.size(), 60u);
   EXPECT_EQ(a.final_lambdas, b.final_lambdas);

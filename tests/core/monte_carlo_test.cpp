@@ -1,10 +1,11 @@
-// Tests for the Monte Carlo engine: determinism, checkpoint statistics,
-// and convergence detection.
+// Tests for the replication kernel and its reduction: determinism,
+// checkpoint statistics, and convergence detection.
 
 #include "core/monte_carlo.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,21 @@ SimulationConfig SmallConfig() {
   return config;
 }
 
+// RunReplicationRange over every replication, then ReduceToResult: what
+// one campaign cell computes, with the whole range as its only chunk.
+SimulationResult RunKernel(const protocol::IncentiveModel& model,
+                           const std::vector<double>& stakes,
+                           const SimulationConfig& config,
+                           const FairnessSpec& spec = FairnessSpec{}) {
+  const std::size_t reps = static_cast<std::size_t>(config.replications);
+  std::vector<double> matrix(ReplicationRowCount(config) * reps);
+  RunReplicationRange(model, stakes, config, 0, reps, matrix.data());
+  const std::span<const double> all(matrix);
+  const std::size_t lambda_size = config.checkpoints.size() * reps;
+  return ReduceToResult(model.name(), stakes, config, spec,
+                        all.first(lambda_size), all.subspan(lambda_size));
+}
+
 TEST(SimulationConfigTest, ValidatesRanges) {
   SimulationConfig config = SmallConfig();
   EXPECT_NO_THROW(config.Validate());
@@ -43,6 +59,10 @@ TEST(SimulationConfigTest, ValidatesRanges) {
   EXPECT_THROW(config.Validate(), std::invalid_argument);
   config = SmallConfig();
   config.checkpoints = {100, 300};
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
+  // No default grid: an empty list is an error, not 120 checkpoints.
+  config = SmallConfig();
+  config.checkpoints.clear();
   EXPECT_THROW(config.Validate(), std::invalid_argument);
 }
 
@@ -122,9 +142,8 @@ TEST(LogCheckpointsTest, RoundingNeverEmitsCheckpointBeyondSteps) {
 }
 
 TEST(RunReplicationRangeTest, MinerOutOfRangeThrows) {
-  // Regression: the public range entry point used to skip the bounds check
-  // MonteCarloEngine::Run performs, handing direct callers UB via
-  // initial_stakes[config.miner].
+  // Regression: the public range entry point used to skip the miner bounds
+  // check, handing direct callers UB via initial_stakes[config.miner].
   const protocol::PowModel model(0.01);
   SimulationConfig config = SmallConfig();
   config.miner = 2;  // only two miners below
@@ -144,6 +163,11 @@ TEST(RunReplicationRangeTest, BadRangesThrow) {
   EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, config,
                                    config.replications - 1,
                                    config.replications + 1, out.data()),
+               std::invalid_argument);
+  SimulationConfig no_checkpoints = config;
+  no_checkpoints.checkpoints.clear();
+  EXPECT_THROW(RunReplicationRange(model, {0.2, 0.8}, no_checkpoints, 0, 1,
+                                   out.data()),
                std::invalid_argument);
 }
 
@@ -221,12 +245,11 @@ TEST(ReduceToResultTest, OnePassMatchesPerChainReference) {
   }
 }
 
-TEST(MonteCarloEngineTest, PopulationMetricsRecordedWhenEnabled) {
+TEST(ReplicationKernelTest, PopulationMetricsRecordedWhenEnabled) {
   SimulationConfig config = SmallConfig();
   ASSERT_TRUE(config.population_metrics);  // on by default
-  const MonteCarloEngine engine(config, FairnessSpec{});
   const protocol::MlPosModel model(0.01);
-  const SimulationResult result = engine.Run(model, {0.2, 0.3, 0.5});
+  const SimulationResult result = RunKernel(model, {0.2, 0.3, 0.5}, config);
   for (const CheckpointStats& stats : result.checkpoints) {
     EXPECT_TRUE(std::isfinite(stats.gini));
     EXPECT_GE(stats.gini, 0.0);
@@ -240,12 +263,11 @@ TEST(MonteCarloEngineTest, PopulationMetricsRecordedWhenEnabled) {
   }
 }
 
-TEST(MonteCarloEngineTest, PopulationMetricsNaNWhenDisabled) {
+TEST(ReplicationKernelTest, PopulationMetricsNaNWhenDisabled) {
   SimulationConfig config = SmallConfig();
   config.population_metrics = false;
-  const MonteCarloEngine engine(config, FairnessSpec{});
   const protocol::MlPosModel model(0.01);
-  const SimulationResult result = engine.Run(model, {0.2, 0.8});
+  const SimulationResult result = RunKernel(model, {0.2, 0.8}, config);
   for (const CheckpointStats& stats : result.checkpoints) {
     EXPECT_TRUE(std::isnan(stats.gini));
     EXPECT_TRUE(std::isnan(stats.hhi));
@@ -254,19 +276,9 @@ TEST(MonteCarloEngineTest, PopulationMetricsNaNWhenDisabled) {
   }
 }
 
-TEST(MonteCarloEngineTest, AutoCheckpointsWhenEmpty) {
-  SimulationConfig config;
-  config.steps = 50;
-  config.replications = 10;
-  MonteCarloEngine engine(config, FairnessSpec{});
-  EXPECT_FALSE(engine.config().checkpoints.empty());
-  EXPECT_EQ(engine.config().checkpoints.back(), 50u);
-}
-
-TEST(MonteCarloEngineTest, ResultShapeMatchesConfig) {
-  MonteCarloEngine engine(SmallConfig(), FairnessSpec{});
-  protocol::PowModel model(0.01);
-  const SimulationResult result = engine.RunTwoMiner(model, 0.2);
+TEST(ReplicationKernelTest, ResultShapeMatchesConfig) {
+  const protocol::PowModel model(0.01);
+  const SimulationResult result = RunKernel(model, {0.2, 0.8}, SmallConfig());
   EXPECT_EQ(result.protocol, "PoW");
   EXPECT_DOUBLE_EQ(result.initial_share, 0.2);
   ASSERT_EQ(result.checkpoints.size(), 3u);
@@ -276,43 +288,25 @@ TEST(MonteCarloEngineTest, ResultShapeMatchesConfig) {
   EXPECT_EQ(result.Final().step, 200u);
 }
 
-TEST(MonteCarloEngineTest, DeterministicAcrossThreadCounts) {
-  protocol::MlPosModel model(0.01);
-  SimulationConfig config = SmallConfig();
-  config.threads = 1;
-  MonteCarloEngine engine1(config, FairnessSpec{});
-  config.threads = 4;
-  MonteCarloEngine engine4(config, FairnessSpec{});
-  const auto r1 = engine1.RunTwoMiner(model, 0.2);
-  const auto r4 = engine4.RunTwoMiner(model, 0.2);
-  ASSERT_EQ(r1.final_lambdas.size(), r4.final_lambdas.size());
-  for (std::size_t i = 0; i < r1.final_lambdas.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.final_lambdas[i], r4.final_lambdas[i]);
-  }
-}
-
-TEST(MonteCarloEngineTest, SameSeedSameResult) {
-  protocol::PowModel model(0.01);
-  MonteCarloEngine engine(SmallConfig(), FairnessSpec{});
-  const auto r1 = engine.RunTwoMiner(model, 0.2);
-  const auto r2 = engine.RunTwoMiner(model, 0.2);
+TEST(ReplicationKernelTest, SameSeedSameResult) {
+  const protocol::PowModel model(0.01);
+  const auto r1 = RunKernel(model, {0.2, 0.8}, SmallConfig());
+  const auto r2 = RunKernel(model, {0.2, 0.8}, SmallConfig());
   EXPECT_EQ(r1.final_lambdas, r2.final_lambdas);
 }
 
-TEST(MonteCarloEngineTest, DifferentSeedsDiffer) {
-  protocol::PowModel model(0.01);
+TEST(ReplicationKernelTest, DifferentSeedsDiffer) {
+  const protocol::PowModel model(0.01);
   SimulationConfig config = SmallConfig();
-  MonteCarloEngine e1(config, FairnessSpec{});
+  const auto r1 = RunKernel(model, {0.2, 0.8}, config);
   config.seed = 8;
-  MonteCarloEngine e2(config, FairnessSpec{});
-  EXPECT_NE(e1.RunTwoMiner(model, 0.2).final_lambdas,
-            e2.RunTwoMiner(model, 0.2).final_lambdas);
+  const auto r2 = RunKernel(model, {0.2, 0.8}, config);
+  EXPECT_NE(r1.final_lambdas, r2.final_lambdas);
 }
 
-TEST(MonteCarloEngineTest, CheckpointStatsInternallyConsistent) {
-  protocol::PowModel model(0.01);
-  MonteCarloEngine engine(SmallConfig(), FairnessSpec{});
-  const auto result = engine.RunTwoMiner(model, 0.2);
+TEST(ReplicationKernelTest, CheckpointStatsInternallyConsistent) {
+  const protocol::PowModel model(0.01);
+  const auto result = RunKernel(model, {0.2, 0.8}, SmallConfig());
   for (const auto& cp : result.checkpoints) {
     EXPECT_LE(cp.min, cp.p05);
     EXPECT_LE(cp.p05, cp.p25);
@@ -327,54 +321,53 @@ TEST(MonteCarloEngineTest, CheckpointStatsInternallyConsistent) {
   }
 }
 
-TEST(MonteCarloEngineTest, PowStatisticsMatchBinomialTheory) {
+TEST(ReplicationKernelTest, PowStatisticsMatchBinomialTheory) {
   // At checkpoint n, n*lambda ~ Bin(n, a): verify mean and the unfair
   // probability against the exact binomial computation.
-  protocol::PowModel model(1.0);
+  const protocol::PowModel model(1.0);
   SimulationConfig config;
   config.steps = 400;
   config.replications = 6000;
   config.seed = 11;
   config.checkpoints = {400};
-  const FairnessSpec spec{0.1, 0.1};
-  MonteCarloEngine engine(config, spec);
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result =
+      RunKernel(model, {0.2, 0.8}, config, FairnessSpec{0.1, 0.1});
   const auto& cp = result.Final();
   EXPECT_NEAR(cp.mean, 0.2, 0.003);
   const double exact_unfair = 1.0 - math::PowDeltaExact(400, 0.2, 0.1);
   EXPECT_NEAR(cp.unfair_probability, exact_unfair, 0.025);
 }
 
-TEST(MonteCarloEngineTest, ConvergenceStepDetected) {
+TEST(ReplicationKernelTest, ConvergenceStepDetected) {
   // PoW with a = 0.2 converges within a few thousand blocks.
-  protocol::PowModel model(0.01);
+  const protocol::PowModel model(0.01);
   SimulationConfig config;
   config.steps = 3000;
   config.replications = 1500;
   config.seed = 12;
   config.checkpoints = LinearCheckpoints(3000, 30);
-  MonteCarloEngine engine(config, FairnessSpec{0.1, 0.1});
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result =
+      RunKernel(model, {0.2, 0.8}, config, FairnessSpec{0.1, 0.1});
   const auto convergence = result.ConvergenceStep();
   ASSERT_TRUE(convergence.has_value());
   EXPECT_GT(*convergence, 400u);
   EXPECT_LT(*convergence, 2500u);
 }
 
-TEST(MonteCarloEngineTest, NoConvergenceReportedAsNullopt) {
+TEST(ReplicationKernelTest, NoConvergenceReportedAsNullopt) {
   // ML-PoS at w = 0.1 never clears delta = 0.1 (limit Beta(2, 8)).
-  protocol::MlPosModel model(0.1);
+  const protocol::MlPosModel model(0.1);
   SimulationConfig config;
   config.steps = 1000;
   config.replications = 1000;
   config.seed = 13;
   config.checkpoints = LinearCheckpoints(1000, 20);
-  MonteCarloEngine engine(config, FairnessSpec{0.1, 0.1});
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result =
+      RunKernel(model, {0.2, 0.8}, config, FairnessSpec{0.1, 0.1});
   EXPECT_FALSE(result.ConvergenceStep().has_value());
 }
 
-TEST(MonteCarloEngineTest, ConvergenceRequiresStayingConverged) {
+TEST(SimulationResultTest, ConvergenceRequiresStayingConverged) {
   // Construct a synthetic result where unfairness dips then rises: the
   // first dip must not count.
   SimulationResult result;
@@ -394,59 +387,39 @@ TEST(MonteCarloEngineTest, ConvergenceRequiresStayingConverged) {
   EXPECT_EQ(*convergence, 30u);
 }
 
-TEST(MonteCarloEngineTest, WithholdingConfigPlumbsThrough) {
-  protocol::MlPosModel model(0.05);
+TEST(ReplicationKernelTest, WithholdingConfigPlumbsThrough) {
+  const protocol::MlPosModel model(0.05);
   SimulationConfig config = SmallConfig();
   config.withhold_period = 100;
-  MonteCarloEngine engine(config, FairnessSpec{});
-  const auto result = engine.RunTwoMiner(model, 0.2);
+  const auto result = RunKernel(model, {0.2, 0.8}, config);
   EXPECT_EQ(result.config.withhold_period, 100u);
   // Expectational fairness still holds under withholding.
   EXPECT_NEAR(result.Final().mean, 0.2, 0.03);
 }
 
-TEST(MonteCarloEngineTest, MinerIndexOutOfRangeThrows) {
-  protocol::PowModel model(0.01);
-  SimulationConfig config = SmallConfig();
-  config.miner = 5;
-  MonteCarloEngine engine(config, FairnessSpec{});
-  EXPECT_THROW(engine.Run(model, {0.2, 0.8}), std::invalid_argument);
-}
-
-TEST(MonteCarloEngineTest, TracksNonZeroMiner) {
-  protocol::PowModel model(0.01);
+TEST(ReplicationKernelTest, TracksNonZeroMiner) {
+  const protocol::PowModel model(0.01);
   SimulationConfig config = SmallConfig();
   config.miner = 1;
-  MonteCarloEngine engine(config, FairnessSpec{});
-  const auto result = engine.Run(model, {0.2, 0.8});
+  const auto result = RunKernel(model, {0.2, 0.8}, config);
   EXPECT_DOUBLE_EQ(result.initial_share, 0.8);
   EXPECT_NEAR(result.Final().mean, 0.8, 0.02);
 }
 
-TEST(MonteCarloEngineTest, RunTwoMinerValidatesShare) {
-  protocol::PowModel model(0.01);
-  MonteCarloEngine engine(SmallConfig(), FairnessSpec{});
-  EXPECT_THROW(engine.RunTwoMiner(model, 0.0), std::invalid_argument);
-  EXPECT_THROW(engine.RunTwoMiner(model, 1.0), std::invalid_argument);
-}
-
-TEST(MonteCarloEngineTest, ExpectationalReportConsistentForPow) {
-  protocol::PowModel model(0.01);
-  MonteCarloEngine engine(SmallConfig(), FairnessSpec{});
-  const auto result = engine.RunTwoMiner(model, 0.2);
+TEST(ReplicationKernelTest, ExpectationalReportConsistentForPow) {
+  const protocol::PowModel model(0.01);
+  const auto result = RunKernel(model, {0.2, 0.8}, SmallConfig());
   const auto report = result.Expectational();
   EXPECT_TRUE(report.consistent);
   EXPECT_DOUBLE_EQ(report.target, 0.2);
 }
 
-TEST(MonteCarloEngineTest, FinalLambdasDroppedWhenRetentionOff) {
-  protocol::MlPosModel model(0.01);
+TEST(ReplicationKernelTest, FinalLambdasDroppedWhenRetentionOff) {
+  const protocol::MlPosModel model(0.01);
   SimulationConfig config = SmallConfig();
-  const auto with = MonteCarloEngine(config, FairnessSpec{})
-                        .RunTwoMiner(model, 0.2);
+  const auto with = RunKernel(model, {0.2, 0.8}, config);
   config.keep_final_lambdas = false;
-  const auto without = MonteCarloEngine(config, FairnessSpec{})
-                           .RunTwoMiner(model, 0.2);
+  const auto without = RunKernel(model, {0.2, 0.8}, config);
   ASSERT_EQ(with.final_lambdas.size(), 400u);
   EXPECT_TRUE(without.final_lambdas.empty());
   // Retention only affects the retained vector, never the statistics.
@@ -460,15 +433,13 @@ TEST(MonteCarloEngineTest, FinalLambdasDroppedWhenRetentionOff) {
   EXPECT_THROW(without.Expectational(), std::logic_error);
 }
 
-TEST(MonteCarloEngineTest, FinalLambdasKeepReplicationOrder) {
+TEST(ReplicationKernelTest, FinalLambdasKeepReplicationOrder) {
   // final_lambdas[r] must be replication r's λ (NOT a sorted copy — the
   // reduction sorts its scratch in place for quantiles).  Cross-check
   // against a direct single-replication RunReplicationRange.
-  protocol::MlPosModel model(0.01);
-  SimulationConfig config = SmallConfig();
-  const auto result =
-      MonteCarloEngine(config, FairnessSpec{}).RunTwoMiner(model, 0.2);
-  config.Validate();
+  const protocol::MlPosModel model(0.01);
+  const SimulationConfig config = SmallConfig();
+  const auto result = RunKernel(model, {0.2, 0.8}, config);
   // A one-replication chunk: row c of its payload is checkpoint c's λ.
   std::vector<double> out(ReplicationRowCount(config));
   ReplicationWorkspace workspace;

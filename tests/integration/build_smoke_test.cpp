@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/blockchain.hpp"
-#include "core/polya.hpp"
+#include "core/bounds.hpp"
 #include "crypto/sha256.hpp"
 #include "math/special.hpp"
 #include "protocol/pow.hpp"
@@ -46,11 +46,10 @@ TEST(BuildSmokeTest, ProtocolLayerLinks) {
 }
 
 TEST(BuildSmokeTest, CoreLayerLinks) {
-  fairchain::core::PolyaUrn urn({1.0, 1.0}, 1.0);
-  fairchain::RngStream rng(11);
-  const std::size_t color = urn.Draw(rng);
-  EXPECT_LT(color, urn.colors());
-  EXPECT_DOUBLE_EQ(urn.total_mass(), 3.0);
+  const fairchain::core::BetaParams limit =
+      fairchain::core::MlPosLimitDistribution(0.5, 0.5);
+  EXPECT_DOUBLE_EQ(limit.alpha, 1.0);
+  EXPECT_DOUBLE_EQ(limit.beta, 1.0);
 }
 
 TEST(BuildSmokeTest, SimLayerLinks) {

@@ -1,5 +1,5 @@
 // Tests for the campaign runner: thread-count invariance, equivalence with
-// the MonteCarloEngine on a single cell, ordered streaming emission, and
+// the replication kernel on a single cell, ordered streaming emission, and
 // the interleaved job plan that makes campaigns parallel across cells.
 
 #include "sim/campaign.hpp"
@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,26 @@ ScenarioSpec SmallSpec() {
   spec.seed = 7;
   spec.checkpoint_count = 4;
   return spec;
+}
+
+// `cell` through the kernel alone, in a fresh workspace: every replication
+// as one range, then the reduction.
+core::SimulationResult RunCellAlone(const ScenarioSpec& spec,
+                                    const CampaignCell& cell) {
+  const core::SimulationConfig config = CellConfig(spec, cell);
+  const auto model =
+      protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
+  const std::vector<double> stakes = cell.Stakes();
+  const std::size_t reps = static_cast<std::size_t>(config.replications);
+  std::vector<double> matrix(core::ReplicationRowCount(config) * reps);
+  core::ReplicationWorkspace workspace;
+  core::RunReplicationRange(*model, stakes, config, 0, reps, matrix.data(),
+                            workspace);
+  const std::span<const double> all(matrix);
+  const std::size_t lambda_size = config.checkpoints.size() * reps;
+  return core::ReduceToResult(model->name(), stakes, config, spec.fairness,
+                              all.first(lambda_size),
+                              all.subspan(lambda_size));
 }
 
 // Collects rows in arrival order.
@@ -78,7 +99,7 @@ TEST(CampaignRunnerTest, ResultsIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(CampaignRunnerTest, SingleCellMatchesMonteCarloEngine) {
+TEST(CampaignRunnerTest, SingleCellMatchesTheKernel) {
   ScenarioSpec spec = SmallSpec();
   spec.protocols = {"mlpos"};
   spec.allocations = {0.2};
@@ -86,12 +107,8 @@ TEST(CampaignRunnerTest, SingleCellMatchesMonteCarloEngine) {
   const auto outcomes = CampaignRunner().Run(spec, {});
   ASSERT_EQ(outcomes.size(), 1u);
 
-  // The same cell through the engine directly, seeded with the cell seed.
-  core::SimulationConfig config = CellConfig(spec, 0);
-  config.threads = 1;
-  core::MonteCarloEngine engine(config, spec.fairness);
-  const auto model = protocol::MakeModel("mlpos", 0.01, 0.1, 32);
-  const auto direct = engine.RunTwoMiner(*model, 0.2);
+  // The same cell through the kernel directly, seeded with the cell seed.
+  const auto direct = RunCellAlone(spec, outcomes[0].cell);
 
   ASSERT_EQ(outcomes[0].result.checkpoints.size(),
             direct.checkpoints.size());
@@ -106,7 +123,7 @@ TEST(CampaignRunnerTest, SingleCellMatchesMonteCarloEngine) {
 // A serial campaign steps every cell in one workspace, and cells with the
 // same stakes reuse its game state through Reset.  C-PoS's count path
 // leaves the stake tree stale while ML-PoS samples from it, so each cell
-// of a mixed grid must still equal that cell run alone in a fresh engine:
+// of a mixed grid must still equal that cell run alone in a fresh workspace:
 // every final lambda and every checkpoint statistic, bit for bit.
 TEST(CampaignRunnerTest, CellsSharingAWorkspaceMatchEachCellRunAlone) {
   const ScenarioSpec spec = ScenarioSpec::FromText(
@@ -122,13 +139,7 @@ TEST(CampaignRunnerTest, CellsSharingAWorkspaceMatchEachCellRunAlone) {
   ASSERT_EQ(outcomes.size(), 4u);
   for (const CellOutcome& outcome : outcomes) {
     const CampaignCell& cell = outcome.cell;
-    core::SimulationConfig config = CellConfig(spec, cell);
-    config.threads = 1;
-    const auto model =
-        protocol::MakeModel(cell.protocol, cell.w, cell.v, cell.shards);
-    const core::SimulationResult alone =
-        core::MonteCarloEngine(config, spec.fairness)
-            .Run(*model, cell.Stakes());
+    const core::SimulationResult alone = RunCellAlone(spec, cell);
     const core::SimulationResult& shared = outcome.result;
     const std::string where = cell.protocol + " cell " +
                               std::to_string(cell.index);

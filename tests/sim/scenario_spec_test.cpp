@@ -405,6 +405,7 @@ TEST(ScenarioSpecTest, UnknownProtocolNamesTheOffender) {
   });
   EXPECT_NE(message.find("unknown protocol 'btc'"), std::string::npos)
       << message;
+  EXPECT_NE(message.find("known: pow|mlpos|"), std::string::npos) << message;
 }
 
 TEST(ScenarioSpecTest, UnknownKeyNamesTheKey) {

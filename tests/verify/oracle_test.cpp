@@ -10,7 +10,6 @@
 
 #include "core/bounds.hpp"
 #include "core/equitability.hpp"
-#include "core/polya.hpp"
 #include "core/selfish_mining.hpp"
 #include "math/special.hpp"
 
@@ -129,8 +128,9 @@ TEST(PolyaOracleTest, UsesTwoColorLimitParameters) {
   const OraclePrediction prediction =
       oracle.Predict(MakeCell("mlpos", a, w), fairness, n);
 
-  // The pmf must be the Beta-Binomial with PolyaUrn::TwoColorLimit params.
-  const core::BetaParams limit = core::PolyaUrn::TwoColorLimit(a, 1.0 - a, w);
+  // The pmf must be the Beta-Binomial of the urn's Beta limit, which for
+  // two miners is the ML-PoS limit Beta(a / w, (1 - a) / w).
+  const core::BetaParams limit = core::MlPosLimitDistribution(a, w);
   for (const std::uint64_t k : {0ULL, 24ULL, 60ULL, 120ULL}) {
     EXPECT_NEAR(prediction.pmf[static_cast<std::size_t>(k)],
                 math::BetaBinomialPmf(n, k, limit.alpha, limit.beta), 1e-12);

@@ -123,26 +123,30 @@ core::FairnessSpec ReadFairnessSpec(const FlagSet& flags) {
   return spec;
 }
 
-std::unique_ptr<protocol::IncentiveModel> MakeModel(const FlagSet& flags) {
-  return protocol::MakeModel(flags.GetString("protocol", "mlpos"),
-                             flags.GetDouble("w", kDefaultW),
-                             flags.GetDouble("v", kDefaultV),
-                             ReadShards(flags));
-}
-
+// A one-cell campaign: the same seeds (CellSeed), chunking and per-cell
+// allocation bound as `campaign`, on min(n, 120) linear checkpoints, with
+// no population metrics (simulate never prints them).
 int RunSimulate(const FlagSet& flags) {
   flags.RejectUnknown({"protocol", "a", "w", "v", "shards", "n", "reps",
                        "withhold", "eps", "delta", "seed"});
-  const double a = flags.GetDouble("a", kDefaultA);
-  const auto model = MakeModel(flags);
-  core::SimulationConfig config;
-  config.steps = flags.GetU64("n", kDefaultSteps);
-  config.replications = flags.GetU64("reps", 10000);
-  config.seed = flags.GetU64("seed", 20210620);
-  config.withhold_period = flags.GetU64("withhold", 0);
-  const core::FairnessSpec spec = ReadFairnessSpec(flags);
-  core::MonteCarloEngine engine(config, spec);
-  const auto result = engine.RunTwoMiner(*model, a);
+  sim::ScenarioSpec spec;
+  spec.name = "simulate";
+  spec.protocols = {flags.GetString("protocol", "mlpos")};
+  spec.allocations = {flags.GetDouble("a", kDefaultA)};
+  spec.rewards = {flags.GetDouble("w", kDefaultW)};
+  spec.inflations = {flags.GetDouble("v", kDefaultV)};
+  spec.shard_counts = {ReadShards(flags)};
+  spec.withhold_periods = {flags.GetU64("withhold", 0)};
+  spec.steps = flags.GetU64("n", kDefaultSteps);
+  spec.replications = flags.GetU64("reps", 10000);
+  spec.seed = flags.GetU64("seed", 20210620);
+  spec.checkpoint_count = 120;
+  spec.fairness = ReadFairnessSpec(flags);
+  spec.population_metrics = false;
+  const std::vector<sim::CellOutcome> outcomes =
+      sim::CampaignRunner().Run(spec, {});
+  const core::SimulationResult& result = outcomes.front().result;
+  const double a = spec.allocations.front();
   const auto& final_stats = result.Final();
   const auto expectational = result.Expectational();
   const auto equitability =
@@ -150,7 +154,7 @@ int RunSimulate(const FlagSet& flags) {
 
   Table table({"metric", "value"});
   table.SetTitle(result.protocol + ", a = " + std::to_string(a) + ", n = " +
-                 std::to_string(config.steps));
+                 std::to_string(spec.steps));
   table.AddRow();
   table.Cell(std::string("mean lambda"));
   table.Cell(final_stats.mean, 4);
@@ -167,7 +171,8 @@ int RunSimulate(const FlagSet& flags) {
   table.AddRow();
   table.Cell(std::string("robust (eps,delta)-fairness"));
   table.Cell(std::string(
-      final_stats.unfair_probability <= spec.delta ? "holds" : "VIOLATED"));
+      final_stats.unfair_probability <= spec.fairness.delta ? "holds"
+                                                            : "VIOLATED"));
   table.AddRow();
   table.Cell(std::string("convergence step"));
   table.Cell(sim::FormatConvergence(result.ConvergenceStep()));
