@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates the
-// experiment harness is built on — hashes, 256-bit arithmetic, samplers,
+// experiment harness is built on — the store's hash, samplers,
 // the population metrics, the reduction, and a one-cell campaign end to
 // end.  Per-protocol stepping is timed by hotpath_bench's BM_Batched_*
 // families.
@@ -15,7 +15,6 @@
 #include "sim/campaign.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "support/u256.hpp"
 
 namespace {
 
@@ -30,25 +29,6 @@ void BM_Sha256_64B(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_Sha256_64B);
-
-void BM_U256_Division(benchmark::State& state) {
-  const U256 numerator = U256::FromHex(
-      "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210");
-  U256 denominator = U256::FromHex("1234567890abcdef1234567");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(numerator / denominator);
-  }
-}
-BENCHMARK(BM_U256_Division);
-
-void BM_U256_MulDivU64(benchmark::State& state) {
-  const U256 value = U256::FromHex(
-      "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(value.MulDivU64(123456789, 987654321));
-  }
-}
-BENCHMARK(BM_U256_MulDivU64);
 
 void BM_RngNextDouble(benchmark::State& state) {
   RngStream rng(1);

@@ -8,7 +8,7 @@
 //   * C-PoS   : minimum inflation reward v for a given (w, P)
 //               (Theorem 4.10)
 //
-// Build & run:  ./build/examples/incentive_designer
+// Build & run:  ./build/example_incentive_designer
 
 #include <iostream>
 

@@ -4,7 +4,7 @@
 // extensions (NEO, Algorand, EOS) and the Section 6.2/6.3 remedies
 // (FSL-PoS, reward withholding).
 //
-// Build & run:  ./build/examples/protocol_comparison
+// Build & run:  ./build/example_protocol_comparison
 
 #include <iostream>
 #include <string>

@@ -5,7 +5,7 @@
 //   2. run it through the campaign runner,
 //   3. check expectational and robust ((ε,δ)-) fairness.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/example_quickstart
 
 #include <cstdio>
 

@@ -6,7 +6,7 @@
 // 8.9% minnows the whale monopolises — "reward depends not only on staking
 // power but on the staking distribution of the competitors".
 //
-// Build & run:  ./build/examples/whale_vs_minnows
+// Build & run:  ./build/example_whale_vs_minnows
 
 #include <iostream>
 

@@ -1,9 +1,9 @@
 // ExecutionBackend: where simulation chunks run.
 //
 // The campaign runner reduces its work to a flat list of independent chunks
-// (replication ranges); chain::ReplicatedRewardFractions runs one game per
-// chunk.  A backend decides only WHERE those chunks execute — inline on the
-// calling thread, across a thread pool, or across forked worker processes.
+// (replication ranges of one cell).  A backend decides only WHERE those
+// chunks execute — inline on the calling thread, across a thread pool, or
+// across forked worker processes.
 // It never decides WHAT a replication computes.
 //
 // One job contract for every backend: `compute(j)` returns chunk j's

@@ -49,9 +49,10 @@ struct SimulationConfig {
   /// Index of the miner whose λ is tracked (the paper's miner A).
   std::size_t miner = 0;
   /// Record population concentration metrics (Gini / HHI / Nakamoto /
-  /// top-decile share over miner wealth) at every checkpoint.  Costs one
-  /// O(m log m) sort per (replication, checkpoint); disable for pure
-  /// hot-path throughput runs at extreme populations.
+  /// top-decile share over miner wealth) at every checkpoint.  Costs an
+  /// O(m + d log d) merge per (replication, checkpoint), d the miners
+  /// credited so far (core::PopulationMeter); disable for pure hot-path
+  /// throughput runs at extreme populations.
   bool population_metrics = true;
   /// Retain every replication's final-checkpoint λ in
   /// SimulationResult::final_lambdas (an O(replications) vector).  Keep on

@@ -56,14 +56,6 @@ void Sha256::Update(const void* data, std::size_t len) {
 
 void Sha256::Update(std::string_view data) { Update(data.data(), data.size()); }
 
-void Sha256::UpdateU64(std::uint64_t value) {
-  std::uint8_t encoded[8];
-  for (int i = 0; i < 8; ++i) {
-    encoded[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  Update(encoded, 8);
-}
-
 Digest Sha256::Finalize() {
   const std::uint64_t total_bits = bit_count_;
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
@@ -137,11 +129,6 @@ Digest Sha256Digest(const void* data, std::size_t len) {
 
 Digest Sha256Digest(std::string_view data) {
   return Sha256Digest(data.data(), data.size());
-}
-
-Digest Sha256d(const void* data, std::size_t len) {
-  const Digest first = Sha256Digest(data, len);
-  return Sha256Digest(first.data(), first.size());
 }
 
 std::string DigestToHex(const Digest& digest) {

@@ -1,7 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
-// The chain substrate grinds real hashes against 256-bit targets, exactly as
-// PoW / ML-PoS / SL-PoS clients do; this file provides the hash oracle.
+// The campaign store hashes each cell's canonical preimage into its key and
+// each entry's payload into its checksum (store/campaign_store.cpp).
 // Verified against the FIPS test vectors in tests/crypto/sha256_test.cpp.
 
 #ifndef FAIRCHAIN_CRYPTO_SHA256_HPP_
@@ -28,9 +28,6 @@ class Sha256 {
   void Update(const void* data, std::size_t len);
   /// Absorbs a string view.
   void Update(std::string_view data);
-  /// Absorbs a little-endian 64-bit integer (canonical field encoding used
-  /// by the chain substrate's headers).
-  void UpdateU64(std::uint64_t value);
 
   /// Finalises and returns the digest.  The context must not be reused
   /// afterwards without Reset().
@@ -53,9 +50,6 @@ Digest Sha256Digest(const void* data, std::size_t len);
 
 /// One-shot convenience: SHA-256 of a string.
 Digest Sha256Digest(std::string_view data);
-
-/// Double SHA-256 (Bitcoin's block-hash convention).
-Digest Sha256d(const void* data, std::size_t len);
 
 /// Lowercase hex rendering of a digest.
 std::string DigestToHex(const Digest& digest);

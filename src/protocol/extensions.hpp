@@ -12,8 +12,7 @@
 //                 distribution.
 //
 // Wave and Vixify (also discussed in 6.4) are statistically identical to
-// FSL-PoS / ML-PoS respectively and are covered by those models; see
-// DESIGN.md.
+// FSL-PoS / ML-PoS respectively and are covered by those models.
 
 #ifndef FAIRCHAIN_PROTOCOL_EXTENSIONS_HPP_
 #define FAIRCHAIN_PROTOCOL_EXTENSIONS_HPP_

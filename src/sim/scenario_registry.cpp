@@ -178,8 +178,8 @@ ScenarioRegistry BuildBuiltIns() {
     spec.steps = 2000;
     spec.replications = 100;
     spec.checkpoint_count = 8;
-    // One O(m log m) sort per (replication, checkpoint) would dominate the
-    // O(log m) stepping this scenario exists to exercise; the
+    // An O(m + d log d) merge per (replication, checkpoint) would dominate
+    // the O(log m) stepping this scenario exists to exercise; the
     // pareto-population scenario carries the concentration metrics.
     spec.population_metrics = false;
     registry.Register(std::move(spec));

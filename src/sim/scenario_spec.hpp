@@ -156,8 +156,9 @@ struct ScenarioSpec {
   CheckpointSpacing spacing = CheckpointSpacing::kLinear;
   core::FairnessSpec fairness{0.1, 0.1};
   /// Record Gini / HHI / Nakamoto / top-decile checkpoint metrics (one
-  /// O(m log m) sort per replication-checkpoint; turn off for pure
-  /// throughput scenarios at extreme populations).
+  /// O(m + d log d) merge of the d credited miners per
+  /// replication-checkpoint; turn off for pure throughput scenarios at
+  /// extreme populations).
   bool population_metrics = true;
   /// Retain per-replication final-checkpoint λ vectors in cell results
   /// (SimulationResult::final_lambdas, an O(replications) vector per

@@ -66,25 +66,9 @@ TEST(Sha256Test, ResetRestoresInitialState) {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256Test, UpdateU64IsLittleEndian) {
-  Sha256 a;
-  a.UpdateU64(0x0807060504030201ULL);
-  const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  Sha256 b;
-  b.Update(bytes, 8);
-  EXPECT_EQ(a.Finalize(), b.Finalize());
-}
-
 TEST(Sha256Test, DifferentInputsDiffer) {
   EXPECT_NE(Sha256Digest("a"), Sha256Digest("b"));
   EXPECT_NE(Sha256Digest(""), Sha256Digest(std::string(1, '\0')));
-}
-
-TEST(Sha256Test, DoubleShaMatchesComposition) {
-  const std::string message = "bitcoin-style";
-  const Digest once = Sha256Digest(message);
-  EXPECT_EQ(Sha256d(message.data(), message.size()),
-            Sha256Digest(once.data(), once.size()));
 }
 
 TEST(Sha256Test, DigestToHexFormat) {
