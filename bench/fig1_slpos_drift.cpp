@@ -3,17 +3,17 @@
 // The paper's Figure 1 illustrates why SL-PoS monopolises: at stake share
 // Z_n = 0.3 the win probability is below 30% (drift down), at 0.7 above 70%
 // (drift up), and Z_n = 0.5 is a knife edge.  This bench prints the win
-// probability and drift f(Z) over a share grid (the plotted curve), the
-// drift's zero set with stability classification (Theorem 4.9), and an
-// empirical cross-check of the win probability at the paper's highlighted
-// shares.  The game-level leg (the drift played out over whole mining games)
-// is the registry scenario: `fairchain campaign fig1`.
+// probability and drift f(Z) over a share grid (the plotted curve) and the
+// drift's zero set with stability classification (Theorem 4.9).  The
+// selection rule itself is checked against simulated lotteries by
+// SlPosModelTest.FirstBlockWinFrequencyMatchesClosedForm, and the
+// game-level leg (the drift played out over whole mining games) is the
+// registry scenario: `fairchain campaign fig1`.
 
 #include <cstdio>
 
 #include "core/stochastic_approximation.hpp"
 #include "protocol/win_probability.hpp"
-#include "support/rng.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -54,25 +54,6 @@ int main() {
                                : "knife edge: never converged to"));
   }
   zeros.Emit();
-
-  // Empirical cross-check at the paper's highlighted shares.
-  Table check({"share Z", "closed form", "simulated (1e6 lotteries)"});
-  check.SetTitle("Monte Carlo validation of the selection rule");
-  RngStream rng(1);
-  for (const double z : {0.3, 0.5, 0.7}) {
-    int wins = 0;
-    const int trials = 1000000;
-    for (int t = 0; t < trials; ++t) {
-      const double deadline_a = rng.NextOpenDouble() / z;
-      const double deadline_b = rng.NextOpenDouble() / (1.0 - z);
-      if (deadline_a < deadline_b) ++wins;
-    }
-    check.AddRow();
-    check.Cell(z, 2);
-    check.Cell(protocol::SlPosTwoMinerWinProbability(z, 1.0 - z), 4);
-    check.Cell(static_cast<double>(wins) / trials, 4);
-  }
-  check.Emit();
 
   std::printf(
       "Shape vs paper: win probability below the diagonal for Z < 1/2 and\n"

@@ -32,10 +32,6 @@ ChainDynamics ParseChainDynamics(const std::string& name) {
       "' (known: selfish, forkrace)");
 }
 
-std::string ChainDynamicsName(ChainDynamics dynamics) {
-  return dynamics == ChainDynamics::kSelfish ? "selfish" : "forkrace";
-}
-
 void ChainGameSpec::Validate() const {
   if (!(alpha > 0.0) || !(alpha < 1.0)) {
     throw std::invalid_argument(

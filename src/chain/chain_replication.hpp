@@ -65,9 +65,6 @@ bool IsKnownChainDynamicsName(const std::string& name);
 /// names on anything else.
 ChainDynamics ParseChainDynamics(const std::string& name);
 
-/// The spec-facing name ("selfish" / "forkrace").
-std::string ChainDynamicsName(ChainDynamics dynamics);
-
 /// Everything that parameterises one chain-dynamics cell.
 struct ChainGameSpec {
   ChainDynamics dynamics = ChainDynamics::kForkRace;

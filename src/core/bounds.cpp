@@ -47,10 +47,6 @@ double PowSufficientBlocks(double a, const FairnessSpec& spec) {
          (2.0 * a * a * spec.epsilon * spec.epsilon);
 }
 
-bool PowSatisfiesBound(std::uint64_t n, double a, const FairnessSpec& spec) {
-  return static_cast<double>(n) >= PowSufficientBlocks(a, spec);
-}
-
 double PowExactFairProbability(std::uint64_t n, double a, double epsilon) {
   return math::PowDeltaExact(n, a, epsilon);
 }
@@ -105,11 +101,6 @@ double MlPosLimitUnfairProbability(double a, double w, double epsilon) {
   const double lo = math::BetaCdf(params.alpha, params.beta,
                                   (1.0 - epsilon) * a);
   return 1.0 - (hi - lo);
-}
-
-bool MlPosLimitSatisfies(double a, double w, const FairnessSpec& spec) {
-  spec.Validate();
-  return MlPosLimitUnfairProbability(a, w, spec.epsilon) <= spec.delta;
 }
 
 // ---------------------------------------------------------------------------

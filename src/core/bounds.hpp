@@ -28,9 +28,6 @@ double PowUnfairUpperBound(std::uint64_t n, double a, double epsilon);
 /// The sufficient horizon of Theorem 4.2:  n >= ln(2/δ) / (2 a² ε²).
 double PowSufficientBlocks(double a, const FairnessSpec& spec);
 
-/// True when (n, a) satisfies the Theorem 4.2 sufficient condition.
-bool PowSatisfiesBound(std::uint64_t n, double a, const FairnessSpec& spec);
-
 /// Exact PoW robust-fairness probability Δ(ε; n, a) via the binomial CDF
 /// (Section 4.2) — tighter than Hoeffding; tests verify
 /// Δ >= 1 - PowUnfairUpperBound.
@@ -67,10 +64,6 @@ BetaParams MlPosLimitDistribution(double a, double w);
 /// Exact limiting unfair probability for ML-PoS via the regularized
 /// incomplete beta:  1 - [I_{(1+ε)a} - I_{(1-ε)a}](a/w, (1-a)/w).
 double MlPosLimitUnfairProbability(double a, double w, double epsilon);
-
-/// True when the ML-PoS *limit* distribution satisfies (ε, δ)-fairness —
-/// the sharp (non-sufficient-condition) criterion.
-bool MlPosLimitSatisfies(double a, double w, const FairnessSpec& spec);
 
 // ---------------------------------------------------------------------------
 // C-PoS (Theorem 4.10)

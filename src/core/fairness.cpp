@@ -36,15 +36,4 @@ ExpectationalFairnessReport CheckExpectationalFairness(
   return report;
 }
 
-double UnfairProbability(const std::vector<double>& lambdas, double a,
-                         const FairnessSpec& spec) {
-  spec.Validate();
-  return FractionOutside(lambdas, spec.FairLow(a), spec.FairHigh(a));
-}
-
-bool SatisfiesRobustFairness(const std::vector<double>& lambdas, double a,
-                             const FairnessSpec& spec) {
-  return UnfairProbability(lambdas, a, spec) <= spec.delta;
-}
-
 }  // namespace fairchain::core

@@ -5,8 +5,9 @@
 //   * Robust ((ε, δ)-) fairness:  Pr[(1-ε) a <= λ_A <= (1+ε) a] >= 1 - δ —
 //     the realised reward fraction concentrates around a.
 //
-// FairnessSpec carries (ε, δ); the fair area and unfair probability are the
-// quantities every figure in the evaluation section is built from.
+// FairnessSpec carries (ε, δ) and the closed fair area [FairLow, FairHigh];
+// core::ReduceToResult counts the λ samples outside it into the unfair
+// probability every figure in the evaluation section is built from.
 
 #ifndef FAIRCHAIN_CORE_FAIRNESS_HPP_
 #define FAIRCHAIN_CORE_FAIRNESS_HPP_
@@ -33,11 +34,6 @@ struct FairnessSpec {
 
   /// Upper edge of the fair area for initial share `a`: (1 + ε) a.
   double FairHigh(double a) const { return (1.0 + epsilon) * a; }
-
-  /// True when `lambda` lies inside the (closed) fair area around `a`.
-  bool InFairArea(double lambda, double a) const {
-    return lambda >= FairLow(a) && lambda <= FairHigh(a);
-  }
 };
 
 /// Empirical check of expectational fairness: given per-replication reward
@@ -53,15 +49,6 @@ struct ExpectationalFairnessReport {
 /// Builds an ExpectationalFairnessReport from sampled reward fractions.
 ExpectationalFairnessReport CheckExpectationalFairness(
     const std::vector<double>& lambdas, double a, double z_threshold = 4.0);
-
-/// Empirical unfair probability: fraction of λ samples outside the fair
-/// area around `a` (the paper's Figure 3 / Figure 5 metric).
-double UnfairProbability(const std::vector<double>& lambdas, double a,
-                         const FairnessSpec& spec);
-
-/// True when the empirical unfair probability satisfies (ε, δ)-fairness.
-bool SatisfiesRobustFairness(const std::vector<double>& lambdas, double a,
-                             const FairnessSpec& spec);
 
 }  // namespace fairchain::core
 

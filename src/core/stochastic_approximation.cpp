@@ -12,29 +12,7 @@ double SlPosDriftTwoMiner(double z) {
   if (z < 0.0 || z > 1.0) {
     throw std::invalid_argument("SlPosDriftTwoMiner: z must be in [0, 1]");
   }
-  if (z == 0.0) return 0.0;
-  if (z == 1.0) return 0.0;
-  if (z <= 0.5) return z / (2.0 * (1.0 - z)) - z;
-  return 1.0 - (1.0 - z) / (2.0 * z) - z;
-}
-
-std::vector<double> SlPosDriftField(const std::vector<double>& shares) {
-  double total = 0.0;
-  for (const double s : shares) {
-    if (s < 0.0) throw std::invalid_argument("SlPosDriftField: negative share");
-    total += s;
-  }
-  if (std::fabs(total - 1.0) > 1e-9) {
-    throw std::invalid_argument(
-        "SlPosDriftField: shares must sum to 1 (probability vector)");
-  }
-  const std::vector<double> win =
-      protocol::SlPosWinProbabilities(shares);
-  std::vector<double> drift(shares.size());
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    drift[i] = win[i] - shares[i];
-  }
-  return drift;
+  return protocol::SlPosTwoMinerWinProbability(z, 1.0 - z) - z;
 }
 
 namespace {
@@ -103,52 +81,6 @@ std::vector<DriftZero> FindDriftZeros(const std::function<double(double)>& f,
 
 std::vector<DriftZero> SlPosTwoMinerZeros() {
   return FindDriftZeros([](double z) { return SlPosDriftTwoMiner(z); });
-}
-
-StochasticApproximationProcess::StochasticApproximationProcess(
-    double z0, Drift drift, Noise noise, StepSize step_size)
-    : z_(z0), drift_(std::move(drift)), noise_(std::move(noise)),
-      step_size_(std::move(step_size)) {
-  if (z0 < 0.0 || z0 > 1.0) {
-    throw std::invalid_argument(
-        "StochasticApproximationProcess: z0 must be in [0, 1]");
-  }
-}
-
-double StochasticApproximationProcess::Step(RngStream& rng) {
-  ++steps_;
-  const double gamma = step_size_(steps_);
-  const double drift = drift_(z_);
-  const double noise = noise_(z_, drift, rng);
-  z_ = std::clamp(z_ + gamma * (drift + noise), 0.0, 1.0);
-  return z_;
-}
-
-double StochasticApproximationProcess::Run(RngStream& rng, std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) Step(rng);
-  return z_;
-}
-
-StochasticApproximationProcess MakeSlPosShareProcess(double a, double w) {
-  if (!(a >= 0.0) || !(a <= 1.0)) {
-    throw std::invalid_argument("MakeSlPosShareProcess: a must be in [0, 1]");
-  }
-  if (!(w > 0.0)) {
-    throw std::invalid_argument("MakeSlPosShareProcess: w must be > 0");
-  }
-  // Z_{n+1} - Z_n = γ_{n+1} (X_{n+1} - Z_n), where X_{n+1} ~ Bernoulli(p)
-  // with p = the SL-PoS win probability at share Z_n.  Decomposed into
-  // drift f(z) = p(z) - z and noise U = X - p(z).
-  auto drift = [](double z) { return SlPosDriftTwoMiner(z); };
-  auto noise = [](double z, double drift_value, RngStream& rng) {
-    const double win_probability = drift_value + z;  // p(z) = f(z) + z
-    const bool win = rng.NextBernoulli(win_probability);
-    return (win ? 1.0 : 0.0) - win_probability;
-  };
-  auto step_size = [w](std::uint64_t n) {
-    return w / (1.0 + static_cast<double>(n) * w);
-  };
-  return StochasticApproximationProcess(a, drift, noise, step_size);
 }
 
 }  // namespace fairchain::core

@@ -8,29 +8,24 @@
 // The zero set is {0, 1/2, 1}: the paper shows 1/2 is unstable and 0 / 1 are
 // stable, so Z_n -> {0, 1} almost surely — the Matthew effect.
 //
-// This module exposes the drift, a generic zero finder with numeric
-// stability classification, and a runnable SA process used to cross-check
-// the SL-PoS simulation (the share process of SlPosModel and the SA
-// recurrence must agree in distribution).
+// This module exposes the drift and a generic zero finder with numeric
+// stability classification.  The share process itself is SlPosModel
+// stepped through RunSteps; its tests check Theorem 4.9 and Lemma 4.8 on
+// that process.
 
 #ifndef FAIRCHAIN_CORE_STOCHASTIC_APPROXIMATION_HPP_
 #define FAIRCHAIN_CORE_STOCHASTIC_APPROXIMATION_HPP_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "support/rng.hpp"
-
 namespace fairchain::core {
 
-/// Two-miner SL-PoS drift f(z) of Equation (2).  Defined on [0, 1].
+/// Two-miner SL-PoS drift f(z) of Equation (2): the Equation (1) win
+/// probability protocol::SlPosTwoMinerWinProbability(z, 1 - z) minus z.
+/// Throws std::invalid_argument outside [0, 1].
 double SlPosDriftTwoMiner(double z);
-
-/// Multi-miner drift field:  f_i(shares) = Pr[i wins | shares] - shares_i,
-/// with the win probability from Lemma 6.1.  `shares` must be a probability
-/// vector (positive entries allowed to be zero).
-std::vector<double> SlPosDriftField(const std::vector<double>& shares);
 
 /// A zero of a drift function with its stability classification.
 struct DriftZero {
@@ -49,49 +44,6 @@ std::vector<DriftZero> FindDriftZeros(const std::function<double(double)>& f,
 /// computed numerically from the drift (not hard-coded), so tests can
 /// verify Theorem 4.9's classification end to end.
 std::vector<DriftZero> SlPosTwoMinerZeros();
-
-/// A runnable stochastic-approximation recurrence (Definition 4.4) for
-/// processes on [0, 1]:
-///   Z_{n+1} = clamp( Z_n + γ_{n+1} (f(Z_n) + U_{n+1}) ).
-/// The noise U is supplied by a callback so exact protocol noise (win
-/// indicator minus win probability) can be injected.
-class StochasticApproximationProcess {
- public:
-  using Drift = std::function<double(double)>;
-  /// Noise callback: given (z, drift(z), rng), returns U_{n+1}.
-  using Noise = std::function<double(double, double, RngStream&)>;
-  /// Step-size callback: given n (1-based), returns γ_n.
-  using StepSize = std::function<double(std::uint64_t)>;
-
-  /// Creates the process; z0 must lie in [0, 1].
-  StochasticApproximationProcess(double z0, Drift drift, Noise noise,
-                                 StepSize step_size);
-
-  /// Advances one step and returns the new Z.
-  double Step(RngStream& rng);
-
-  /// Advances `n` steps and returns the final Z.
-  double Run(RngStream& rng, std::uint64_t n);
-
-  /// Current value Z_n.
-  double value() const { return z_; }
-
-  /// Number of completed steps.
-  std::uint64_t steps() const { return steps_; }
-
- private:
-  double z_;
-  Drift drift_;
-  Noise noise_;
-  StepSize step_size_;
-  std::uint64_t steps_ = 0;
-};
-
-/// The SL-PoS share process expressed directly as a stochastic
-/// approximation: starts at share `a`, uses γ_n = w / (1 + n w), the
-/// Equation (2) drift, and exact Bernoulli protocol noise.  Theorem 4.9's
-/// statement "Z_n -> {0,1} a.s." is validated against this process in tests.
-StochasticApproximationProcess MakeSlPosShareProcess(double a, double w);
 
 }  // namespace fairchain::core
 

@@ -95,63 +95,4 @@ std::uint64_t SampleLargeBinomial(RngStream& rng, std::uint64_t n, double p) {
 
 }  // namespace detail
 
-std::size_t SampleCategorical(RngStream& rng,
-                              const std::vector<double>& weights) {
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) {
-      throw std::invalid_argument("SampleCategorical: negative weight");
-    }
-    total += w;
-  }
-  if (!(total > 0.0)) {
-    throw std::invalid_argument("SampleCategorical: weights sum to zero");
-  }
-  const double target = rng.NextDouble() * total;
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    cumulative += weights[i];
-    if (target < cumulative) return i;
-  }
-  return weights.size() - 1;
-}
-
-double SampleGamma(RngStream& rng, double shape) {
-  if (!(shape > 0.0)) {
-    throw std::invalid_argument("SampleGamma: shape must be > 0");
-  }
-  if (shape < 1.0) {
-    // Boost to shape + 1 and scale back (Marsaglia-Tsang section 6).
-    const double u = rng.NextOpenDouble();
-    return SampleGamma(rng, shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x;
-    double v;
-    do {
-      x = SampleNormal(rng);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = rng.NextOpenDouble();
-    const double x2 = x * x;
-    if (u < 1.0 - 0.0331 * x2 * x2) return d * v;
-    if (std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) return d * v;
-  }
-}
-
-double SampleBeta(RngStream& rng, double a, double b) {
-  const double x = SampleGamma(rng, a);
-  const double y = SampleGamma(rng, b);
-  return x / (x + y);
-}
-
-double SampleNormal(RngStream& rng) {
-  const double u1 = rng.NextOpenDouble();
-  const double u2 = rng.NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
 }  // namespace fairchain::math

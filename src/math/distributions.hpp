@@ -1,14 +1,10 @@
-// Random-variate samplers built on RngStream.
+// The binomial sampler built on RngStream: C-PoS proposer counts per
+// epoch, X ~ Bin(P, share), drawn as a conditional-binomial chain over
+// miners.  (Proportional draws over miners go through
+// support/FenwickSampler.)
 //
-//   * Binomial     — C-PoS proposer counts per epoch, X ~ Bin(P, share),
-//                    drawn as a conditional-binomial chain over miners;
-//   * Categorical  — a linear-scan draw over a weight vector (the models
-//                    draw through support/FenwickSampler instead);
-//   * Beta / Gamma / Normal — reference samples for the Pólya-urn limit
-//                    and the KS / chi-square tests.
-//
-// All samplers are inverse-transform or rejection algorithms implemented
-// from scratch so runs are bit-reproducible across platforms.
+// It is CDF inversion implemented from scratch, so runs are
+// bit-reproducible across platforms.
 
 #ifndef FAIRCHAIN_MATH_DISTRIBUTIONS_HPP_
 #define FAIRCHAIN_MATH_DISTRIBUTIONS_HPP_
@@ -16,7 +12,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "support/rng.hpp"
 
@@ -104,20 +99,6 @@ inline std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n,
       rng.NextDouble(), n, upper ? 1.0 - p : p);
   return upper ? n - k : k;
 }
-
-/// Categorical draw: returns index i with probability weights[i] / sum.
-/// Weights must be non-negative with a positive sum.
-std::size_t SampleCategorical(RngStream& rng,
-                              const std::vector<double>& weights);
-
-/// Gamma(shape, 1) via Marsaglia & Tsang's squeeze method (shape > 0).
-double SampleGamma(RngStream& rng, double shape);
-
-/// Beta(a, b) via the two-Gamma construction.
-double SampleBeta(RngStream& rng, double a, double b);
-
-/// Standard normal via Box-Muller (polar form not needed; trig is fine).
-double SampleNormal(RngStream& rng);
 
 }  // namespace fairchain::math
 

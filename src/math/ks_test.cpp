@@ -39,33 +39,6 @@ void RequireFinite(const std::vector<double>& sample, const char* what) {
 
 }  // namespace
 
-KsResult KsTestOneSample(std::vector<double> sample,
-                         const std::function<double(double)>& cdf) {
-  if (sample.empty()) {
-    throw std::invalid_argument("KsTestOneSample: empty sample");
-  }
-  RequireFinite(sample, "KsTestOneSample");
-  std::sort(sample.begin(), sample.end());
-  const double n = static_cast<double>(sample.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    const double raw = cdf(sample[i]);
-    if (!std::isfinite(raw)) {
-      throw std::invalid_argument(
-          "KsTestOneSample: cdf returned a non-finite value");
-    }
-    const double value = std::clamp(raw, 0.0, 1.0);
-    const double upper = static_cast<double>(i + 1) / n - value;
-    const double lower = value - static_cast<double>(i) / n;
-    d = std::max({d, upper, lower});
-  }
-  KsResult result;
-  result.statistic = d;
-  const double scaled = (std::sqrt(n) + 0.12 + 0.11 / std::sqrt(n)) * d;
-  result.p_value = KolmogorovSurvival(scaled);
-  return result;
-}
-
 KsResult KsTestTwoSample(std::vector<double> a, std::vector<double> b) {
   if (a.empty() || b.empty()) {
     throw std::invalid_argument("KsTestTwoSample: empty sample");

@@ -1,16 +1,18 @@
-// Kolmogorov-Smirnov goodness-of-fit machinery.
+// Goodness-of-fit tests.
 //
-// Used to verify distributional claims rigorously: the ML-PoS / Pólya-urn
-// reward fraction converging to Beta(a/w, b/w) (Section 4.3), and the
-// equivalence of protocol pairs (FSL-PoS vs ML-PoS, C-PoS(v=0, P=1) vs
-// ML-PoS).  One-sample tests compare data against an analytic CDF;
-// two-sample tests compare two simulated samples.
+// ChiSquareGofTest is how `fairchain verify` judges a discrete law: the
+// exact Binomial / Beta-Binomial block counts of PoW and ML-PoS
+// (Section 4.3).  The two-sample Kolmogorov-Smirnov test compares two
+// simulated samples; the integration tests use it for the protocol-pair
+// equivalences (FSL-PoS vs ML-PoS, C-PoS(v=0, P=1) vs ML-PoS).  No binary
+// calls it, but it stays here, beside the chi-square test, so the
+// statistics live in one module.
 
 #ifndef FAIRCHAIN_MATH_KS_TEST_HPP_
 #define FAIRCHAIN_MATH_KS_TEST_HPP_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace fairchain::math {
@@ -20,16 +22,6 @@ struct KsResult {
   double statistic = 0.0;  ///< sup-norm distance D
   double p_value = 0.0;    ///< asymptotic Kolmogorov p-value
 };
-
-/// One-sample KS test of `sample` against the continuous CDF `cdf`.
-///
-/// Defined for every non-degenerate input: n = 1 works (D is the larger of
-/// F(x) and 1 - F(x)) and ties are handled exactly.  Throws
-/// std::invalid_argument — never UB — on an empty sample, a non-finite
-/// observation (NaN breaks std::sort's strict weak ordering), or a cdf that
-/// returns a non-finite value; cdf values are clamped to [0, 1].
-KsResult KsTestOneSample(std::vector<double> sample,
-                         const std::function<double(double)>& cdf);
 
 /// Two-sample KS test.  Ties within and across the samples are handled
 /// exactly (both ECDFs advance past the tied value before comparing).

@@ -122,13 +122,6 @@ double BetaQuantile(double a, double b, double p) {
   return 0.5 * (lo + hi);
 }
 
-double BetaMean(double a, double b) { return a / (a + b); }
-
-double BetaVariance(double a, double b) {
-  const double s = a + b;
-  return a * b / (s * s * (s + 1.0));
-}
-
 double BinomialLogPmf(std::uint64_t n, std::uint64_t k, double p) {
   if (k > n) throw std::invalid_argument("BinomialLogPmf: k > n");
   if (p < 0.0 || p > 1.0) {
@@ -240,10 +233,6 @@ double RegularizedGammaP(double a, double x) {
   if (x == 0.0) return 0.0;
   if (x < a + 1.0) return GammaPSeries(a, x);
   return 1.0 - GammaQContinuedFraction(a, x);
-}
-
-double RegularizedGammaQ(double a, double x) {
-  return 1.0 - RegularizedGammaP(a, x);
 }
 
 double ChiSquareCdf(double k, double x) {

@@ -39,12 +39,6 @@ double BetaCdf(double a, double b, double x);
 /// Quantile (inverse CDF) of Beta(a, b) at probability p, by bisection.
 double BetaQuantile(double a, double b, double p);
 
-/// Mean of Beta(a, b).
-double BetaMean(double a, double b);
-
-/// Variance of Beta(a, b).
-double BetaVariance(double a, double b);
-
 /// log of the binomial probability mass  C(n, k) p^k (1-p)^(n-k).
 /// Requires 0 <= k <= n and p in [0, 1]; degenerate p handled exactly.
 double BinomialLogPmf(std::uint64_t n, std::uint64_t k, double p);
@@ -70,9 +64,6 @@ double LogChoose(std::uint64_t n, std::uint64_t k);
 /// Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0
 /// (series for x < a + 1, continued fraction otherwise).
 double RegularizedGammaP(double a, double x);
-
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double RegularizedGammaQ(double a, double x);
 
 /// Chi-square CDF with k > 0 degrees of freedom: P(k/2, x/2).
 double ChiSquareCdf(double k, double x);

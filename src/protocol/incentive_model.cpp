@@ -12,11 +12,6 @@ void CheckRunStepsBegin(const StakeState& state, std::uint64_t step_begin) {
   }
 }
 
-void IncentiveModel::RunGame(StakeState& state, RngStream& rng,
-                             std::uint64_t steps) const {
-  RunSteps(state, state.step(), steps, rng);
-}
-
 void ValidateReward(double w, const char* what) {
   if (!(w > 0.0) || !std::isfinite(w)) {
     throw std::invalid_argument(std::string(what) +

@@ -64,9 +64,6 @@ class IncentiveModel {
   /// True when credited rewards feed back into future mining power
   /// (the defining property of PoS; false for PoW and NEO).
   virtual bool RewardCompounds() const = 0;
-
-  /// Runs a full game of `steps` steps on `state` (Step + AdvanceStep).
-  void RunGame(StakeState& state, RngStream& rng, std::uint64_t steps) const;
 };
 
 /// Throws std::invalid_argument unless `w` is finite and > 0 (`what` names

@@ -1,39 +1,11 @@
 #include "protocol/win_probability.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "math/integrate.hpp"
 
 namespace fairchain::protocol {
-
-double ProportionalWinProbability(const std::vector<double>& resources,
-                                  std::size_t i) {
-  if (i >= resources.size()) {
-    throw std::invalid_argument("ProportionalWinProbability: index range");
-  }
-  double total = 0.0;
-  for (const double r : resources) {
-    if (r < 0.0) {
-      throw std::invalid_argument(
-          "ProportionalWinProbability: negative resource");
-    }
-    total += r;
-  }
-  if (!(total > 0.0)) {
-    throw std::invalid_argument("ProportionalWinProbability: zero total");
-  }
-  return resources[i] / total;
-}
-
-double MlPosTwoMinerWinProbabilityExact(double p_a, double p_b) {
-  if (!(p_a > 0.0) || !(p_b > 0.0) || p_a > 1.0 || p_b > 1.0) {
-    throw std::invalid_argument(
-        "MlPosTwoMinerWinProbabilityExact: p in (0, 1] required");
-  }
-  return (p_a - p_a * p_b / 2.0) / (p_a + p_b - p_a * p_b);
-}
 
 double SlPosTwoMinerWinProbability(double s_a, double s_b) {
   if (s_a < 0.0 || s_b < 0.0 || (s_a == 0.0 && s_b == 0.0)) {
@@ -46,20 +18,6 @@ double SlPosTwoMinerWinProbability(double s_a, double s_b) {
   if (s_b == 0.0) return 1.0;
   if (s_a <= s_b) return s_a / (2.0 * s_b);
   return 1.0 - s_b / (2.0 * s_a);
-}
-
-double SlPosTwoMinerWinProbabilityDiscrete(double s_a, double s_b) {
-  if (!(s_a > 0.0) || !(s_b > 0.0)) {
-    throw std::invalid_argument(
-        "SlPosTwoMinerWinProbabilityDiscrete: stakes must be positive");
-  }
-  // (s_a / 2 s_b) * (2^256 - 1) / 2^256  +  1 / 2^257.
-  constexpr double kTwo256 = 1.157920892373162e77;  // 2^256
-  if (s_a <= s_b) {
-    return s_a / (2.0 * s_b) * ((kTwo256 - 1.0) / kTwo256) +
-           1.0 / (2.0 * kTwo256);
-  }
-  return 1.0 - SlPosTwoMinerWinProbabilityDiscrete(s_b, s_a);
 }
 
 double SlPosMultiMinerWinProbability(const std::vector<double>& stakes,

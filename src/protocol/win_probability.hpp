@@ -1,10 +1,12 @@
-// Closed-form and numeric next-block win probabilities (Section 2 and
-// Lemma 6.1 of the paper).
+// Closed-form and numeric next-block win probabilities of SL-PoS
+// (Equation (1) and Lemma 6.1 of the paper).
 //
-// These are the protocol selection rules *before* any reward feedback:
-// given the current resource vector, what is the chance each miner proposes
-// the next block?  The models call these; the bench for Figure 1 plots them;
-// tests cross-check them against simulated frequencies.
+// These are the selection rule *before* any reward feedback: given the
+// current stakes, what is the chance each miner proposes the next block?
+// SlPosModel::WinProbability and the SL-PoS drift of Equation (2) call
+// them, and the bench for Figure 1 prints them.  The proportional rule of
+// PoW / ML-PoS / C-PoS / FSL-PoS is StakeState::StakeShare, which those
+// models' WinProbability returns.
 
 #ifndef FAIRCHAIN_PROTOCOL_WIN_PROBABILITY_HPP_
 #define FAIRCHAIN_PROTOCOL_WIN_PROBABILITY_HPP_
@@ -14,27 +16,11 @@
 
 namespace fairchain::protocol {
 
-/// PoW / ML-PoS / C-PoS / FSL-PoS: probability proportional to resource.
-/// Returns resource_i / Σ resource_j.  Throws when the total is zero.
-double ProportionalWinProbability(const std::vector<double>& resources,
-                                  std::size_t i);
-
-/// Exact ML-PoS two-miner next-block probability including the tie term
-/// (Section 2.2):  (p_a - p_a p_b / 2) / (p_a + p_b - p_a p_b),
-/// where p_x is the per-timestamp success probability D*S_x/2^256.
-/// Converges to s_a / (s_a + s_b) as the p's -> 0.
-double MlPosTwoMinerWinProbabilityExact(double p_a, double p_b);
-
 /// SL-PoS two-miner win probability for miner A, continuous-hash limit
 /// (Equation (1)):  s_a / (2 s_b) when s_a <= s_b, else 1 - s_b / (2 s_a).
-/// Requires positive stakes.
+/// Stakes must be >= 0 with a positive total (throws otherwise); a
+/// zero-stake miner never wins.
 double SlPosTwoMinerWinProbability(double s_a, double s_b);
-
-/// SL-PoS two-miner win probability with the exact discrete-hash correction
-/// of Equation (1):  (s_a / 2 s_b) (2^256 - 1)/2^256 + 2^-257 for s_a<=s_b.
-/// Included to show the discretisation error is negligible (tests assert
-/// agreement to ~1e-70 relative).
-double SlPosTwoMinerWinProbabilityDiscrete(double s_a, double s_b);
 
 /// SL-PoS multi-miner win probability (Lemma 6.1):
 ///   Pr[i wins] = S_i * Integral_0^{1/S_max} Prod_{j != i} (1 - S_j z) dz,

@@ -36,10 +36,6 @@ bool RngStream::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-void RngStream::FillDoubles(std::vector<double>* out) {
-  for (auto& value : *out) value = NextDouble();
-}
-
 RngStream RngStream::Split(std::uint64_t index) const {
   // Derive a child seed by hashing (state, index) through SplitMix64 chains.
   SplitMix64 mix(state_[0] ^ Rotl(state_[3], 13) ^
@@ -53,22 +49,6 @@ RngStream RngStream::Split(std::uint64_t index) const {
     child_state[0] = 0x9E3779B97F4A7C15ULL;
   }
   return RngStream(child_state);
-}
-
-void RngStream::Jump() {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::array<std::uint64_t, 4> acc = {0, 0, 0, 0};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= state_[i];
-      }
-      NextU64();
-    }
-  }
-  state_ = acc;
 }
 
 }  // namespace fairchain

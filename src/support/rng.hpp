@@ -18,7 +18,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace fairchain {
 
@@ -51,7 +50,7 @@ class RngStream {
   /// Seeds the stream by expanding `seed` through SplitMix64.
   explicit RngStream(std::uint64_t seed);
 
-  /// Constructs from raw state (used internally by Split / Jump).
+  /// Constructs from raw state (used internally by Split).
   explicit RngStream(const std::array<std::uint64_t, 4>& state);
 
   /// Returns the next raw 64-bit output.  Inline (with the two doubles
@@ -90,18 +89,11 @@ class RngStream {
   /// Bernoulli trial with success probability `p` (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
-  /// Fills `out` with independent uniform [0,1) doubles.
-  void FillDoubles(std::vector<double>* out);
-
   /// Returns a statistically independent child stream.
   ///
   /// Implemented as SplitMix64 over (state, index): child streams for
   /// distinct indices never collide in practice and are reproducible.
   RngStream Split(std::uint64_t index) const;
-
-  /// Advances this stream by 2^128 steps (the canonical xoshiro jump).
-  /// Useful for partitioning one logical stream across threads.
-  void Jump();
 
   /// Raw state accessor (serialisation / tests).
   const std::array<std::uint64_t, 4>& state() const { return state_; }

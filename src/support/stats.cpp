@@ -3,27 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace fairchain {
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double RunningStats::Variance() const {
   if (count_ < 2) return 0.0;
@@ -203,63 +185,6 @@ void QuantilesInPlace(std::vector<double>& values,
   for (std::size_t i = 0; i < qs.size(); ++i) {
     (*out)[i] = InterpolatedQuantile(n, qs[i], order_statistic);
   }
-}
-
-double FractionOutside(const std::vector<double>& values, double lo,
-                       double hi) {
-  if (values.empty()) return 0.0;
-  std::size_t outside = 0;
-  for (const double v : values) {
-    if (v < lo || v > hi) ++outside;
-  }
-  return static_cast<double>(outside) / static_cast<double>(values.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  std::size_t bucket = static_cast<std::size_t>((x - lo_) / width_);
-  if (bucket >= counts_.size()) bucket = counts_.size() - 1;
-  ++counts_[bucket];
-}
-
-double Histogram::BucketLow(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::BucketHigh(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::ToAscii(std::size_t max_width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(max_width));
-    out << "[";
-    out.setf(std::ios::fixed);
-    out.precision(4);
-    out << BucketLow(i) << ", " << BucketHigh(i) << ") ";
-    out << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace fairchain

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace fairchain {
@@ -32,9 +31,6 @@ class RunningStats {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-
-  /// Merges another accumulator into this one (parallel reduction).
-  void Merge(const RunningStats& other);
 
   /// Number of observations.
   std::uint64_t count() const { return count_; }
@@ -100,45 +96,6 @@ std::vector<double> Quantiles(std::vector<double> values,
 void QuantilesInPlace(std::vector<double>& values,
                       const std::vector<double>& qs, std::vector<double>* out,
                       std::vector<std::size_t>* scratch);
-
-/// Fraction of `values` strictly outside [lo, hi].
-double FractionOutside(const std::vector<double>& values, double lo, double hi);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus underflow /
-/// overflow counters; used by examples to render reward distributions.
-class Histogram {
- public:
-  /// Creates a histogram; throws std::invalid_argument when hi <= lo or
-  /// bins == 0.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Inserts an observation.
-  void Add(double x);
-
-  /// Count in bucket `i` (i < bins()).
-  std::uint64_t BucketCount(std::size_t i) const { return counts_[i]; }
-  /// Inclusive lower edge of bucket `i`.
-  double BucketLow(std::size_t i) const;
-  /// Exclusive upper edge of bucket `i`.
-  double BucketHigh(std::size_t i) const;
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  /// Renders a fixed-width ASCII bar chart (one bucket per line).
-  std::string ToAscii(std::size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace fairchain
 

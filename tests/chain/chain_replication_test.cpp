@@ -20,14 +20,12 @@
 namespace fairchain::chain {
 namespace {
 
-TEST(ChainDynamicsNameTest, RoundTripsAndRejectsUnknown) {
+TEST(ChainDynamicsNameTest, ParsesKnownAndRejectsUnknown) {
   EXPECT_TRUE(IsKnownChainDynamicsName("selfish"));
   EXPECT_TRUE(IsKnownChainDynamicsName("forkrace"));
   EXPECT_FALSE(IsKnownChainDynamicsName("longest-chain"));
   EXPECT_EQ(ParseChainDynamics("selfish"), ChainDynamics::kSelfish);
   EXPECT_EQ(ParseChainDynamics("forkrace"), ChainDynamics::kForkRace);
-  EXPECT_EQ(ChainDynamicsName(ChainDynamics::kSelfish), "selfish");
-  EXPECT_EQ(ChainDynamicsName(ChainDynamics::kForkRace), "forkrace");
   EXPECT_THROW(ParseChainDynamics("ghost"), std::invalid_argument);
 }
 

@@ -46,7 +46,7 @@ TEST(EquitabilityTest, MlPosEmpiricalMatchesClosedForm) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     protocol::StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 2000);
+    model.RunSteps(state, state.step(), 2000, rng);
     lambdas.push_back(state.RewardFraction(0));
   }
   const auto report = ComputeEquitability(lambdas, 0.2);
@@ -66,13 +66,13 @@ TEST(EquitabilityTest, PowBeatsMlPos) {
     {
       protocol::StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep);
-      pow_model.RunGame(state, rng, blocks);
+      pow_model.RunSteps(state, state.step(), blocks, rng);
       pow_lambdas.push_back(state.RewardFraction(0));
     }
     {
       protocol::StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep + 800000);
-      ml_model.RunGame(state, rng, blocks);
+      ml_model.RunSteps(state, state.step(), blocks, rng);
       ml_lambdas.push_back(state.RewardFraction(0));
     }
   }

@@ -245,6 +245,27 @@ TEST(ReduceToResultTest, OnePassMatchesPerChainReference) {
   }
 }
 
+// The fair area is closed: λ exactly at FairLow(a) or FairHigh(a) counts
+// as fair, the next double outside either edge as unfair — also at ε = 0,
+// where the area is the single point a.
+TEST(ReduceToResultTest, FairAreaBoundariesInclusive) {
+  SimulationConfig config;
+  config.steps = 1;
+  config.checkpoints = {1};
+  config.replications = 5;
+  const FairnessSpec specs[] = {{0.1, 0.1}, {0.0, 0.1}};
+  for (const FairnessSpec& spec : specs) {
+    const double low = spec.FairLow(0.2);
+    const double high = spec.FairHigh(0.2);
+    const std::vector<double> lambdas = {
+        low, high, 0.2, std::nextafter(low, 0.0), std::nextafter(high, 1.0)};
+    const SimulationResult result =
+        ReduceToResult("PoW", {0.2, 0.8}, config, spec, lambdas, {});
+    EXPECT_EQ(result.Final().unfair_probability, 0.4)
+        << "epsilon " << spec.epsilon;
+  }
+}
+
 TEST(ReplicationKernelTest, PopulationMetricsRecordedWhenEnabled) {
   SimulationConfig config = SmallConfig();
   ASSERT_TRUE(config.population_metrics);  // on by default
@@ -380,7 +401,7 @@ TEST(SimulationResultTest, ConvergenceRequiresStayingConverged) {
   cp.unfair_probability = 0.5;   // rises again
   result.checkpoints.push_back(cp);
   cp.step = 30;
-  cp.unfair_probability = 0.08;  // final convergence
+  cp.unfair_probability = 0.1;  // exactly delta: (ε, δ)-fair, converged
   result.checkpoints.push_back(cp);
   const auto convergence = result.ConvergenceStep();
   ASSERT_TRUE(convergence.has_value());

@@ -1,9 +1,8 @@
-// Tests for the stochastic-approximation analysis of SL-PoS
-// (Theorem 4.9, Lemmas 4.5-4.8).
+// Tests for the SL-PoS drift of Equation (2) and its zero set
+// (Theorem 4.9).  The share process itself is SlPosModel, whose tests
+// (protocol/sl_pos_model_test.cpp) check monopolisation and Lemma 4.8.
 
 #include "core/stochastic_approximation.hpp"
-
-#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -59,42 +58,6 @@ TEST(DriftTest, RejectsOutOfRange) {
   EXPECT_THROW(SlPosDriftTwoMiner(1.1), std::invalid_argument);
 }
 
-TEST(DriftFieldTest, MatchesLemma61) {
-  const std::vector<double> shares = {0.1, 0.3, 0.6};
-  const auto drift = SlPosDriftField(shares);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const double win = protocol::SlPosMultiMinerWinProbability(shares, i);
-    EXPECT_NEAR(drift[i], win - shares[i], 1e-12);
-  }
-}
-
-TEST(DriftFieldTest, SumsToZero) {
-  // Win probabilities sum to 1 and shares sum to 1 => drift sums to 0.
-  const std::vector<double> shares = {0.15, 0.2, 0.25, 0.4};
-  const auto drift = SlPosDriftField(shares);
-  double total = 0.0;
-  for (const double d : drift) total += d;
-  EXPECT_NEAR(total, 0.0, 1e-9);
-}
-
-TEST(DriftFieldTest, UniformSharesAreEquilibrium) {
-  const std::vector<double> shares(5, 0.2);
-  const auto drift = SlPosDriftField(shares);
-  for (const double d : drift) EXPECT_NEAR(d, 0.0, 1e-10);
-}
-
-TEST(DriftFieldTest, RichestGainsPoorestLoses) {
-  const std::vector<double> shares = {0.1, 0.2, 0.7};
-  const auto drift = SlPosDriftField(shares);
-  EXPECT_LT(drift[0], 0.0);
-  EXPECT_GT(drift[2], 0.0);
-}
-
-TEST(DriftFieldTest, RejectsNonProbabilityVector) {
-  EXPECT_THROW(SlPosDriftField({0.5, 0.6}), std::invalid_argument);
-  EXPECT_THROW(SlPosDriftField({-0.2, 1.2}), std::invalid_argument);
-}
-
 TEST(ZeroFinderTest, SlPosZerosAreThePaperSet) {
   const auto zeros = SlPosTwoMinerZeros();
   ASSERT_EQ(zeros.size(), 3u);
@@ -126,74 +89,6 @@ TEST(ZeroFinderTest, UnstableInteriorZero) {
   ASSERT_EQ(zeros.size(), 1u);
   EXPECT_NEAR(zeros[0].location, 0.6, 1e-9);
   EXPECT_FALSE(zeros[0].stable);
-}
-
-TEST(SaProcessTest, ValidatesZ0) {
-  auto drift = [](double) { return 0.0; };
-  auto noise = [](double, double, RngStream&) { return 0.0; };
-  auto gamma = [](std::uint64_t) { return 0.1; };
-  EXPECT_THROW(
-      StochasticApproximationProcess(-0.1, drift, noise, gamma),
-      std::invalid_argument);
-  EXPECT_THROW(StochasticApproximationProcess(1.1, drift, noise, gamma),
-               std::invalid_argument);
-}
-
-TEST(SaProcessTest, NoiselessGradientDescentConverges) {
-  // Pure drift toward 0.3 with gamma_n = 1/n converges there.
-  StochasticApproximationProcess process(
-      0.9, [](double z) { return 0.3 - z; },
-      [](double, double, RngStream&) { return 0.0; },
-      [](std::uint64_t n) { return 1.0 / static_cast<double>(n); });
-  RngStream rng(1);
-  process.Run(rng, 20000);
-  EXPECT_NEAR(process.value(), 0.3, 1e-3);
-}
-
-TEST(SaProcessTest, StepCountsAdvance) {
-  StochasticApproximationProcess process(
-      0.5, [](double) { return 0.0; },
-      [](double, double, RngStream&) { return 0.0; },
-      [](std::uint64_t) { return 0.0; });
-  RngStream rng(2);
-  process.Run(rng, 17);
-  EXPECT_EQ(process.steps(), 17u);
-  EXPECT_DOUBLE_EQ(process.value(), 0.5);
-}
-
-TEST(SaProcessTest, SlPosShareProcessMonopolizes) {
-  // The SA form of SL-PoS must reach {0, 1} almost surely (Theorem 4.9).
-  // Convergence is n^(-1/2)-slow, hence the long horizon and 10% band.
-  const RngStream master(3);
-  int extreme = 0;
-  const int reps = 150;
-  for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    auto process = MakeSlPosShareProcess(0.5, 0.1);
-    RngStream rng = master.Split(rep);
-    process.Run(rng, 50000);
-    const double z = process.value();
-    if (z < 0.1 || z > 0.9) ++extreme;
-  }
-  EXPECT_GT(static_cast<double>(extreme) / reps, 0.9);
-}
-
-TEST(SaProcessTest, SlPosShareProcessNeverConvergesToHalf) {
-  // Lemma 4.8: the unstable point 1/2 attracts zero mass.
-  const RngStream master(4);
-  int near_half = 0;
-  const int reps = 200;
-  for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    auto process = MakeSlPosShareProcess(0.5, 0.05);
-    RngStream rng = master.Split(rep);
-    process.Run(rng, 20000);
-    if (std::fabs(process.value() - 0.5) < 0.05) ++near_half;
-  }
-  EXPECT_LE(near_half, 2);
-}
-
-TEST(SaProcessTest, MakeSlPosValidation) {
-  EXPECT_THROW(MakeSlPosShareProcess(-0.1, 0.01), std::invalid_argument);
-  EXPECT_THROW(MakeSlPosShareProcess(0.5, 0.0), std::invalid_argument);
 }
 
 }  // namespace

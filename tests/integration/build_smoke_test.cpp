@@ -25,7 +25,8 @@ TEST(BuildSmokeTest, SupportLayerLinks) {
 }
 
 TEST(BuildSmokeTest, MathLayerLinks) {
-  EXPECT_NEAR(fairchain::math::BetaMean(2.0, 3.0), 0.4, 1e-12);
+  // Beta(1, 1) is uniform: its CDF is the identity.
+  EXPECT_NEAR(fairchain::math::BetaCdf(1.0, 1.0, 0.4), 0.4, 1e-12);
 }
 
 TEST(BuildSmokeTest, CryptoLayerLinks) {

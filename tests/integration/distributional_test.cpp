@@ -35,7 +35,7 @@ std::vector<std::uint64_t> WinCounts(const Model& model, double a,
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     protocol::StakeState state({a, 1.0 - a});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, blocks);
+    model.RunSteps(state, state.step(), blocks, rng);
     const double lambda = state.RewardFraction(0);
     const auto wins = static_cast<std::uint64_t>(
         std::llround(lambda * static_cast<double>(blocks)));
@@ -54,7 +54,7 @@ std::vector<double> FinalLambdas(const Model& model, double a,
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     protocol::StakeState state({a, 1.0 - a});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, blocks);
+    model.RunSteps(state, state.step(), blocks, rng);
     lambdas.push_back(state.RewardFraction(0));
   }
   return lambdas;

@@ -311,7 +311,7 @@ TEST(PaperClaims, Table1SlPosDependsOnCompetitorSplit) {
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     protocol::StakeState state(cell.Stakes());
     RngStream rng = master.Split(rep);
-    model->RunGame(state, rng, 10000);
+    model->RunSteps(state, state.step(), 10000, rng);
     share_stats.Add(state.StakeShare(0));
     bool top = true;
     for (std::size_t j = 1; j < state.miner_count(); ++j) {

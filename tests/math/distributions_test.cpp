@@ -1,5 +1,5 @@
-// Tests for the random-variate samplers: moments, exact-CDF agreement, and
-// determinism.
+// Tests for the binomial sampler: moments, exact-pmf agreement, bit
+// agreement with a reference walk, and determinism.
 
 #include "math/distributions.hpp"
 
@@ -210,84 +210,11 @@ TEST(BinomialTest, InlineSamplerMatchesRecursiveReference) {
   }
 }
 
-TEST(CategoricalTest, FrequenciesMatchWeights) {
-  RngStream rng(13);
-  const std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[SampleCategorical(rng, weights)];
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / n, weights[i] / 10.0, 0.01);
-  }
-}
-
-TEST(CategoricalTest, ZeroWeightNeverDrawn) {
-  RngStream rng(14);
-  const std::vector<double> weights = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(SampleCategorical(rng, weights), 1u);
-  }
-}
-
-TEST(CategoricalTest, RejectsInvalidWeights) {
-  RngStream rng(15);
-  EXPECT_THROW(SampleCategorical(rng, {-1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(SampleCategorical(rng, {0.0, 0.0}), std::invalid_argument);
-}
-
-TEST(GammaTest, MomentsMatch) {
-  RngStream rng(16);
-  for (const double shape : {0.5, 1.0, 2.5, 10.0}) {
-    RunningStats stats;
-    for (int i = 0; i < 100000; ++i) stats.Add(SampleGamma(rng, shape));
-    EXPECT_NEAR(stats.Mean(), shape, 0.05 * shape + 0.02) << shape;
-    EXPECT_NEAR(stats.Variance(), shape, 0.1 * shape + 0.05) << shape;
-  }
-}
-
-TEST(GammaTest, RejectsNonPositiveShape) {
-  RngStream rng(17);
-  EXPECT_THROW(SampleGamma(rng, 0.0), std::invalid_argument);
-}
-
-TEST(BetaSamplerTest, MomentsMatchTheory) {
-  RngStream rng(18);
-  const double a = 20.0, b = 80.0;  // the ML-PoS limit at a=0.2, w=0.01
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) stats.Add(SampleBeta(rng, a, b));
-  EXPECT_NEAR(stats.Mean(), BetaMean(a, b), 0.002);
-  EXPECT_NEAR(stats.Variance(), BetaVariance(a, b), 0.0002);
-}
-
-TEST(BetaSamplerTest, QuantilesMatchCdf) {
-  RngStream rng(19);
-  std::vector<double> samples;
-  samples.reserve(100000);
-  for (int i = 0; i < 100000; ++i) samples.push_back(SampleBeta(rng, 2.0, 5.0));
-  const double q25 = Quantile(samples, 0.25);
-  EXPECT_NEAR(BetaCdf(2.0, 5.0, q25), 0.25, 0.01);
-}
-
-TEST(NormalTest, MomentsAndSymmetry) {
-  RngStream rng(20);
-  RunningStats stats;
-  int positive = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double z = SampleNormal(rng);
-    stats.Add(z);
-    if (z > 0) ++positive;
-  }
-  EXPECT_NEAR(stats.Mean(), 0.0, 0.01);
-  EXPECT_NEAR(stats.Variance(), 1.0, 0.02);
-  EXPECT_NEAR(static_cast<double>(positive) / n, 0.5, 0.01);
-}
-
 TEST(DeterminismTest, SamplersReproducible) {
   RngStream a(123), b(123);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(SampleBinomial(a, 32, 0.2), SampleBinomial(b, 32, 0.2));
-    EXPECT_EQ(SampleGamma(a, 2.0), SampleGamma(b, 2.0));
+    EXPECT_EQ(SampleBinomial(a, 500, 0.3), SampleBinomial(b, 500, 0.3));
   }
 }
 

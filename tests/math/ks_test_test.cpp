@@ -1,18 +1,42 @@
-// Tests for the Kolmogorov-Smirnov machinery.
+// Tests for the two-sample Kolmogorov-Smirnov and chi-square GOF tests.
 
 #include "math/ks_test.hpp"
 
 #include <cmath>
-#include <limits>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "math/distributions.hpp"
-#include "math/special.hpp"
 #include "support/rng.hpp"
 
 namespace fairchain::math {
 namespace {
+
+// Samples are drawn by inverse CDF from RngStream::NextDouble.
+
+// Exponential(1): F^{-1}(u) = -ln(1 - u), finite for u in [0, 1).
+std::vector<double> ExponentialSample(RngStream& rng, std::size_t n,
+                                      double shift) {
+  std::vector<double> sample(n);
+  for (double& v : sample) v = shift - std::log1p(-rng.NextDouble());
+  return sample;
+}
+
+// Categorical over `weights`: the first cell whose cumulative weight
+// exceeds u times the total.
+std::size_t CategoricalDraw(RngStream& rng,
+                            const std::vector<double>& weights) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  const double target = rng.NextDouble() * total;
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+    cumulative += weights[i];
+    if (target < cumulative) return i;
+  }
+  return weights.size() - 1;
+}
 
 TEST(KolmogorovSurvivalTest, KnownValues) {
   EXPECT_DOUBLE_EQ(KolmogorovSurvival(0.0), 1.0);
@@ -33,53 +57,18 @@ TEST(KolmogorovSurvivalTest, MonotoneDecreasing) {
   }
 }
 
-TEST(KsOneSampleTest, UniformSampleAgainstUniformCdf) {
-  RngStream rng(1);
-  std::vector<double> sample(5000);
-  for (auto& v : sample) v = rng.NextDouble();
-  const KsResult result =
-      KsTestOneSample(sample, [](double x) { return x; });
-  EXPECT_GT(result.p_value, 0.01);
-  EXPECT_LT(result.statistic, 0.05);
-}
-
-TEST(KsOneSampleTest, RejectsWrongDistribution) {
-  RngStream rng(2);
-  std::vector<double> sample(5000);
-  for (auto& v : sample) v = rng.NextDouble() * rng.NextDouble();  // not U
-  const KsResult result =
-      KsTestOneSample(sample, [](double x) { return x; });
-  EXPECT_LT(result.p_value, 1e-6);
-}
-
-TEST(KsOneSampleTest, BetaSampleAgainstBetaCdf) {
-  RngStream rng(3);
-  std::vector<double> sample(4000);
-  for (auto& v : sample) v = SampleBeta(rng, 20.0, 80.0);
-  const KsResult result = KsTestOneSample(
-      sample, [](double x) { return BetaCdf(20.0, 80.0, x); });
-  EXPECT_GT(result.p_value, 0.01);
-}
-
-TEST(KsOneSampleTest, EmptySampleThrows) {
-  EXPECT_THROW(KsTestOneSample({}, [](double x) { return x; }),
-               std::invalid_argument);
-}
-
 TEST(KsTwoSampleTest, SameDistributionPasses) {
   RngStream rng(4);
-  std::vector<double> a(3000), b(3000);
-  for (auto& v : a) v = SampleNormal(rng);
-  for (auto& v : b) v = SampleNormal(rng);
+  const std::vector<double> a = ExponentialSample(rng, 3000, 0.0);
+  const std::vector<double> b = ExponentialSample(rng, 3000, 0.0);
   const KsResult result = KsTestTwoSample(a, b);
   EXPECT_GT(result.p_value, 0.01);
 }
 
 TEST(KsTwoSampleTest, ShiftedDistributionFails) {
   RngStream rng(5);
-  std::vector<double> a(3000), b(3000);
-  for (auto& v : a) v = SampleNormal(rng);
-  for (auto& v : b) v = SampleNormal(rng) + 0.5;
+  const std::vector<double> a = ExponentialSample(rng, 3000, 0.0);
+  const std::vector<double> b = ExponentialSample(rng, 3000, 0.5);
   const KsResult result = KsTestTwoSample(a, b);
   EXPECT_LT(result.p_value, 1e-6);
   EXPECT_GT(result.statistic, 0.1);
@@ -102,7 +91,7 @@ TEST(ChiSquareGofTest, AcceptsTrueDistribution) {
   const std::vector<double> probabilities = {0.1, 0.2, 0.3, 0.4};
   std::vector<std::uint64_t> observed(4, 0);
   for (int i = 0; i < 50000; ++i) {
-    ++observed[SampleCategorical(rng, {1.0, 2.0, 3.0, 4.0})];
+    ++observed[CategoricalDraw(rng, {1.0, 2.0, 3.0, 4.0})];
   }
   const auto result = ChiSquareGofTest(observed, probabilities);
   EXPECT_GT(result.p_value, 0.001);
@@ -113,7 +102,7 @@ TEST(ChiSquareGofTest, RejectsWrongDistribution) {
   RngStream rng(7);
   std::vector<std::uint64_t> observed(4, 0);
   for (int i = 0; i < 50000; ++i) {
-    ++observed[SampleCategorical(rng, {1.0, 1.0, 1.0, 1.0})];  // uniform
+    ++observed[CategoricalDraw(rng, {1.0, 1.0, 1.0, 1.0})];  // uniform
   }
   const std::vector<double> claimed = {0.1, 0.2, 0.3, 0.4};
   const auto result = ChiSquareGofTest(observed, claimed);
@@ -139,48 +128,6 @@ TEST(ChiSquareGofTest, Validation) {
 }
 
 // --- edge cases: defined behaviour instead of UB ---------------------------
-
-TEST(KsOneSampleTest, SingleObservationHasExactStatistic) {
-  // n = 1 against U(0,1): D = max(F(x), 1 - F(x)).
-  const KsResult result =
-      KsTestOneSample({0.3}, [](double x) { return x; });
-  EXPECT_DOUBLE_EQ(result.statistic, 0.7);
-  EXPECT_GT(result.p_value, 0.0);
-  EXPECT_LE(result.p_value, 1.0);
-}
-
-TEST(KsOneSampleTest, TiedObservationsHaveExactStatistic) {
-  // Two copies of 0.5 against U(0,1): the ECDF jumps by 2/n at the tie, so
-  // D = |0.5 - 0| = 0.5 from the lower side of the first tied point.
-  const KsResult result =
-      KsTestOneSample({0.5, 0.5}, [](double x) { return x; });
-  EXPECT_DOUBLE_EQ(result.statistic, 0.5);
-}
-
-TEST(KsOneSampleTest, NonFiniteSampleThrowsInsteadOfUb) {
-  // NaN breaks std::sort's strict weak ordering — that would be UB, so the
-  // test must reject it with a defined error.
-  const auto uniform = [](double x) { return x; };
-  EXPECT_THROW(
-      KsTestOneSample({0.1, std::nan(""), 0.5}, uniform),
-      std::invalid_argument);
-  EXPECT_THROW(
-      KsTestOneSample({std::numeric_limits<double>::infinity()}, uniform),
-      std::invalid_argument);
-}
-
-TEST(KsOneSampleTest, NonFiniteCdfValueThrows) {
-  EXPECT_THROW(
-      KsTestOneSample({0.5}, [](double) { return std::nan(""); }),
-      std::invalid_argument);
-}
-
-TEST(KsOneSampleTest, OutOfRangeCdfValuesAreClamped) {
-  // A sloppy CDF returning slightly > 1 must not produce D > 1.
-  const KsResult result =
-      KsTestOneSample({0.2, 0.4, 0.9}, [](double x) { return x * 1.2; });
-  EXPECT_LE(result.statistic, 1.0);
-}
 
 TEST(KsTwoSampleTest, NonFiniteSampleThrowsInsteadOfUb) {
   EXPECT_THROW(KsTestTwoSample({0.1, std::nan("")}, {0.2, 0.3}),
@@ -212,44 +159,6 @@ TEST(KolmogorovSurvivalTest, PublishedAsymptoticCriticalValues) {
   EXPECT_NEAR(KolmogorovSurvival(1.35810), 0.05, 2e-3);
   EXPECT_NEAR(KolmogorovSurvival(1.62762), 0.01, 5e-4);
   EXPECT_NEAR(KolmogorovSurvival(1.94947), 0.001, 1e-4);
-}
-
-// A sorted sample whose one-sample D is exactly `d` at size n: x_i =
-// max(0, (i+1)/n - d), so every positive point has upper gap exactly d.
-std::vector<double> SampleWithStatistic(std::size_t n, double d) {
-  std::vector<double> sample(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sample[i] = std::max(
-        0.0, static_cast<double>(i + 1) / static_cast<double>(n) - d);
-  }
-  return sample;
-}
-
-TEST(KsOneSampleTest, PValueMatchesMasseyTableAtN5) {
-  // Massey (1951): the n = 5, alpha = 0.05 critical value is D = 0.565.
-  // Stephens' effective-n scaling must reproduce p ~ 0.05 there.
-  const auto sample = SampleWithStatistic(5, 0.565);
-  const KsResult result =
-      KsTestOneSample(sample, [](double x) { return x; });
-  EXPECT_NEAR(result.statistic, 0.565, 1e-12);
-  EXPECT_NEAR(result.p_value, 0.05, 0.006);
-}
-
-TEST(KsOneSampleTest, PValueMatchesMasseyTableAtN10) {
-  // Massey (1951): n = 10, alpha = 0.05 critical value is D = 0.410.
-  const auto sample = SampleWithStatistic(10, 0.410);
-  const KsResult result =
-      KsTestOneSample(sample, [](double x) { return x; });
-  EXPECT_NEAR(result.statistic, 0.410, 1e-12);
-  EXPECT_NEAR(result.p_value, 0.05, 0.006);
-}
-
-TEST(KsOneSampleTest, PValueMatchesMasseyTableAtN20AlphaOne) {
-  // Massey (1951): n = 20, alpha = 0.10 critical value is D = 0.264.
-  const auto sample = SampleWithStatistic(20, 0.264);
-  const KsResult result =
-      KsTestOneSample(sample, [](double x) { return x; });
-  EXPECT_NEAR(result.p_value, 0.10, 0.012);
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(CPosModelTest, ZeroStakeMinersNeverWinSlotsOrRewards) {
         const CPosModel model(0.05, v, 32);
         StakeState state(stakes, withhold);
         RngStream rng(10);
-        model.RunGame(state, rng, 300);
+        model.RunSteps(state, state.step(), 300, rng);
         for (std::size_t i = 0; i < stakes.size(); ++i) {
           if (stakes[i] != 0.0) continue;
           EXPECT_EQ(state.income(i), 0.0) << "miner " << i << " v=" << v;
@@ -239,7 +239,7 @@ TEST(CPosModelTest, FortyMinersOnThirtyTwoSlotsRunTheSlotPath) {
   CPosModel model(0.01, 0.1, 32);
   StakeState state(Table1Split(40));
   RngStream rng(12);
-  model.RunGame(state, rng, 200);
+  model.RunSteps(state, state.step(), 200, rng);
   EXPECT_NEAR(state.total_income(), 0.11 * 200, 1e-9);
   double stake_sum = 0.0;
   for (std::size_t i = 0; i < 40; ++i) stake_sum += state.stake(i);
@@ -261,7 +261,7 @@ TEST(CPosModelTest, ExpectationalFairness) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 200);
+    model.RunSteps(state, state.step(), 200, rng);
     lambda_stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(lambda_stats.Mean(), 0.2, 4.0 * lambda_stats.StdError());
@@ -276,7 +276,7 @@ TEST(CPosModelTest, InflationShrinksLambdaVariance) {
     for (std::uint64_t rep = 0; rep < 1500; ++rep) {
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep);
-      model.RunGame(state, rng, 500);
+      model.RunSteps(state, state.step(), 500, rng);
       stats.Add(state.RewardFraction(0));
     }
     return stats.Variance();
@@ -294,7 +294,7 @@ TEST(CPosModelTest, MoreShardsShrinkVariance) {
     for (std::uint64_t rep = 0; rep < 1500; ++rep) {
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep);
-      model.RunGame(state, rng, 300);
+      model.RunSteps(state, state.step(), 300, rng);
       stats.Add(state.RewardFraction(0));
     }
     return stats.Variance();
@@ -313,14 +313,14 @@ TEST(CPosModelTest, DegeneratesToMlPosWithOneShardNoInflation) {
       CPosModel model(w, 0.0, 1);
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep);
-      model.RunGame(state, rng, 500);
+      model.RunSteps(state, state.step(), 500, rng);
       cpos_stats.Add(state.RewardFraction(0));
     }
     {
       MlPosModel model(w);
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep + 1000000);
-      model.RunGame(state, rng, 500);
+      model.RunSteps(state, state.step(), 500, rng);
       mlpos_stats.Add(state.RewardFraction(0));
     }
   }
@@ -333,7 +333,7 @@ TEST(CPosModelTest, MultiMinerConservation) {
   CPosModel model(0.01, 0.1, 32);
   StakeState state({0.1, 0.2, 0.3, 0.4});
   RngStream rng(8);
-  model.RunGame(state, rng, 100);
+  model.RunSteps(state, state.step(), 100, rng);
   EXPECT_NEAR(state.total_income(), 0.11 * 100, 1e-9);
   double stake_sum = 0.0;
   for (std::size_t i = 0; i < 4; ++i) stake_sum += state.stake(i);

@@ -24,7 +24,7 @@ TEST(NeoModelTest, StakeDistributionNeverMoves) {
   NeoModel model(0.01);
   StakeState state({0.2, 0.8});
   RngStream rng(1);
-  model.RunGame(state, rng, 2000);
+  model.RunSteps(state, state.step(), 2000, rng);
   EXPECT_DOUBLE_EQ(state.StakeShare(0), 0.2);
 }
 
@@ -35,7 +35,7 @@ TEST(NeoModelTest, ExpectationalFairness) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 200);
+    model.RunSteps(state, state.step(), 200, rng);
     stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(stats.Mean(), 0.2, 4.0 * stats.StdError());
@@ -50,7 +50,7 @@ TEST(NeoModelTest, LambdaVarianceMatchesBinomial) {
   for (std::uint64_t rep = 0; rep < 4000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, blocks);
+    model.RunSteps(state, state.step(), blocks, rng);
     stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(stats.Variance(), 0.2 * 0.8 / blocks,
@@ -70,7 +70,7 @@ TEST(AlgorandModelTest, LambdaIsExactlyAForEveryOutcome) {
   AlgorandModel model(0.1);
   StakeState state({0.2, 0.8});
   RngStream rng(4);
-  model.RunGame(state, rng, 100);
+  model.RunSteps(state, state.step(), 100, rng);
   EXPECT_NEAR(state.RewardFraction(0), 0.2, 1e-12);
   EXPECT_NEAR(state.StakeShare(0), 0.2, 1e-12);
 }
@@ -82,7 +82,7 @@ TEST(AlgorandModelTest, ZeroVarianceAcrossReplications) {
   for (std::uint64_t rep = 0; rep < 200; ++rep) {
     StakeState state({0.3, 0.7});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 50);
+    model.RunSteps(state, state.step(), 50, rng);
     stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(stats.Mean(), 0.3, 1e-12);
@@ -93,7 +93,7 @@ TEST(AlgorandModelTest, SharesInvariantUnderCompounding) {
   AlgorandModel model(0.1);
   StakeState state({1.0, 3.0});
   RngStream rng(6);
-  model.RunGame(state, rng, 500);
+  model.RunSteps(state, state.step(), 500, rng);
   EXPECT_NEAR(state.StakeShare(0), 0.25, 1e-10);
   EXPECT_GT(state.total_stake(), 4.0);  // inflation minted
 }
@@ -114,7 +114,7 @@ TEST(EosModelTest, ConstantPartEqualizesRewards) {
   EosModel model(0.1, 0.0);
   StakeState state({0.2, 0.8});
   RngStream rng(7);
-  model.RunGame(state, rng, 100);
+  model.RunSteps(state, state.step(), 100, rng);
   EXPECT_NEAR(state.RewardFraction(0), 0.5, 1e-10);
 }
 
@@ -124,7 +124,7 @@ TEST(EosModelTest, NotExpectationallyFair) {
   EosModel model(0.01, 0.1);
   StakeState state({0.2, 0.8});
   RngStream rng(8);
-  model.RunGame(state, rng, 1000);
+  model.RunSteps(state, state.step(), 1000, rng);
   EXPECT_GT(state.RewardFraction(0), 0.2 + 0.01);
   EXPECT_LT(state.RewardFraction(1), 0.8 - 0.01);
 }
@@ -133,8 +133,8 @@ TEST(EosModelTest, DeterministicOutcome) {
   EosModel model(0.01, 0.1);
   StakeState s1({0.2, 0.8}), s2({0.2, 0.8});
   RngStream r1(9), r2(10);  // different seeds: EOS rounds are deterministic
-  model.RunGame(s1, r1, 200);
-  model.RunGame(s2, r2, 200);
+  model.RunSteps(s1, s1.step(), 200, r1);
+  model.RunSteps(s2, s2.step(), 200, r2);
   EXPECT_DOUBLE_EQ(s1.income(0), s2.income(0));
 }
 
@@ -144,7 +144,7 @@ TEST(EosModelTest, SharesConvergeTowardUniform) {
   EosModel model(0.1, 0.0);
   StakeState state({0.2, 0.8});
   RngStream rng(11);
-  model.RunGame(state, rng, 5000);
+  model.RunSteps(state, state.step(), 5000, rng);
   EXPECT_GT(state.StakeShare(0), 0.4);
   EXPECT_LT(state.StakeShare(0), 0.5 + 1e-9);
 }

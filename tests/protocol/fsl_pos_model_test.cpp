@@ -42,7 +42,7 @@ TEST(FslPosModelTest, ExpectationalFairnessRestored) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 500);
+    model.RunSteps(state, state.step(), 500, rng);
     lambda_stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(lambda_stats.Mean(), 0.2, 4.0 * lambda_stats.StdError());
@@ -59,14 +59,14 @@ TEST(FslPosModelTest, DistributionMatchesMlPos) {
       FslPosModel model(w);
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep);
-      model.RunGame(state, rng, 400);
+      model.RunSteps(state, state.step(), 400, rng);
       fsl_stats.Add(state.RewardFraction(0));
     }
     {
       MlPosModel model(w);
       StakeState state({0.2, 0.8});
       RngStream rng = master.Split(rep + 5000000);
-      model.RunGame(state, rng, 400);
+      model.RunSteps(state, state.step(), 400, rng);
       ml_stats.Add(state.RewardFraction(0));
     }
   }
@@ -83,7 +83,7 @@ TEST(FslPosModelTest, NoMonopolizationDrift) {
   for (std::uint64_t rep = 0; rep < 1000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 3000);
+    model.RunSteps(state, state.step(), 3000, rng);
     share_stats.Add(state.StakeShare(0));
   }
   EXPECT_NEAR(share_stats.Mean(), 0.2, 4.0 * share_stats.StdError());
@@ -99,7 +99,7 @@ TEST(FslPosModelTest, ZeroStakeMinerNeverWins) {
   FslPosModel model(0.01);
   StakeState state({0.0, 1.0});
   RngStream rng(5);
-  model.RunGame(state, rng, 50);
+  model.RunSteps(state, state.step(), 50, rng);
   EXPECT_DOUBLE_EQ(state.income(0), 0.0);
 }
 

@@ -40,7 +40,7 @@ TEST(MlPosModelTest, TotalStakeGrowsLinearly) {
   MlPosModel model(0.01);
   StakeState state({0.2, 0.8});
   RngStream rng(2);
-  model.RunGame(state, rng, 500);
+  model.RunSteps(state, state.step(), 500, rng);
   EXPECT_NEAR(state.total_stake(), 1.0 + 0.01 * 500, 1e-9);
 }
 
@@ -69,7 +69,7 @@ TEST(MlPosModelTest, ExpectationalFairness) {
   for (std::uint64_t rep = 0; rep < 4000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 300);
+    model.RunSteps(state, state.step(), 300, rng);
     lambda_stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(lambda_stats.Mean(), 0.2, 4.0 * lambda_stats.StdError());
@@ -86,7 +86,7 @@ TEST(MlPosModelTest, LambdaVarianceMuchLargerThanPow) {
     MlPosModel model(w);
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, blocks);
+    model.RunSteps(state, state.step(), blocks, rng);
     ml_stats.Add(state.RewardFraction(0));
   }
   const double pow_variance = 0.2 * 0.8 / blocks;  // Bin(n,a)/n variance
@@ -102,7 +102,7 @@ TEST(MlPosModelTest, FinalLambdaMatchesBetaLimitQuantiles) {
     MlPosModel model(w);
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 3000);
+    model.RunSteps(state, state.step(), 3000, rng);
     lambdas.push_back(state.RewardFraction(0));
   }
   std::sort(lambdas.begin(), lambdas.end());
@@ -141,7 +141,7 @@ TEST(MlPosModelTest, ThreeMinerExpectationalFairness) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     StakeState state({0.2, 0.3, 0.5});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 300);
+    model.RunSteps(state, state.step(), 300, rng);
     m0.Add(state.RewardFraction(0));
     m2.Add(state.RewardFraction(2));
   }

@@ -41,7 +41,7 @@ TEST_P(ModelPropertyTest, RewardConservation) {
   StakeState state({0.2, 0.3, 0.5});
   RngStream rng(1);
   const std::uint64_t steps = 500;
-  model_->RunGame(state, rng, steps);
+  model_->RunSteps(state, state.step(), steps, rng);
   EXPECT_NEAR(state.total_income(),
               model_->RewardPerStep() * static_cast<double>(steps),
               1e-9 * static_cast<double>(steps));
@@ -70,7 +70,7 @@ TEST_P(ModelPropertyTest, StakeTotalsConsistent) {
 TEST_P(ModelPropertyTest, LambdaIsProbabilityVector) {
   StakeState state({0.2, 0.3, 0.5});
   RngStream rng(3);
-  model_->RunGame(state, rng, 300);
+  model_->RunSteps(state, state.step(), 300, rng);
   double total = 0.0;
   for (std::size_t i = 0; i < state.miner_count(); ++i) {
     const double lambda = state.RewardFraction(i);
@@ -84,8 +84,8 @@ TEST_P(ModelPropertyTest, LambdaIsProbabilityVector) {
 TEST_P(ModelPropertyTest, Deterministic) {
   StakeState s1({0.2, 0.3, 0.5}), s2({0.2, 0.3, 0.5});
   RngStream r1(4), r2(4);
-  model_->RunGame(s1, r1, 400);
-  model_->RunGame(s2, r2, 400);
+  model_->RunSteps(s1, s1.step(), 400, r1);
+  model_->RunSteps(s2, s2.step(), 400, r2);
   for (std::size_t i = 0; i < s1.miner_count(); ++i) {
     EXPECT_DOUBLE_EQ(s1.income(i), s2.income(i));
     EXPECT_DOUBLE_EQ(s1.stake(i), s2.stake(i));
@@ -98,7 +98,7 @@ TEST_P(ModelPropertyTest, WithholdingPreservesIncome) {
   StakeState state({0.2, 0.3, 0.5}, /*withhold_period=*/100000);
   RngStream rng(5);
   const std::uint64_t steps = 300;
-  model_->RunGame(state, rng, steps);
+  model_->RunSteps(state, state.step(), steps, rng);
   EXPECT_NEAR(state.total_income(),
               model_->RewardPerStep() * static_cast<double>(steps), 1e-9);
   if (model_->RewardCompounds()) {
@@ -110,7 +110,8 @@ TEST_P(ModelPropertyTest, WithholdingPreservesIncome) {
 TEST_P(ModelPropertyTest, WinProbabilitiesFormDistribution) {
   StakeState state({0.2, 0.3, 0.5});
   RngStream rng(6);
-  model_->RunGame(state, rng, 50);  // evolve off the initial point
+  // Evolve off the initial point.
+  model_->RunSteps(state, state.step(), 50, rng);
   double total = 0.0;
   for (std::size_t i = 0; i < state.miner_count(); ++i) {
     const double p = model_->WinProbability(state, i);

@@ -27,7 +27,7 @@ TEST(PowModelTest, StakeNeverChanges) {
   PowModel model(0.01);
   StakeState state({0.2, 0.8});
   RngStream rng(1);
-  model.RunGame(state, rng, 1000);
+  model.RunSteps(state, state.step(), 1000, rng);
   EXPECT_DOUBLE_EQ(state.stake(0), 0.2);
   EXPECT_DOUBLE_EQ(state.stake(1), 0.8);
   EXPECT_DOUBLE_EQ(state.total_stake(), 1.0);
@@ -37,7 +37,7 @@ TEST(PowModelTest, EveryBlockCreditsExactlyOneReward) {
   PowModel model(0.01);
   StakeState state({0.2, 0.8});
   RngStream rng(2);
-  model.RunGame(state, rng, 500);
+  model.RunSteps(state, state.step(), 500, rng);
   EXPECT_NEAR(state.total_income(), 5.0, 1e-9);
   EXPECT_EQ(state.step(), 500u);
 }
@@ -54,7 +54,7 @@ TEST(PowModelTest, EmpiricalWinFrequencyMatchesHashPower) {
   StakeState state({0.2, 0.8});
   RngStream rng(3);
   const int blocks = 200000;
-  model.RunGame(state, rng, blocks);
+  model.RunSteps(state, state.step(), blocks, rng);
   EXPECT_NEAR(state.RewardFraction(0), 0.2, 0.004);
 }
 
@@ -87,7 +87,7 @@ TEST(PowModelTest, ExpectationalFairnessAcrossReplications) {
   for (std::uint64_t rep = 0; rep < 3000; ++rep) {
     StakeState state({0.3, 0.7});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 200);
+    model.RunSteps(state, state.step(), 200, rng);
     lambda_stats.Add(state.RewardFraction(0));
   }
   EXPECT_NEAR(lambda_stats.Mean(), 0.3, 4.0 * lambda_stats.StdError());
@@ -97,7 +97,7 @@ TEST(PowModelTest, MultiMinerSelection) {
   PowModel model(1.0);
   StakeState state({1.0, 2.0, 3.0, 4.0});
   RngStream rng(6);
-  model.RunGame(state, rng, 100000);
+  model.RunSteps(state, state.step(), 100000, rng);
   EXPECT_NEAR(state.RewardFraction(0), 0.1, 0.01);
   EXPECT_NEAR(state.RewardFraction(1), 0.2, 0.01);
   EXPECT_NEAR(state.RewardFraction(2), 0.3, 0.01);
@@ -108,8 +108,8 @@ TEST(PowModelTest, DeterministicGivenSeed) {
   PowModel model(0.01);
   StakeState s1({0.2, 0.8}), s2({0.2, 0.8});
   RngStream r1(7), r2(7);
-  model.RunGame(s1, r1, 1000);
-  model.RunGame(s2, r2, 1000);
+  model.RunSteps(s1, s1.step(), 1000, r1);
+  model.RunSteps(s2, s2.step(), 1000, r2);
   EXPECT_DOUBLE_EQ(s1.income(0), s2.income(0));
 }
 

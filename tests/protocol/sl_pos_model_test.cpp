@@ -3,6 +3,8 @@
 
 #include "protocol/sl_pos.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "protocol/win_probability.hpp"
@@ -62,7 +64,7 @@ TEST(SlPosModelTest, ExpectationalUnfairness) {
   for (std::uint64_t rep = 0; rep < 2000; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 500);
+    model.RunSteps(state, state.step(), 500, rng);
     lambda_stats.Add(state.RewardFraction(0));
   }
   EXPECT_LT(lambda_stats.Mean() + 4.0 * lambda_stats.StdError(), 0.2);
@@ -75,9 +77,9 @@ TEST(SlPosModelTest, PoorMinerShareDecaysOverTime) {
   for (std::uint64_t rep = 0; rep < 500; ++rep) {
     StakeState state({0.2, 0.8});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 500);
+    model.RunSteps(state, state.step(), 500, rng);
     at_500.Add(state.RewardFraction(0));
-    model.RunGame(state, rng, 4500);
+    model.RunSteps(state, state.step(), 4500, rng);
     at_5000.Add(state.RewardFraction(0));
   }
   EXPECT_LT(at_5000.Mean(), at_500.Mean());
@@ -94,7 +96,7 @@ TEST(SlPosModelTest, MonopolizationAtLongHorizon) {
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     StakeState state({0.5, 0.5});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 50000);
+    model.RunSteps(state, state.step(), 50000, rng);
     const double share = state.StakeShare(0);
     if (share < 0.1 || share > 0.9) ++extreme;
   }
@@ -102,18 +104,22 @@ TEST(SlPosModelTest, MonopolizationAtLongHorizon) {
 }
 
 TEST(SlPosModelTest, EqualStartMonopolizesFiftyFifty) {
-  // From Z_0 = 1/2 the game tips to either side with equal probability.
+  // From Z_0 = 1/2 the game tips to either side with equal probability,
+  // and (Lemma 4.8) the unstable point 1/2 itself attracts no mass.
   SlPosModel model(0.05);
   const RngStream master(5);
-  int a_side = 0;
+  int a_side = 0, near_half = 0;
   const int reps = 400;
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     StakeState state({0.5, 0.5});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 20000);
-    if (state.StakeShare(0) > 0.5) ++a_side;
+    model.RunSteps(state, state.step(), 20000, rng);
+    const double share = state.StakeShare(0);
+    if (share > 0.5) ++a_side;
+    if (std::fabs(share - 0.5) < 0.05) ++near_half;
   }
   EXPECT_NEAR(static_cast<double>(a_side) / reps, 0.5, 0.125);
+  EXPECT_LE(near_half, 4);
 }
 
 TEST(SlPosModelTest, BiggestMinerWinsMonopolyMostOften) {
@@ -126,7 +132,7 @@ TEST(SlPosModelTest, BiggestMinerWinsMonopolyMostOften) {
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     StakeState state({0.7, 0.3});
     RngStream rng = master.Split(rep);
-    model.RunGame(state, rng, 20000);
+    model.RunSteps(state, state.step(), 20000, rng);
     const double share = state.StakeShare(0);
     if (share > 0.9) ++rich_side;
     if (share > 0.9 || share < 0.1) ++extreme;
@@ -139,7 +145,7 @@ TEST(SlPosModelTest, ZeroStakeMinerStaysAtZero) {
   SlPosModel model(0.01);
   StakeState state({0.0, 1.0});
   RngStream rng(7);
-  model.RunGame(state, rng, 100);
+  model.RunSteps(state, state.step(), 100, rng);
   EXPECT_DOUBLE_EQ(state.income(0), 0.0);
   EXPECT_DOUBLE_EQ(state.RewardFraction(1), 1.0);
 }

@@ -1,6 +1,6 @@
 // Property tests for StakeState's O(log m) proportional sampler: selection
-// frequencies must match the closed-form ProportionalWinProbability — the
-// O(m) reference the sampler replaced — through credits, withholding
+// frequencies must match the closed-form proportional law stake_i / Σ stake
+// — the O(m) reference the sampler replaced — through credits, withholding
 // releases, and resets.  Chi-square / exact-binomial acceptance via the
 // StatisticalJudge helpers and math::ChiSquareGofTest.
 
@@ -11,7 +11,6 @@
 
 #include "math/ks_test.hpp"
 #include "protocol/stake_state.hpp"
-#include "protocol/win_probability.hpp"
 #include "support/rng.hpp"
 #include "verify/statistical_judge.hpp"
 
@@ -36,9 +35,11 @@ std::vector<double> CurrentStakes(const StakeState& state) {
 void ExpectProportionalFrequencies(const StakeState& state,
                                    std::uint64_t draws, std::uint64_t seed) {
   const std::vector<double> stakes = CurrentStakes(state);
+  double total = 0.0;
+  for (const double stake : stakes) total += stake;
   std::vector<double> expected(stakes.size());
   for (std::size_t i = 0; i < stakes.size(); ++i) {
-    expected[i] = ProportionalWinProbability(stakes, i);
+    expected[i] = stakes[i] / total;
   }
   std::vector<std::uint64_t> counts(stakes.size(), 0);
   RngStream rng(seed);

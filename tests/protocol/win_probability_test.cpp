@@ -1,5 +1,4 @@
-// Tests for the closed-form / numeric win probabilities of Section 2 and
-// Lemma 6.1.
+// Tests for the SL-PoS win probabilities of Equation (1) and Lemma 6.1.
 
 #include "protocol/win_probability.hpp"
 
@@ -12,45 +11,6 @@
 
 namespace fairchain::protocol {
 namespace {
-
-TEST(ProportionalTest, BasicShares) {
-  EXPECT_DOUBLE_EQ(ProportionalWinProbability({2.0, 8.0}, 0), 0.2);
-  EXPECT_DOUBLE_EQ(ProportionalWinProbability({2.0, 8.0}, 1), 0.8);
-  EXPECT_DOUBLE_EQ(ProportionalWinProbability({1.0, 1.0, 2.0}, 2), 0.5);
-}
-
-TEST(ProportionalTest, Rejections) {
-  EXPECT_THROW(ProportionalWinProbability({1.0}, 5), std::invalid_argument);
-  EXPECT_THROW(ProportionalWinProbability({-1.0, 2.0}, 0),
-               std::invalid_argument);
-  EXPECT_THROW(ProportionalWinProbability({0.0, 0.0}, 0),
-               std::invalid_argument);
-}
-
-TEST(MlPosExactTest, ReducesToProportionalForTinyP) {
-  // With p -> 0 at fixed ratio, the tie-corrected probability tends to
-  // p_a / (p_a + p_b) = s_a / (s_a + s_b).
-  const double exact = MlPosTwoMinerWinProbabilityExact(2e-7, 8e-7);
-  EXPECT_NEAR(exact, 0.2, 1e-6);
-}
-
-TEST(MlPosExactTest, TieTermMatters) {
-  // p_a = p_b = 1 (both always succeed): pure tie-break -> 1/2.
-  EXPECT_DOUBLE_EQ(MlPosTwoMinerWinProbabilityExact(1.0, 1.0), 0.5);
-}
-
-TEST(MlPosExactTest, PaperFormula) {
-  const double p_a = 0.001, p_b = 0.004;
-  const double expected = (p_a - p_a * p_b / 2.0) / (p_a + p_b - p_a * p_b);
-  EXPECT_DOUBLE_EQ(MlPosTwoMinerWinProbabilityExact(p_a, p_b), expected);
-}
-
-TEST(MlPosExactTest, ComplementSumsToOne) {
-  const double p_a = 0.003, p_b = 0.009;
-  EXPECT_NEAR(MlPosTwoMinerWinProbabilityExact(p_a, p_b) +
-                  MlPosTwoMinerWinProbabilityExact(p_b, p_a),
-              1.0, 1e-12);
-}
 
 TEST(SlPosTwoMinerTest, PaperHeadlineValue) {
   // a = 0.2, b = 0.8: Pr[A wins] = 0.2 / 1.6 = 0.125 (Section 5.3).
@@ -78,13 +38,6 @@ TEST(SlPosTwoMinerTest, ZeroStakeEdges) {
   EXPECT_DOUBLE_EQ(SlPosTwoMinerWinProbability(0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(SlPosTwoMinerWinProbability(1.0, 0.0), 1.0);
   EXPECT_THROW(SlPosTwoMinerWinProbability(0.0, 0.0), std::invalid_argument);
-}
-
-TEST(SlPosDiscreteTest, AgreesWithContinuousLimit) {
-  for (double a : {0.1, 0.2, 0.35, 0.5}) {
-    EXPECT_NEAR(SlPosTwoMinerWinProbabilityDiscrete(a, 1.0 - a),
-                SlPosTwoMinerWinProbability(a, 1.0 - a), 1e-15);
-  }
 }
 
 TEST(SlPosMultiMinerTest, TwoMinerMatchesClosedForm) {

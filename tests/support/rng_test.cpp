@@ -149,26 +149,6 @@ TEST(RngStreamTest, SplitDoesNotAdvanceParent) {
   EXPECT_EQ(parent.NextU64(), reference.NextU64());
 }
 
-TEST(RngStreamTest, JumpChangesStateDeterministically) {
-  RngStream a(77);
-  RngStream b(77);
-  a.Jump();
-  b.Jump();
-  EXPECT_EQ(a.state(), b.state());
-  RngStream c(77);
-  EXPECT_NE(a.NextU64(), c.NextU64());
-}
-
-TEST(RngStreamTest, FillDoublesFillsAll) {
-  RngStream rng(15);
-  std::vector<double> values(100, -1.0);
-  rng.FillDoubles(&values);
-  for (const double v : values) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
-}
-
 // Serial correlation sanity: lag-1 autocorrelation of uniforms ~ 0.
 TEST(RngStreamTest, LowSerialCorrelation) {
   RngStream rng(16);

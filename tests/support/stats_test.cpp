@@ -50,34 +50,6 @@ TEST(RunningStatsTest, MatchesDirectComputation) {
   EXPECT_NEAR(stats.StdDev(), std::sqrt(ss / (values.size() - 1)), 1e-12);
 }
 
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  RunningStats left, right, all;
-  for (int i = 0; i < 100; ++i) {
-    const double v = std::sin(i) * 10.0;
-    (i < 40 ? left : right).Add(v);
-    all.Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-12);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-10);
-  EXPECT_EQ(left.Min(), all.Min());
-  EXPECT_EQ(left.Max(), all.Max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptyIsIdentity) {
-  RunningStats stats;
-  stats.Add(1.0);
-  stats.Add(2.0);
-  RunningStats empty;
-  stats.Merge(empty);
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_NEAR(stats.Mean(), 1.5, 1e-12);
-  empty.Merge(stats);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_NEAR(empty.Mean(), 1.5, 1e-12);
-}
-
 TEST(RunningStatsTest, NumericallyStableForLargeOffset) {
   RunningStats stats;
   const double offset = 1e9;
@@ -283,55 +255,6 @@ TEST(QuantilesInPlaceTest, RejectsBadInput) {
   std::vector<double> values = {1.0};
   EXPECT_THROW(QuantilesInPlace(values, {1.5}, &out, &scratch),
                std::invalid_argument);
-}
-
-TEST(FractionOutsideTest, CountsStrictOutside) {
-  const std::vector<double> values = {0.0, 0.5, 1.0, 1.5, 2.0};
-  // Interval [0.5, 1.5]: 0.0 and 2.0 are outside.
-  EXPECT_DOUBLE_EQ(FractionOutside(values, 0.5, 1.5), 0.4);
-}
-
-TEST(FractionOutsideTest, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(FractionOutside({}, 0.0, 1.0), 0.0);
-}
-
-TEST(HistogramTest, BucketsAndEdges) {
-  Histogram hist(0.0, 1.0, 4);
-  EXPECT_EQ(hist.bins(), 4u);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.BucketHigh(3), 1.0);
-  hist.Add(0.1);
-  hist.Add(0.26);
-  hist.Add(0.8);
-  hist.Add(-1.0);
-  hist.Add(2.0);
-  EXPECT_EQ(hist.BucketCount(0), 1u);
-  EXPECT_EQ(hist.BucketCount(1), 1u);
-  EXPECT_EQ(hist.BucketCount(3), 1u);
-  EXPECT_EQ(hist.underflow(), 1u);
-  EXPECT_EQ(hist.overflow(), 1u);
-  EXPECT_EQ(hist.total(), 5u);
-}
-
-TEST(HistogramTest, UpperEdgeGoesToOverflow) {
-  Histogram hist(0.0, 1.0, 2);
-  hist.Add(1.0);
-  EXPECT_EQ(hist.overflow(), 1u);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, AsciiRenderingContainsCounts) {
-  Histogram hist(0.0, 1.0, 2);
-  for (int i = 0; i < 5; ++i) hist.Add(0.25);
-  hist.Add(0.75);
-  const std::string art = hist.ToAscii(10);
-  EXPECT_NE(art.find("5"), std::string::npos);
-  EXPECT_NE(art.find("#"), std::string::npos);
 }
 
 }  // namespace
